@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-batched bench-backends bench-speculate bench-serve bench-sampling reproduce compare corpus examples lint analyze analyze-concurrency verify verify-fuzz metrics-smoke serve-smoke clean
+.PHONY: install test bench bench-backends bench-serve bench-sampling reproduce compare corpus examples lint analyze analyze-concurrency verify verify-fuzz metrics-smoke serve-smoke clean
 
 # Differential fuzz campaign size for `make verify-fuzz`.
 FUZZ_BUDGET ?= 10000
@@ -20,26 +20,13 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_batched_sim.py
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_speculate.py
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sampling.py
 
-# Batched-vs-scalar kernel throughput only (writes BENCH_batched_sim.json;
-# exits non-zero if the batched tier is not faster than scalar).
-bench-batched:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_batched_sim.py
-
 # Per-backend kernel throughput (writes BENCH_kernel_backends.json;
-# exits non-zero if the fused backend is slower than batched).
+# exits non-zero if the fused backend is not >=3x the scalar reference).
 bench-backends:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py
-
-# Hot-loop speculation throughput (writes BENCH_speculate.json; exits
-# non-zero if speculative is not >=1.2x fused on hot loops, or if it is
-# slower than batched at a 100% commit rate).
-bench-speculate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_speculate.py
 
 # Service load test: 1000 jobs through a live `repro serve` instance
 # (writes BENCH_serve.json with jobs/sec and p50/p99 latency).

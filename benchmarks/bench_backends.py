@@ -1,13 +1,14 @@
 """Per-backend probe-kernel throughput (records/second).
 
 Times the same column-backed MM trace through every registered
-execution backend (``repro.core.backend``) and writes
-``BENCH_kernel_backends.json`` with each backend's records/sec plus
-every backend's speedup over the ``batched`` baseline.  CI's
-perf-smoke job runs this as a script and fails the build (exit 1) if
-the ``fused`` backend is slower than ``batched`` -- the whole point of
-fused is that the LUT precompute amortizes, so a regression here means
-the dedup machinery stopped paying for itself.
+execution backend (``repro.core.backend``: the ``scalar`` reference
+and the ``fused`` kernel) and writes ``BENCH_kernel_backends.json``
+with each backend's records/sec plus its speedup over ``scalar``.
+CI's perf-smoke job runs this as a script and fails the build (exit 1)
+if ``fused`` is less than ``TARGET`` (3x) faster than ``scalar`` --
+the whole point of the columnar pair-id kernel is that partitioning
+and the LUT precompute amortize, so a regression here means the fast
+path stopped paying for itself.
 
 Best-of-N timing: each backend runs ``ROUNDS`` times on a fresh bank
 and the fastest round counts, which filters allocator/GC noise the
@@ -41,17 +42,19 @@ MIN_EVENTS = 200_000
 #: Timed rounds per backend (best one counts).
 ROUNDS = 3
 
-#: The baseline every backend is compared against, and the one backend
-#: that must not out-run ``fused``.
-BASELINE = "batched"
+#: The baseline every backend is compared against.
+BASELINE = "scalar"
+
+#: Speedup floor for ``fused`` over ``scalar``.
+TARGET = 3.0
 
 
 def _bench_trace():
     """A realistic MM trace, tiled up to ``MIN_EVENTS`` events.
 
     Column-backed, exactly as the corpus store hands traces to the
-    simulators, so the columnar backends take their fast path while the
-    scalar reference walks the same events."""
+    simulators, so ``fused`` takes its fast path while the scalar
+    reference walks the same events."""
     from repro.isa.columns import ColumnBatch
     from repro.isa.trace import Trace
 
@@ -89,8 +92,8 @@ def measure(events=None):
     warm = Trace(events.events[:2000])
     for name in execution.names():
         _one_round(warm, name)
-    # The scalar reference is ~5x slower; one round on the full trace
-    # is plenty for a stable baseline-ratio denominator.
+    # The scalar reference is several times slower; one round on the
+    # full trace is plenty for a stable baseline-ratio denominator.
     rates = {}
     for name in execution.names():
         rounds = 1 if name == "scalar" else ROUNDS
@@ -101,24 +104,24 @@ def measure(events=None):
         "backends": {
             name: {
                 "records_per_sec": round(rate, 1),
-                "speedup_vs_batched": round(rate / baseline, 3),
+                "speedup_vs_scalar": round(rate / baseline, 3),
             }
             for name, rate in rates.items()
         },
-        "fused_vs_batched": round(rates["fused"] / baseline, 3),
-        "target": 1.0,
+        "fused_vs_scalar": round(rates["fused"] / baseline, 3),
+        "target": TARGET,
     }
 
 
-def test_fused_not_slower_than_batched(benchmark):
-    """pytest-benchmark entry: per-backend throughput, fused >= batched."""
+def test_fused_faster_than_scalar(benchmark):
+    """pytest-benchmark entry: per-backend throughput, fused >= 3x scalar."""
     events = _bench_trace()
     result = benchmark.pedantic(
         lambda: measure(events), rounds=1, iterations=1
     )
     benchmark.extra_info.update(result)
-    assert result["fused_vs_batched"] >= 1.0, (
-        f"fused backend slower than batched: {result}"
+    assert result["fused_vs_scalar"] >= TARGET, (
+        f"fused backend below {TARGET}x scalar: {result}"
     )
 
 
@@ -126,14 +129,14 @@ def main():
     result = measure()
     REPORT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
-    if result["fused_vs_batched"] < result["target"]:
+    if result["fused_vs_scalar"] < result["target"]:
         print(
-            "FAIL: fused backend is slower than the batched baseline",
+            f"FAIL: fused backend is below {TARGET}x the scalar reference",
             file=sys.stderr,
         )
         return 1
     print(
-        f"fused/batched speedup {result['fused_vs_batched']}x "
+        f"fused/scalar speedup {result['fused_vs_scalar']}x "
         f"(floor {result['target']}x) -> {REPORT_PATH.name}"
     )
     return 0

@@ -19,7 +19,7 @@ REPRO005   the interpreter handles every Opcode; the latency model
            prices every Operation
 REPRO006   per-record MEMO-TABLE probe loops live only in
            ``repro.core.kernel`` (every other layer routes batches
-           through ``probe_batch``/``run_events``)
+           through ``repro.core.backend.dispatch``)
 REPRO007   no mutable default arguments anywhere in the package (a
            shared default dict/list is cross-call -- and under a fork
            pool, cross-copy -- hidden state)
@@ -515,11 +515,11 @@ def _enum_members(path: Path, class_name: str) -> Tuple[str, ...]:
 class PerRecordProbeLoopRule(LintRule):
     """Per-record MEMO-TABLE probe loops belong to ``repro.core.kernel``.
 
-    The batched kernel is the single place allowed to probe units or
+    The kernel module is the single place allowed to probe units or
     tables one record at a time; a ``for``/``while`` loop calling
     ``.execute()`` or ``.lookup()`` anywhere else re-creates the scalar
     inner loop the columnar refactor deleted, silently bypassing the
-    vectorized path (and the batched-vs-scalar parity CI asserts).
+    fused path (and the fused-vs-scalar parity CI asserts).
     Hazard-style models that genuinely need per-event outcomes route
     through :func:`repro.core.kernel.probe_one`.
     """
@@ -564,7 +564,7 @@ class PerRecordProbeLoopRule(LintRule):
                     inner, path,
                     f"per-record `.{inner.func.attr}()` probe inside a "
                     "loop; route the batch through repro.core.kernel "
-                    "(probe_batch/run_events, or probe_one for models "
+                    "(backend.dispatch, or probe_one for models "
                     "that need per-event outcomes)",
                 ))
         return findings
@@ -754,7 +754,7 @@ class KernelImportRule(LintRule):
     helpers front-ends legitimately need (``probe_one``,
     ``values_match``, ``replay_infinite``, the fault-injection seam).
     A direct kernel import bypasses backend selection -- the module
-    would keep running the batched path no matter what ``--backend``,
+    would keep running the fused path no matter what ``--backend``,
     ``REPRO_BACKEND`` or a serve job spec asked for, and its runs would
     escape the per-backend metrics attribution.
     """

@@ -483,7 +483,7 @@ def measure_infinite_hit_ratio(
     """Replay a machine's trace through per-class infinite MEMO-TABLES.
 
     Returns ``(per-pc execution counts, hits, total memoizable ops)``.
-    The replay itself is the kernel's (batched for column-backed traces,
+    The replay itself is the kernel's (columnar for column-backed traces,
     the infinite-table reference loop otherwise).
     """
     assert machine.trace is not None, "machine must keep its trace"

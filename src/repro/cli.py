@@ -10,9 +10,8 @@ Regenerates any table or figure of the paper on the terminal::
 ``--jobs N`` fans the experiments (and the traces they need) out across
 a worker pool; ``--corpus-dir`` persists recorded traces so later runs
 replay them from disk.  ``--backend NAME`` pins the execution backend
-(``scalar`` | ``batched`` | ``fused`` | ``speculative``, see
-:mod:`repro.core.backend`) for the whole run including workers; ``--scalar`` is the deprecated
-alias for ``--backend scalar``.  ``repro corpus record|ls|verify|gc`` maintains
+(``scalar`` | ``fused``, see :mod:`repro.core.backend`) for the whole
+run including workers.  ``repro corpus record|ls|verify|gc`` maintains
 the store (see :mod:`repro.corpus.cli`).  ``repro analyze`` runs the
 static dataflow passes that bound memo-table hit ratios, and ``repro
 lint`` checks the repo's determinism invariants (see
@@ -116,16 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "execution backend for every simulation in this run "
-            "(scalar | batched | fused | speculative; default batched, "
-            "or REPRO_BACKEND; propagates to worker processes)"
-        ),
-    )
-    parser.add_argument(
-        "--scalar",
-        action="store_true",
-        help=(
-            "deprecated alias for --backend scalar (the event-at-a-time "
-            "reference path; bit-identical results, slower)"
+            "(scalar | fused; default fused, or REPRO_BACKEND; "
+            "propagates to worker processes)"
         ),
     )
     parser.add_argument(
@@ -203,24 +194,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return main_result(argv[1:])
     args = _build_parser().parse_args(argv)
-    if args.scalar or args.backend is not None:
-        from .core import backend as execution
+    from .core import backend as execution
 
-        if args.scalar and args.backend not in (None, "scalar"):
-            print(
-                f"--scalar conflicts with --backend {args.backend}; "
-                "drop the deprecated --scalar flag",
-                file=sys.stderr,
-            )
-            return 2
-        chosen = args.backend if args.backend is not None else "scalar"
-        try:
-            # Sets REPRO_BACKEND too, so --jobs worker processes inherit
-            # it (the propagation contract REPRO_SCALAR used to carry).
-            execution.set_backend(chosen)
-        except execution.UnknownBackendError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    try:
+        if args.backend is not None:
+            # Sets REPRO_BACKEND too, so --jobs worker processes inherit it.
+            execution.set_backend(args.backend)
+        # Validate the selection once, here, whatever it came from: an
+        # unknown REPRO_BACKEND must not surface as a traceback mid-run.
+        execution.resolve()
+    except execution.UnknownBackendError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.experiment == "list":
         for name in experiment_names():
             print(name)

@@ -9,25 +9,15 @@ name and hands it the batch:
 ``scalar``
     The event-at-a-time reference loop
     (:func:`repro.core.kernel.run_events_scalar`) -- ground truth,
-    roughly 5x slower than ``batched`` on columnar traces.
-
-``batched``
-    The opcode-partitioned columnar kernel
-    (:func:`repro.core.kernel.probe_batch`) -- the default.
+    several times slower than ``fused`` on columnar traces.
 
 ``fused``
-    The LUT-fused kernel (:mod:`repro.core.fused`): operand pairs are
-    deduplicated up front with ``np.unique`` so tag compare, value
-    compute and victim selection all run over small dense integer
-    tables instead of per-event tuples (the pLUTo "table as
+    The opcode-partitioned pair-id kernel
+    (:func:`repro.core.kernel.probe_batch`) -- the default.  Operand
+    pairs are deduplicated up front with ``np.unique`` so tag compare,
+    value compute and victim selection all run over small dense
+    integer tables instead of per-event tuples (the pLUTo "table as
     precomputed LUT" move).
-
-``speculative``
-    Hot-trace speculation (:mod:`repro.core.speculate`): hot pc
-    regions detected by a seeded rolling-window hash are trained into
-    per-region operand-tag plans and re-executed as single guarded
-    bulk probes; any guard failure aborts the region to the fused
-    loop with bit-exact state handoff.
 
 Selection precedence (first match wins):
 
@@ -35,16 +25,11 @@ Selection precedence (first match wins):
    the ``backend`` field of a serve job spec);
 2. a process-wide override installed by :func:`set_backend`;
 3. the ``REPRO_BACKEND`` environment variable;
-4. the legacy ``REPRO_SCALAR`` toggle (deprecated alias for
-   ``REPRO_BACKEND=scalar``);
-5. the default, ``batched``.
+4. the default, ``fused``.
 
 :func:`set_backend` mirrors the choice into ``REPRO_BACKEND`` so
-fork/spawn worker pools inherit it, exactly as ``REPRO_SCALAR`` used
-to propagate.  Unknown names raise :class:`UnknownBackendError`;
-*registered but unavailable* backends (a compiled backend whose
-toolchain is missing, say) degrade to ``batched`` with a one-time
-warning instead of crashing -- see :meth:`ExecutionBackend.availability`.
+fork/spawn worker pools inherit it.  Unknown names raise
+:class:`UnknownBackendError`.
 
 This module is also the sanctioned facade over the kernel: lint rule
 REPRO009 forbids importing :mod:`repro.core.kernel` from outside
@@ -58,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -81,7 +65,7 @@ __all__ = [
     "KernelResult",
     "ExecutionBackend",
     "ScalarBackend",
-    "BatchedBackend",
+    "FusedBackend",
     "register",
     "get",
     "names",
@@ -93,7 +77,6 @@ __all__ = [
     "dispatch",
     # kernel facade
     "KERNEL_FAULTS",
-    "SPECULATE_FAULTS",
     "KernelReport",
     "as_batch",
     "probe_one",
@@ -103,20 +86,12 @@ __all__ = [
     "values_match",
     "active_fault",
     "set_active_fault",
-    "scalar_mode",
-    "set_scalar_mode",
 ]
 
 #: Environment variable carrying the selected backend into worker pools.
 ENV_VAR = "REPRO_BACKEND"
 
-#: Legacy boolean toggle, kept as a deprecated alias for ``scalar``.
-LEGACY_ENV_VAR = "REPRO_SCALAR"
-
-DEFAULT_BACKEND = "batched"
-
-#: Where registered-but-unavailable backends degrade to.
-FALLBACK_BACKEND = "batched"
+DEFAULT_BACKEND = "fused"
 
 #: Alias: a backend run produces exactly a kernel report.
 KernelResult = KernelReport
@@ -134,7 +109,7 @@ class UnknownBackendError(BackendError):
 class KernelConfig:
     """Everything a backend needs besides the batch and the units.
 
-    Mirrors the keyword surface of :func:`repro.core.kernel.run_events`:
+    Mirrors the keyword surface of :func:`dispatch`:
     ``machine``/``hierarchy``/``fp_add_latency`` switch on cycle
     accounting, ``validate`` compares delivered values against traced
     results, ``start``/``stop`` select an index slice of the trace.
@@ -151,25 +126,16 @@ class KernelConfig:
 class ExecutionBackend:
     """One named way of running a batch through the memo units.
 
-    Subclasses implement :meth:`probe_batch` -- the whole contract --
-    and may override :meth:`availability` when they depend on optional
-    machinery.  Correctness bar: bit-identical
-    :class:`~repro.core.stats.MemoStats`, table contents and delivered
-    values to the ``scalar`` reference on any input (the parity suite
-    and ``repro verify fuzz`` enforce this for every registered
-    backend).
+    Subclasses implement :meth:`probe_batch` -- the whole contract.
+    Correctness bar: bit-identical :class:`~repro.core.stats.MemoStats`,
+    table contents and delivered values to the ``scalar`` reference on
+    any input (the parity suite and ``repro verify fuzz`` enforce this
+    for every registered backend).
     """
 
     #: Registry key; also the value ``--backend`` / ``REPRO_BACKEND`` take.
     name: str = ""
     description: str = ""
-
-    def availability(self) -> Optional[str]:
-        """None when the backend can run here, else a human-readable
-        reason (missing optional dependency, unsupported platform).
-        Unavailable backends are resolved to ``batched`` with a
-        warning rather than raising."""
-        return None
 
     def probe_batch(self, batch, units, config: KernelConfig) -> KernelResult:
         """Run ``batch[config.start:config.stop]`` through ``units``.
@@ -205,18 +171,17 @@ class ScalarBackend(ExecutionBackend):
         )
 
 
-class BatchedBackend(ExecutionBackend):
-    """The opcode-partitioned columnar kernel (the default)."""
+class FusedBackend(ExecutionBackend):
+    """The opcode-partitioned pair-id kernel (the default)."""
 
-    name = "batched"
-    description = "opcode-partitioned numpy batch kernel"
+    name = "fused"
+    description = "pair-id LUT kernel (np.unique dedup + integer probe loop)"
 
     def probe_batch(self, batch, units, config: KernelConfig) -> KernelResult:
         columns = as_batch(batch)
         if columns is None:
             # Plain event iterables have no columnar view; the scalar
-            # loop is the documented degrade (same as before the
-            # registry existed).
+            # loop is the documented degrade.
             return _SCALAR.probe_batch(batch, units, config)
         stop = len(columns) if config.stop is None else config.stop
         return kernel._run_batch(
@@ -235,7 +200,6 @@ class BatchedBackend(ExecutionBackend):
 
 _REGISTRY: Dict[str, ExecutionBackend] = {}
 _override: Optional[str] = None
-_warned_unavailable = set()
 
 
 def register(backend: ExecutionBackend, replace: bool = False) -> ExecutionBackend:
@@ -256,7 +220,7 @@ def names() -> Tuple[str, ...]:
 
 
 def get(name: str) -> ExecutionBackend:
-    """The registered backend called ``name`` (no availability check)."""
+    """The registered backend called ``name``."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -272,17 +236,13 @@ def describe() -> Dict[str, str]:
 
 
 def selected_name() -> str:
-    """The backend name the precedence chain currently selects.
-
-    This is the *requested* name; :func:`resolve` additionally applies
-    the availability fallback."""
+    """The backend name the precedence chain currently selects (not yet
+    validated; :func:`resolve` raises for an unknown name)."""
     if _override is not None:
         return _override
     env = os.environ.get(ENV_VAR, "").strip()
     if env:
         return env
-    if os.environ.get(LEGACY_ENV_VAR, "") not in ("", "0"):
-        return ScalarBackend.name
     return DEFAULT_BACKEND
 
 
@@ -290,8 +250,8 @@ def set_backend(name: Optional[str]) -> None:
     """Force (or, with None, release) a backend process-wide.
 
     The choice is mirrored into ``REPRO_BACKEND`` so worker processes
-    started after this call inherit it -- the same propagation contract
-    ``REPRO_SCALAR`` had.  Unknown names raise eagerly."""
+    started after this call inherit it.  Unknown names raise
+    eagerly."""
     global _override
     if name is None:
         _override = None
@@ -323,22 +283,8 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
 
 
 def resolve(name: Optional[str] = None) -> ExecutionBackend:
-    """The backend to actually run: ``name`` (or the precedence-chain
-    selection), degraded to ``batched`` when unavailable."""
-    chosen = name if name is not None else selected_name()
-    backend = get(chosen)
-    reason = backend.availability()
-    if reason is not None:
-        if chosen not in _warned_unavailable:
-            _warned_unavailable.add(chosen)
-            warnings.warn(
-                f"execution backend {chosen!r} is unavailable ({reason}); "
-                f"falling back to {FALLBACK_BACKEND!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        backend = get(FALLBACK_BACKEND)
-    return backend
+    """The backend to run: ``name``, or the precedence-chain selection."""
+    return get(name if name is not None else selected_name())
 
 
 # -- the one entry point front-ends call ------------------------------------
@@ -358,8 +304,13 @@ def dispatch(
 ) -> KernelResult:
     """Resolve a backend and run ``events`` through it.
 
-    Keyword surface matches :func:`repro.core.kernel.run_events` (which
-    is now a thin shim over this).  With metrics enabled, the run is
+    With ``machine`` (a :class:`~repro.arch.latency.ProcessorModel`)
+    the pass also charges cycles: uncovered memoizable operations cost
+    the machine latency, loads/stores go through ``hierarchy``, FADD
+    costs ``fp_add_latency`` and everything else one cycle -- the
+    section 3.3 accounting.  Without it, only statistics accumulate
+    (the Shade-style run).  ``start``/``stop`` select an index slice
+    of the trace.  With metrics enabled, the run is
     attributed to its backend: a ``backend.selected`` gauge keyed by
     name, a ``backend.<name>.dispatches`` counter and a
     ``backend.<name>.run`` span, so ``repro stats`` shows which
@@ -429,31 +380,5 @@ def set_indices(config, a, b):
     return kernel._set_indices(config, a, b)
 
 
-def scalar_mode() -> bool:
-    """True when the precedence chain selects the scalar reference
-    backend (compatibility shim for the old boolean API)."""
-    return selected_name() == ScalarBackend.name
-
-
-def set_scalar_mode(enabled: bool) -> None:
-    """Deprecated alias: force the ``scalar`` backend (True) or restore
-    the default ``batched`` backend (False)."""
-    set_backend(ScalarBackend.name if enabled else DEFAULT_BACKEND)
-
-
 _SCALAR = register(ScalarBackend())
-register(BatchedBackend())
-
-# The fused and speculative backends live in their own modules;
-# importing them last keeps the circular edge trivial (they need
-# ExecutionBackend, defined above).
-from .fused import FusedBackend  # noqa: E402
-
 register(FusedBackend())
-
-from .speculate import (  # noqa: E402,F401  (facade re-export)
-    SPECULATE_FAULTS,
-    SpeculativeBackend,
-)
-
-register(SpeculativeBackend())

@@ -1,4 +1,4 @@
-"""The batched memo-probe kernel: one inner loop for every simulator.
+"""The memo-probe kernel: one inner loop for every simulator.
 
 Every paper experiment boils down to "replay an operand stream through a
 MEMO-TABLE and count" (sections 2-4).  Historically that probe sequence
@@ -7,23 +7,24 @@ was re-implemented as a per-record Python loop in each front-end
 and the corpus replay path); this module is the single shared
 implementation, in two forms:
 
-* :func:`run_events` / :func:`probe_batch` -- the **batched** path.  A
-  columnar :class:`~repro.isa.columns.ColumnBatch` is partitioned by
-  opcode with numpy, index/tag columns and trivial-operand masks are
-  precomputed per partition, and a tight loop probes the table directly
-  (replicating :class:`~repro.core.memo_table.MemoTable` semantics --
-  clock, LRU recency, replacement, every counter -- exactly).
-* :func:`run_events_scalar` -- the retained **scalar reference** path:
-  the classic event-at-a-time loop over ``unit.execute``.  CI asserts
-  the two produce bit-identical :class:`~repro.core.stats.MemoStats` on
+* :func:`probe_batch` -- the **fused** path.  A columnar
+  :class:`~repro.isa.columns.ColumnBatch` is partitioned by opcode with
+  numpy; per partition, ``np.unique`` maps every event to a dense
+  **pair id** (one integer per distinct operand pair, the pLUTo "table
+  as precomputed lookup structure" move), so set index, commutative
+  twin and computed value are resolved once per id and the probe loop
+  runs over small integer lists -- replicating
+  :class:`~repro.core.memo_table.MemoTable` semantics (clock, recency,
+  replacement, every counter) exactly.
+* :func:`run_events_scalar` -- the **scalar reference** path: the
+  classic event-at-a-time loop over ``unit.execute``.  CI asserts the
+  two produce bit-identical :class:`~repro.core.stats.MemoStats` on
   every bundled program.
 
 Which form runs is decided by the execution-backend registry
-(:mod:`repro.core.backend`): both paths are registered there (as
-``scalar`` and ``batched``, next to the LUT-fused ``fused`` kernel of
-:mod:`repro.core.fused`), and ``repro <experiment> --backend NAME`` or
-the ``REPRO_BACKEND`` environment variable picks one at runtime
-(``--scalar``/``REPRO_SCALAR`` remain as deprecated aliases).
+(:mod:`repro.core.backend`, as ``fused`` and ``scalar``); ``repro
+<experiment> --backend NAME`` or the ``REPRO_BACKEND`` environment
+variable picks one at runtime.
 
 Batching by opcode is sound because each operation class owns a private
 MEMO-TABLE: per-table outcomes depend only on that operation's
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,15 +55,11 @@ from .replacement import LRUPolicy
 __all__ = [
     "KERNEL_FAULTS",
     "KernelReport",
-    "run_events",
     "run_events_scalar",
     "probe_batch",
     "probe_one",
-    "table_probe_batch",
     "replay_infinite",
     "as_batch",
-    "scalar_mode",
-    "set_scalar_mode",
     "values_match",
 ]
 
@@ -80,10 +77,10 @@ _MANT_MASK = (1 << 52) - 1
 # -- fault injection seam (mutation smoke) ----------------------------------
 #
 # ``repro verify smoke`` proves the differential harness can catch real
-# kernel regressions: each named fault below perturbs the batched fast
-# path the way a plausible bug would, and the harness must flag the
+# kernel regressions: each named fault below perturbs the pair-id probe
+# loop the way a plausible bug would, and the harness must flag the
 # divergence within its default budget.  The seam is a single module
-# global read once per batch; it is only ever set (briefly) by
+# global read once per partition; it is only ever set (briefly) by
 # ``repro.verify.faults.inject`` and is never active in production runs.
 
 KERNEL_FAULTS = (
@@ -94,26 +91,6 @@ KERNEL_FAULTS = (
 )
 
 _active_fault: Optional[str] = None
-
-
-def scalar_mode() -> bool:
-    """True when the selected execution backend is ``scalar``.
-
-    Compatibility shim over :func:`repro.core.backend.selected_name`
-    (which also honours the legacy ``REPRO_SCALAR`` toggle)."""
-    from . import backend
-
-    return backend.scalar_mode()
-
-
-def set_scalar_mode(enabled: bool) -> None:
-    """Deprecated alias for :func:`repro.core.backend.set_backend`:
-    force the ``scalar`` backend (True) or restore the default
-    ``batched`` backend (False); either way the choice is mirrored
-    into ``REPRO_BACKEND`` so worker pools inherit it."""
-    from . import backend
-
-    backend.set_scalar_mode(enabled)
 
 
 def as_batch(events) -> Optional[ColumnBatch]:
@@ -157,13 +134,9 @@ class KernelReport:
     base_cycles: int = 0
     memo_cycles: int = 0
     cycles_by_opcode: Dict[Opcode, int] = field(default_factory=dict)
-    #: Region-speculation accounting, attached by the ``speculative``
-    #: backend (a :class:`repro.core.speculate.SpeculationStats`); None
-    #: from every other probe path.
-    speculation: Optional[object] = None
 
 
-# -- single-event adapters --------------------------------------------------
+# -- single-event adapter ---------------------------------------------------
 
 
 def probe_one(unit, a, b=0.0):
@@ -173,27 +146,6 @@ def probe_one(unit, a, b=0.0):
     pipeline resolves stalls event by event) still route their probes
     through the kernel module."""
     return unit.execute(a, b)
-
-
-def table_probe_batch(
-    table,
-    a_values: Sequence,
-    b_values: Sequence,
-    compute: Callable,
-) -> Tuple[List, List[bool]]:
-    """Batched :meth:`~repro.core.memo_table.BaseMemoTable.access`.
-
-    Probes every operand pair in order, computing and inserting on each
-    miss; returns ``(values, hits)`` lists.  Statistics accumulate on
-    the table exactly as the scalar protocol would."""
-    values = []
-    hits = []
-    access = table.access
-    for a, b in zip(a_values, b_values):
-        value, hit = access(a, b, compute)
-        values.append(value)
-        hits.append(hit)
-    return values, hits
 
 
 # -- the probe kernel -------------------------------------------------------
@@ -221,12 +173,13 @@ def _set_indices(config, np_a, np_b, mask: Optional[int] = None):
     """Vectorized table set index for each operand pair.
 
     The single source of truth for the set-mapping formula: the probe
-    fast path and any analysis layer that models table placement both
-    call this, so they can never drift apart.  INT operands xor their
-    values; FLOAT operands xor the top bits of their mantissas (the
-    exponent is deliberately excluded -- see the table design notes).
-    ``mask`` overrides ``config.n_sets - 1`` (the fault-injection seam
-    narrows it to model a set-indexing bug).
+    loop and any analysis layer that models table placement both call
+    this, so they can never drift apart.  INT operands xor their
+    values; FLOAT operands (float64 values or their uint64 bit
+    patterns) xor the top bits of their mantissas (the exponent is
+    deliberately excluded -- see the table design notes).  ``mask``
+    overrides ``config.n_sets - 1`` (the fault-injection seam narrows
+    it to model a set-indexing bug).
     """
     if mask is None:
         mask = config.n_sets - 1
@@ -249,18 +202,21 @@ def probe_batch(
     validate: bool = False,
     _np_a=None,
     _np_b=None,
-    _idx=None,
 ) -> Tuple[int, int, int]:
     """Present a same-operation operand batch to one memoized unit.
 
     Returns ``(base_cycles, memo_cycles, mismatches)``.  All unit and
     table statistics land exactly where ``unit.execute`` would put them.
-    The vectorized fast path engages for the common configuration
-    (EXCLUDE trivial policy, full-value tags, stock table types,
-    type-homogeneous operands); anything else -- validation runs,
-    mantissa tags, CACHE_ALL/INTEGRATED policies, custom tables, mixed
-    int/float partitions -- takes the generic tier, which loops
-    ``unit.execute`` and is therefore correct by construction.
+    This is the one place that picks a partition's loop:
+
+    * finite :class:`~repro.core.memo_table.MemoTable` under any
+      replacement policy -- the pair-id loop (:func:`_probe_fused`);
+    * :class:`~repro.core.memo_table.InfiniteMemoTable` -- the tag dict
+      loop (:func:`_probe_infinite`);
+    * anything else -- validation runs, mantissa tags,
+      CACHE_ALL/INTEGRATED policies, custom tables, mixed int/float
+      partitions -- loops ``unit.execute`` and is therefore correct by
+      construction.
 
     With metrics enabled (:func:`repro.obs.enabled`), each partition is
     additionally timed as a ``kernel.partition.<OP>`` span and its
@@ -272,24 +228,13 @@ def probe_batch(
         return _probe_batch(
             unit, a_values, b_values, results, validate, _np_a, _np_b
         )
-    return instrument_partition(
-        unit,
-        lambda: _probe_batch(
-            unit, a_values, b_values, results, validate, _np_a, _np_b
-        ),
-    )
-
-
-def instrument_partition(unit, thunk):
-    """Time ``thunk()`` as a ``kernel.partition.<OP>`` span and stream
-    the unit's counter deltas into the metrics registry.  Shared by
-    every backend's partition probe (callers check
-    :func:`repro.obs.enabled` first)."""
     stats = unit.stats
     before = stats.counters()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    out = thunk()
+    out = _probe_batch(
+        unit, a_values, b_values, results, validate, _np_a, _np_b
+    )
     reg = obs.registry()
     name = unit.operation.name
     reg.record_span(
@@ -313,7 +258,6 @@ def _probe_batch(
     validate: bool = False,
     _np_a=None,
     _np_b=None,
-    _idx=None,
 ) -> Tuple[int, int, int]:
     """The uninstrumented :func:`probe_batch` body (tier dispatch)."""
     n = len(a_values)
@@ -331,7 +275,13 @@ def _probe_batch(
         if _np_a is None:
             _np_a, _np_b = _coerce_operands(a_values, b_values, int_kind)
         if _np_a is not None and int_kind == (_np_a.dtype.kind == "i"):
-            return _probe_fast(unit, table, a_values, b_values, _np_a, _np_b)
+            if table_type is MemoTable:
+                return _probe_fused(
+                    unit, table, a_values, b_values, _np_a, _np_b
+                )
+            return _probe_infinite(
+                unit, table, a_values, b_values, _np_a, _np_b
+            )
     execute = unit.execute
     base = memo = mismatches = 0
     if validate and results is not None:
@@ -370,144 +320,20 @@ def _coerce_operands(a_values, b_values, int_kind):
         return None, None
 
 
-def _probe_fast(unit, table, a_values, b_values, np_a, np_b):
-    """The vectorized inner loop (EXCLUDE policy, full tags).
+def _charge(unit, table, n, n_trivial, lookups, hits, commutative_hits,
+            insertions, evictions) -> Tuple[int, int, int]:
+    """Bulk cycle accounting and counter updates for one partition.
 
-    Replicates the scalar semantics counter for counter: the table clock
-    advances once per lookup and once per insert, hit recency and
-    replacement decisions are identical, and a miss inserts a fresh
-    entry (the exact tag was just probed absent, and reversed
-    commutative hits never reach insert)."""
-    operation = unit.operation
-    config = table.config
-    fault = _active_fault
-    trivial_arr = _trivial_mask(operation, np_a, np_b)
-    if fault == "dropped_trivial_mask":
-        trivial_arr = np.zeros(len(np_a), dtype=bool)
-    n_trivial = int(trivial_arr.sum())
-    int_kind = config.operand_kind is OperandKind.INT
-    if int_kind:
-        tags_a, tags_b = np_a.tolist(), np_b.tolist()
-    else:
-        tags_a = np_a.view(np.uint64).tolist()
-        tags_b = np_b.view(np.uint64).tolist()
-    tag_pairs = list(zip(tags_a, tags_b))
-    a_list = a_values if isinstance(a_values, list) else list(a_values)
-    b_list = b_values if isinstance(b_values, list) else list(b_values)
+    Hits cost ``latency`` on the base machine and ``hit_latency`` on
+    the memoized one; misses cost ``latency`` on both; trivial
+    operations cost the short early-out path on both (EXCLUDE
+    short-circuits the table entirely)."""
     latency = unit.latency
-    hit_latency = unit.hit_latency
-    trivial_cycles = min(unit.trivial_latency, latency)
-    commutative = config.commutative
-    compute_op = compute_function(operation)
-    n = len(a_list)
-    # Trivial events only count cycles, so the probe loop walks just the
-    # non-trivial positions (order within the opcode is preserved).
-    if n_trivial:
-        iter_idx = np.nonzero(~trivial_arr)[0].tolist()
-    else:
-        iter_idx = range(n)
-    lookups = hits = commutative_hits = insertions = evictions = 0
-
-    if type(table) is MemoTable:
-        mask = config.n_sets - 1
-        if fault == "wrong_set_index_mask":
-            mask >>= 1
-        index_list = _set_indices(config, np_a, np_b, mask=mask).tolist()
-        sets_ = table._sets
-        associativity = config.associativity
-        policy = table._policy
-        # LRU is the paper's (and default) policy; its argmin-by-recency
-        # choice is inlined because the dispatch + list building around
-        # ``policy.victim`` dominates miss-heavy traces.
-        inline_lru = type(policy) is LRUPolicy
-        victim_of = policy.victim
-        clock = table._clock
-        stale_tag = fault == "stale_tag_on_abort"
-        prev_tag = None
-        for i in iter_idx:
-            clock += 1
-            lookups += 1
-            tag = tag_pairs[i]
-            ways = sets_[index_list[i]]
-            entry = None
-            for way in ways:
-                if way.tag == tag:
-                    entry = way
-                    break
-            reversed_match = False
-            if entry is None and commutative:
-                swapped = (tag[1], tag[0])
-                for way in ways:
-                    if way.tag == swapped:
-                        entry = way
-                        reversed_match = True
-                        break
-            if entry is not None:
-                entry.last_used = clock
-                hits += 1
-                if reversed_match:
-                    commutative_hits += 1
-                if stale_tag:
-                    prev_tag = tag
-                continue
-            a, b = a_list[i], b_list[i]
-            value = compute_op(a, b)
-            clock += 1
-            insertions += 1
-            insert_tag = tag
-            if stale_tag and prev_tag is not None:
-                insert_tag = prev_tag
-            entry = _Entry(insert_tag, value, (a, b), clock)
-            if len(ways) < associativity:
-                ways.append(entry)
-            else:
-                if inline_lru:
-                    victim = 0
-                    oldest = ways[0].last_used
-                    for way_i in range(1, associativity):
-                        used = ways[way_i].last_used
-                        if used < oldest:
-                            oldest = used
-                            victim = way_i
-                    if fault == "lru_victim_off_by_one":
-                        victim = (victim + 1) % associativity
-                else:
-                    victim = victim_of(
-                        [w.last_used for w in ways],
-                        [w.inserted for w in ways],
-                    )
-                ways[victim] = entry
-                evictions += 1
-            if stale_tag:
-                prev_tag = tag
-        table._clock = clock
-    else:  # InfiniteMemoTable
-        entries = table._entries
-        get = entries.get
-        for i in iter_idx:
-            lookups += 1
-            tag = tag_pairs[i]
-            found = get(tag)
-            if found is None and commutative:
-                found = get((tag[1], tag[0]))
-                if found is not None:
-                    commutative_hits += 1
-            if found is not None:
-                hits += 1
-                continue
-            a, b = a_list[i], b_list[i]
-            value = compute_op(a, b)
-            insertions += 1
-            entries[tag] = (value, (a, b))
-
-    # Cycle accounting in bulk: hits cost ``latency`` on the base
-    # machine and ``hit_latency`` on the memoized one; misses cost
-    # ``latency`` on both; trivial operations cost ``trivial_cycles``
-    # on both (EXCLUDE short-circuits the table entirely).
-    trivial_total = n_trivial * trivial_cycles
+    trivial_total = n_trivial * min(unit.trivial_latency, latency)
     base = trivial_total + lookups * latency
-    memo = trivial_total + hits * hit_latency + (lookups - hits) * latency
-
+    memo = (
+        trivial_total + hits * unit.hit_latency + (lookups - hits) * latency
+    )
     table_stats = table.stats
     table_stats.lookups += lookups
     table_stats.hits += hits
@@ -522,48 +348,295 @@ def _probe_fast(unit, table, a_values, b_values, np_a, np_b):
     return base, memo, 0
 
 
-# -- whole-trace execution --------------------------------------------------
+def _pair_ids(np_a, np_b, int_kind: bool):
+    """Dense ids over distinct operand-bit pairs.
 
-
-def run_events(
-    events,
-    units: Optional[Dict[Operation, object]],
-    *,
-    machine=None,
-    hierarchy=None,
-    fp_add_latency: int = 3,
-    validate: bool = False,
-    scalar: bool = False,
-    backend: Optional[str] = None,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> KernelReport:
-    """Run a trace (or an index slice of one) through the kernel.
-
-    With ``machine`` (a :class:`~repro.arch.latency.ProcessorModel`)
-    the pass also charges cycles: uncovered memoizable operations cost
-    the machine latency, loads/stores go through ``hierarchy``, FADD
-    costs ``fp_add_latency`` and everything else one cycle -- the
-    section 3.3 accounting.  Without it, only statistics accumulate
-    (the Shade-style run).
-
-    Execution strategy is delegated to the backend registry
-    (:func:`repro.core.backend.dispatch`): ``backend=`` pins a named
-    backend, ``scalar=True`` is the legacy spelling of
-    ``backend="scalar"``, and with neither the process-wide selection
-    (``REPRO_BACKEND`` / ``--backend``) applies.
-    """
-    from . import backend as backend_registry
-
-    if backend is None and scalar:
-        backend = "scalar"
-    return backend_registry.dispatch(
-        events, units,
-        backend=backend,
-        machine=machine, hierarchy=hierarchy,
-        fp_add_latency=fp_add_latency, validate=validate,
-        start=start, stop=stop,
+    Returns ``(key_a, key_b, first, inv, u)``: per-id tag-half arrays
+    (bit patterns, identical to the scalar table's FULL tags), the
+    first event index carrying each id, the per-event id array, and
+    the id count.  Each operand column is deduplicated separately and
+    the pair id is built from the two (small) column ids -- three
+    primitive-int sorts, markedly faster than one lexicographic sort
+    of packed 128-bit keys."""
+    if int_kind:
+        keys_a, keys_b = np_a, np_b
+    else:
+        keys_a = np_a.view(np.uint64)
+        keys_b = np_b.view(np.uint64)
+    vals_a, inv_a = np.unique(keys_a, return_inverse=True)
+    vals_b, inv_b = np.unique(keys_b, return_inverse=True)
+    nb = len(vals_b)
+    combo = inv_a.ravel().astype(np.int64, copy=False) * nb + inv_b.ravel()
+    uniq, first_np, inv_np = np.unique(
+        combo, return_index=True, return_inverse=True
     )
+    return (
+        vals_a[uniq // nb],
+        vals_b[uniq % nb],
+        first_np,
+        inv_np.ravel(),
+        len(uniq),
+    )
+
+
+#: Cache-slot sentinel: a computed value may legitimately be falsy
+#: (0, 0.0), so unfilled slots need an impossible marker.
+_UNSET = object()
+
+
+def _probe_fused(unit, table, a_values, b_values, np_a, np_b):
+    """The pair-id loop (EXCLUDE policy, FULL tags, finite MemoTable).
+
+    1. ``np.unique`` over the partition's operand bit patterns maps
+       every event to a dense pair id; set index, commutative twin and
+       representative operands are precomputed per id, and the
+       computed value is cached per id on first miss.
+    2. The table's ways are mirrored into flat parallel integer lists
+       (slot = set * associativity + way: pair id, last-used clock,
+       inserted clock) plus one id -> slot dict, so a probe is a
+       single hash lookup and a hit a single list store -- no entry
+       allocation while the loop runs.  LRU victim selection is
+       inlined; FIFO and RANDOM call ``policy.victim`` on the slot
+       lists of the full set.
+    3. One materialization pass writes the surviving ways back as real
+       :class:`~repro.core.memo_table._Entry` objects and advances the
+       table clock.
+
+    Bit-exactness: FULL tags are the exact operand bit patterns, so
+    events sharing a pair id are indistinguishable to the table and to
+    the (deterministic) compute function; replaying clock, recency and
+    victim semantics per event over pair ids therefore reproduces the
+    scalar table state and statistics exactly -- tags, values,
+    operands, recency, insertion clocks and way order.  A miss always
+    inserts a fresh entry: the exact tag was just probed absent, and
+    reversed commutative hits never reach insert.
+    """
+    config = table.config
+    fault = _active_fault
+    trivial_arr = _trivial_mask(unit.operation, np_a, np_b)
+    if fault == "dropped_trivial_mask":
+        trivial_arr = np.zeros(len(np_a), dtype=bool)
+    n_trivial = int(trivial_arr.sum())
+    int_kind = config.operand_kind is OperandKind.INT
+
+    key_a, key_b, first_np, inv_np, u = _pair_ids(np_a, np_b, int_kind)
+    first = first_np.tolist()
+    tags_a = key_a.tolist()
+    tags_b = key_b.tolist()
+    mask = config.n_sets - 1
+    if fault == "wrong_set_index_mask":
+        mask >>= 1
+    set_lut = _set_indices(config, key_a, key_b, mask=mask).tolist()
+
+    pair_uid = {}
+    for k in range(u):
+        pair_uid[(tags_a[k], tags_b[k])] = k
+
+    # Mirror the live table into the flat slot lists.  Entries whose
+    # tag is not in this batch still get an id (past ``u``) so exact
+    # and commutative probes can hit them; their _Entry objects ride
+    # along untouched unless evicted.
+    sets_ = table._sets
+    n_sets = config.n_sets
+    assoc = config.associativity
+    size = n_sets * assoc
+    uid_flat = [-1] * size
+    used_flat = [0] * size
+    ins_flat = [0] * size
+    ent_flat: List[Optional[_Entry]] = [None] * size
+    fill = [0] * n_sets
+    where: dict = {}
+    next_uid = u
+    for s in range(n_sets):
+        ways = sets_[s]
+        if not ways:
+            continue
+        fill[s] = len(ways)
+        base = s * assoc
+        for w, entry in enumerate(ways):
+            uid = pair_uid.get(entry.tag)
+            if uid is None:
+                uid = next_uid
+                next_uid += 1
+                pair_uid[entry.tag] = uid
+            pos = base + w
+            uid_flat[pos] = uid
+            used_flat[pos] = entry.last_used
+            ins_flat[pos] = entry.inserted
+            ent_flat[pos] = entry
+            where[uid] = pos
+
+    # Commutative twin lookup must come after the mirror pass: a
+    # swapped-order tag may only exist as a pre-existing entry.  The
+    # set-index formula is symmetric, so a twin always lives in the
+    # probing id's own set and ``where`` stays globally consistent.
+    if config.commutative:
+        swap_lut = [
+            pair_uid.get((tags_b[k], tags_a[k]), -1) for k in range(u)
+        ]
+    else:
+        swap_lut = [-1] * u
+
+    a_list = a_values if isinstance(a_values, list) else list(a_values)
+    b_list = b_values if isinstance(b_values, list) else list(b_values)
+    compute_op = compute_function(unit.operation)
+    value_lut: List[object] = [_UNSET] * u
+    policy = table._policy
+    inline_lru = type(policy) is LRUPolicy
+    victim_of = policy.victim
+    off_by_one = fault == "lru_victim_off_by_one"
+    stale_tag = fault == "stale_tag_on_abort"
+
+    # Trivial events only count cycles; the probe loop walks the pair
+    # ids of the non-trivial positions directly (order within the
+    # opcode is preserved, and every per-id fact is precomputed).
+    if n_trivial:
+        kept = inv_np[~trivial_arr].tolist()
+    else:
+        kept = inv_np.tolist()
+
+    clock = table._clock
+    lookups = hits = commutative_hits = insertions = evictions = 0
+    where_get = where.get
+    for k in kept:
+        clock += 1
+        lookups += 1
+        pos = where_get(k)
+        if pos is None:
+            sk = swap_lut[k]
+            if sk >= 0:
+                pos = where_get(sk)
+                if pos is not None:
+                    commutative_hits += 1
+        if pos is not None:
+            used_flat[pos] = clock
+            hits += 1
+            continue
+        if stale_tag and lookups > 1:
+            # Planted fault: the insert latches the previous probe's id.
+            # When that id is resident, the insert updates its way in
+            # place, as MemoTable.insert does for a present tag.
+            k = kept[lookups - 2]
+            pos = where_get(k)
+            if pos is not None:
+                clock += 1
+                used_flat[pos] = clock
+                continue
+        value = value_lut[k]
+        if value is _UNSET:
+            j = first[k]
+            value = compute_op(a_list[j], b_list[j])
+            value_lut[k] = value
+        clock += 1
+        insertions += 1
+        s = set_lut[k]
+        base = s * assoc
+        f = fill[s]
+        if f < assoc:
+            pos = base + f
+            fill[s] = f + 1
+        else:
+            end = base + assoc
+            if inline_lru:
+                pos = used_flat.index(min(used_flat[base:end]), base, end)
+                if off_by_one:
+                    pos = base + (pos - base + 1) % assoc
+            else:
+                pos = base + victim_of(
+                    used_flat[base:end], ins_flat[base:end]
+                )
+            del where[uid_flat[pos]]
+            evictions += 1
+        uid_flat[pos] = k
+        used_flat[pos] = clock
+        ins_flat[pos] = clock
+        ent_flat[pos] = None
+        where[k] = pos
+    table._clock = clock
+
+    # Materialize: fresh inserts (slot entry is None) become real
+    # entries -- always a batch id, so tag/operands/value come from the
+    # id caches -- and surviving entries get their recency written
+    # back.  Slot order is insertion order, matching the scalar table's
+    # way order exactly.
+    if lookups:
+        for s in range(n_sets):
+            f = fill[s]
+            if not f:
+                continue
+            base = s * assoc
+            new_ways: List[_Entry] = []
+            for pos in range(base, base + f):
+                entry = ent_flat[pos]
+                if entry is None:
+                    k = uid_flat[pos]
+                    j = first[k]
+                    entry = _Entry(
+                        (tags_a[k], tags_b[k]),
+                        value_lut[k],
+                        (a_list[j], b_list[j]),
+                        used_flat[pos],
+                    )
+                    entry.inserted = ins_flat[pos]
+                else:
+                    entry.last_used = used_flat[pos]
+                new_ways.append(entry)
+            sets_[s] = new_ways
+
+    return _charge(
+        unit, table, len(a_list), n_trivial, lookups, hits,
+        commutative_hits, insertions, evictions,
+    )
+
+
+def _probe_infinite(unit, table, a_values, b_values, np_a, np_b):
+    """The tag dict loop (EXCLUDE policy, FULL tags, InfiniteMemoTable):
+    every distinct pair stays resident, so a probe is one dict lookup
+    and a miss one dict store."""
+    trivial_arr = _trivial_mask(unit.operation, np_a, np_b)
+    n_trivial = int(trivial_arr.sum())
+    if table.config.operand_kind is OperandKind.INT:
+        tags_a, tags_b = np_a.tolist(), np_b.tolist()
+    else:
+        tags_a = np_a.view(np.uint64).tolist()
+        tags_b = np_b.view(np.uint64).tolist()
+    tag_pairs = list(zip(tags_a, tags_b))
+    a_list = a_values if isinstance(a_values, list) else list(a_values)
+    b_list = b_values if isinstance(b_values, list) else list(b_values)
+    commutative = table.config.commutative
+    compute_op = compute_function(unit.operation)
+    n = len(a_list)
+    # Trivial events only count cycles, so the probe loop walks just the
+    # non-trivial positions (order within the opcode is preserved).
+    if n_trivial:
+        iter_idx = np.nonzero(~trivial_arr)[0].tolist()
+    else:
+        iter_idx = range(n)
+    lookups = hits = commutative_hits = insertions = 0
+    entries = table._entries
+    get = entries.get
+    for i in iter_idx:
+        lookups += 1
+        tag = tag_pairs[i]
+        found = get(tag)
+        if found is None and commutative:
+            found = get((tag[1], tag[0]))
+            if found is not None:
+                commutative_hits += 1
+        if found is not None:
+            hits += 1
+            continue
+        a, b = a_list[i], b_list[i]
+        value = compute_op(a, b)
+        insertions += 1
+        entries[tag] = (value, (a, b))
+    return _charge(
+        unit, table, n, n_trivial, lookups, hits, commutative_hits,
+        insertions, 0,
+    )
+
+
+# -- whole-trace execution --------------------------------------------------
 
 
 def run_events_scalar(
@@ -578,7 +651,7 @@ def run_events_scalar(
     """The scalar reference loop (one ``unit.execute`` per event).
 
     This is the consolidation of the per-record loops the simulator
-    front-ends used to carry; it stays as the ground truth the batched
+    front-ends used to carry; it stays as the ground truth the fused
     path is tested against, and as the fallback for plain event
     iterables."""
     counts: Dict[Opcode, int] = {}
@@ -673,16 +746,11 @@ def _run_batch(
     validate: bool,
     start: int,
     stop: int,
-    probe: Optional[Callable] = None,
 ) -> KernelReport:
-    """Opcode-partitioned batched execution of ``batch[start:stop]``.
-
-    ``probe`` swaps the per-partition probe implementation (signature
-    of :func:`probe_batch`); backends reuse the partitioning, memory
-    walk and FADD/IALU accounting while supplying their own probe
-    loop."""
-    if probe is None:
-        probe = probe_batch
+    """Opcode-partitioned execution of ``batch[start:stop]``: each
+    memoizable opcode's events go to :func:`probe_batch` as one
+    partition; memory, FADD and IALU-class cycles are charged in
+    bulk."""
     views = batch.views()
     opcode_codes = views.opcode[start:stop]
     count_list = np.bincount(opcode_codes, minlength=len(OPCODE_LIST)).tolist()
@@ -713,10 +781,9 @@ def _run_batch(
         a_values, b_values, results, np_a, np_b = _decode_partition(
             batch, views, idx, validate
         )
-        base, memo, bad = probe(
+        base, memo, bad = probe_batch(
             unit, a_values, b_values,
             results=results, validate=validate, _np_a=np_a, _np_b=np_b,
-            _idx=idx,
         )
         mismatches += bad
         if cycle_mode:
@@ -785,11 +852,11 @@ def replay_infinite(events) -> Tuple[Dict[int, int], int, int]:
 
     Returns ``(per-pc execution counts, hits, total memoizable ops)`` --
     the reuse upper bound the static analyzer cross-validates against
-    (``repro analyze --check``).  Column-backed traces take a batched
+    (``repro analyze --check``).  Column-backed traces take a columnar
     path; anything else replays through real
     :class:`~repro.core.memo_table.InfiniteMemoTable` objects.
     """
-    batch = None if scalar_mode() else as_batch(events)
+    batch = as_batch(events)
     if batch is None:
         return _replay_infinite_scalar(events)
     views = batch.views()

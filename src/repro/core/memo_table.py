@@ -114,22 +114,6 @@ class BaseMemoTable(abc.ABC):
         self.insert(a, b, value)
         return value, False
 
-    def probe_batch(
-        self,
-        a_values,
-        b_values,
-        compute: Callable[[float, float], float],
-    ) -> Tuple[List[float], List[bool]]:
-        """Batched :meth:`access`: probe every operand pair in order.
-
-        Returns ``(values, hits)``.  Delegates to the shared kernel
-        (:mod:`repro.core.kernel`), which owns the one per-record probe
-        loop in the codebase.
-        """
-        from .kernel import table_probe_batch  # deferred: kernel imports us
-
-        return table_probe_batch(self, a_values, b_values, compute)
-
 
 def _key_function(config: MemoTableConfig) -> Callable[[float, float], Tuple[int, Tag]]:
     """Fused (set index, tag) extraction -- the lookup hot path.

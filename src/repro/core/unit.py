@@ -254,27 +254,6 @@ class MemoizedUnit:
         self.stats.cycles_memo += outcome.cycles
         return outcome
 
-    def execute_batch(
-        self,
-        a_values,
-        b_values,
-        results=None,
-        validate: bool = False,
-    ) -> Tuple[int, int, int]:
-        """Present a whole operand batch to the unit.
-
-        Returns ``(base_cycles, memo_cycles, mismatches)``; statistics
-        accumulate exactly as per-event :meth:`execute` calls would.
-        Delegates to :func:`repro.core.kernel.probe_batch`, which
-        vectorizes the common configuration and falls back to looping
-        :meth:`execute` for the rest.
-        """
-        from .kernel import probe_batch  # deferred: kernel imports us
-
-        return probe_batch(
-            self, a_values, b_values, results=results, validate=validate
-        )
-
     @property
     def hit_ratio(self) -> float:
         """Hit ratio per the active trivial policy (see UnitStats)."""

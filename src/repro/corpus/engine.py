@@ -23,8 +23,7 @@ column-backed :class:`~repro.isa.trace.Trace` objects, so every replay
 a worker performs enters the simulators through the execution-backend
 registry (:mod:`repro.core.backend`) without materializing per-event
 tuples.  ``repro --backend NAME`` (propagated to workers via
-``REPRO_BACKEND``; ``--scalar``/``REPRO_SCALAR`` are the deprecated
-aliases for the reference loop) selects which kernel serves the run.
+``REPRO_BACKEND``) selects which kernel serves the run.
 """
 
 from __future__ import annotations

@@ -213,7 +213,7 @@ class TraceCorpus:
 
     @staticmethod
     def _deserialize(blob: bytes) -> Trace:
-        # Traces come back column-backed, so the simulators' batched
+        # Traces come back column-backed, so the simulators' fused
         # kernel path engages without an events round trip.  Objects
         # written by older stores (v1/v2 record formats) are adapted to
         # columns by the reader.

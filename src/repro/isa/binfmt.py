@@ -496,7 +496,7 @@ def read_column_blocks(
     v3 streams deserialize straight into their stored blocks; v1/v2
     streams are adapted through the record reader, grouped into blocks
     of ``block_events``.  This is the single entry point the corpus and
-    the batched simulators read traces through.
+    the columnar simulators read traces through.
     """
     from .columns import ColumnBatch, DEFAULT_BATCH_EVENTS
 

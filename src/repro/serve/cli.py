@@ -214,7 +214,7 @@ def main_submit(argv: Optional[List[str]] = None) -> int:
                         help="per-job execution timeout in seconds")
     parser.add_argument("--backend", default=None,
                         help="execution backend the worker scopes around "
-                             "this job (scalar | batched | fused)")
+                             "this job (scalar | fused; default fused)")
     parser.add_argument("--wait", action="store_true",
                         help="poll to completion and render the result")
     parser.add_argument("--wait-timeout", type=float, default=600.0)

@@ -46,7 +46,6 @@ class MemoizedCPU:
         memoized: Sequence[Operation] = (Operation.FP_MUL, Operation.FP_DIV),
         config: Optional[MemoTableConfig] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
-        scalar: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         self.machine = machine
@@ -60,7 +59,6 @@ class MemoizedCPU:
             machine,
             bank=self.bank,
             hierarchy=hierarchy,
-            scalar=scalar,
             backend=backend,
         )
 

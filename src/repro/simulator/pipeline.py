@@ -16,8 +16,7 @@ This model therefore charges each dynamic instruction its latency:
 The accounting itself is performed by whichever execution backend the
 registry (:mod:`repro.core.backend`) selects; this module keeps the
 machine-model wiring and the report shape.  ``backend=`` pins a
-backend by name, ``scalar=True`` is the legacy alias for the
-reference backend -- all backends produce bit-identical results.
+backend by name -- all backends produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ class CycleReport:
     cycles_by_opcode: Dict[Opcode, int] = field(default_factory=dict)
     counts_by_opcode: Dict[Opcode, int] = field(default_factory=dict)
     hit_ratios: Dict[Operation, float] = field(default_factory=dict)
-    #: Region-speculation accounting (see
-    #: :class:`repro.core.speculate.SpeculationStats`); only present
-    #: when the run used the ``speculative`` backend.
-    speculation: Optional[Dict[str, float]] = None
 
     @property
     def speedup(self) -> float:
@@ -86,18 +81,16 @@ class CycleModel:
         bank: Optional[MemoTableBank] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
         fp_add_latency: int = 3,
-        scalar: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         """``bank`` of None means the baseline machine (no MEMO-TABLES);
         cycle totals are then identical for base and memo columns.
-        ``backend`` pins a registered execution backend by name;
-        ``scalar`` is the legacy alias for ``backend="scalar"``."""
+        ``backend`` pins a registered execution backend by name."""
         self.machine = machine
         self.bank = bank
         self.hierarchy = hierarchy if hierarchy is not None else default_hierarchy()
         self.fp_add_latency = fp_add_latency
-        self.backend = "scalar" if scalar and backend is None else backend
+        self.backend = backend
         if bank is not None:
             # The machine model owns the latencies; retune the bank's units.
             for op, unit in bank.units.items():
@@ -142,7 +135,6 @@ class CycleModel:
                 fp_add_latency=self.fp_add_latency,
                 backend=self.backend,
             )
-        speculation = getattr(result, "speculation", None)
         report = CycleReport(
             machine=self.machine.name,
             instructions=result.instructions,
@@ -150,9 +142,6 @@ class CycleModel:
             memo_cycles=result.memo_cycles,
             cycles_by_opcode=result.cycles_by_opcode,
             counts_by_opcode=result.counts,
-            speculation=(
-                speculation.as_dict() if speculation is not None else None
-            ),
         )
         if bank is not None:
             report.hit_ratios = {

@@ -6,7 +6,7 @@ phase-representative intervals (:func:`~repro.simulator.sampling.
 estimate_phases`) instead of simulating the whole trace::
 
     repro sample --program sobel_gx --n 65536 --phases 16
-    repro sample --program saxpy --backend fused --json -
+    repro sample --program saxpy --backend scalar --json -
     repro sample --program gamma_lut --compare-full
 
 ``--compare-full`` additionally simulates the full trace and prints the
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "execution backend for the simulated windows (scalar | "
-            "batched | fused | speculative; default batched)"
+            "fused; default fused)"
         ),
     )
     parser.add_argument(

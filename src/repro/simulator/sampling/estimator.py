@@ -61,9 +61,8 @@ of carrying the whole estimate, which is what makes small sample
 budgets robust.
 
 All simulation goes through :func:`repro.core.backend.dispatch`, so the
-estimator inherits every registered backend (``scalar`` | ``batched`` |
-``fused`` | ``speculative``) and stays bit-identical across them -- the
-parity suite asserts it.
+estimator inherits every registered backend (``scalar`` | ``fused``)
+and stays bit-identical across them -- the parity suite asserts it.
 """
 
 from __future__ import annotations

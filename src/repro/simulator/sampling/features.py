@@ -43,12 +43,10 @@ residency rate (only when a bank is supplied)
     homogeneous in the quantity the estimator measures.
 
 pc-region signature
-    A small bucketed histogram of the seeded pc mix reused verbatim
-    from the hot-region detector
-    (:func:`repro.core.speculate.pc_signature_keys`), plus the
-    recorded-pc fraction.  Intervals executing different static code
-    regions land in different buckets even when their opcode mixes
-    agree.
+    A small bucketed histogram of a seeded pc mix
+    (:func:`pc_signature_keys`), plus the recorded-pc fraction.
+    Intervals executing different static code regions land in
+    different buckets even when their opcode mixes agree.
 
 Everything is deterministic: same batch, same config, same matrix.
 """
@@ -63,7 +61,6 @@ import numpy as np
 
 from ...core import backend as execution
 from ...core.config import OperandKind
-from ...core.speculate import pc_signature_keys
 from ...errors import ConfigurationError
 from ...isa.opcodes import OPCODE_LIST
 
@@ -72,6 +69,7 @@ __all__ = [
     "IntervalFeatures",
     "interval_features",
     "likely_resident",
+    "pc_signature_keys",
     "prior_lookup_index",
 ]
 
@@ -82,8 +80,34 @@ _MEMO_CODES = np.array(
     dtype=np.uint8,
 )
 
+_F_PC = 4  # recorded-pc flag bit of repro.isa.columns
+_U64 = (1 << 64) - 1
+
 _PC_BUCKET_BITS = 3  # 8 pc-signature buckets
 _PAIR_BUCKET_BITS = 4  # 16 operand-pair-signature buckets
+
+
+def pc_signature_keys(views, start: int, stop: int, seed: int = 0):
+    """Seeded pc mixing: ``(keys, present)``.
+
+    ``keys`` is one seeded 64-bit mix per record of ``views[start:stop]``
+    (position-unique salts where no pc was recorded, so those records
+    never share a key), ``present`` the recorded-pc mask.
+    """
+    pcs = views.pc[start:stop].view(np.uint64)
+    present = np.bitwise_and(views.flags[start:stop], _F_PC) != 0
+    x = (pcs + np.uint64((2 * seed + 1) & _U64)) * np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(29)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(32)
+    absent = np.nonzero(~present)[0]
+    if absent.size:
+        x[absent] = (
+            np.uint64(0xD6E8FEB86659FD93)
+            + absent.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        )
+    return x, present
+
 
 # splitmix64-style mixing constants (same family the pc mixer uses).
 _PAIR_MUL_A = np.uint64(0x9E3779B97F4A7C15)

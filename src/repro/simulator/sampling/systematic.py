@@ -131,7 +131,7 @@ def estimate_hit_ratios(
         if plan.flush_between and position:
             bank.flush()
         # Warm-up slice: update tables, ignore statistics.  Both slices
-        # run through the selected execution backend (batched/fused for
+        # run through the selected execution backend (fused for
         # column-backed traces; the scalar reference loop otherwise).
         warm_end = min(position + plan.warmup, total)
         execution.dispatch(

@@ -7,11 +7,10 @@ events are dispatched to a :class:`~repro.core.bank.MemoTableBank`, and
 every event contributes to the instruction frequency breakdown.
 
 This front-end is a thin consumer of the execution-backend registry
-(:mod:`repro.core.backend`): ``backend="fused"`` (or ``repro
---backend fused`` / ``REPRO_BACKEND``) picks a registered kernel by
-name, ``scalar=True`` is the legacy alias for the reference backend,
-and with neither the process-wide selection applies.  Every backend
-produces bit-identical statistics.
+(:mod:`repro.core.backend`): ``backend="scalar"`` (or ``repro
+--backend scalar`` / ``REPRO_BACKEND``) picks a registered kernel by
+name, and without it the process-wide selection applies.  Every
+backend produces bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ class SimulationReport:
     breakdown: Dict[Opcode, int] = field(default_factory=dict)
     unit_stats: Dict[Operation, UnitStats] = field(default_factory=dict)
     mismatches: int = 0  # memo result differed from traced result (validation)
-    #: Region-speculation accounting (commit/abort/guard counters and
-    #: rates, see :class:`repro.core.speculate.SpeculationStats`); only
-    #: present when the run used the ``speculative`` backend.
-    speculation: Optional[Dict[str, float]] = None
 
     def hit_ratio(self, op: Operation) -> float:
         """MEMO-TABLE hit ratio for one operation class."""
@@ -66,17 +61,15 @@ class ShadeSimulator:
         self,
         bank: Optional[MemoTableBank] = None,
         validate: bool = False,
-        scalar: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         """``validate`` cross-checks memoized results against the traced
         results (exact for full-value tags; mantissa-mode hits may differ
         by rounding of the exponent fix-up and are checked loosely).
-        ``backend`` pins a registered execution backend by name;
-        ``scalar`` is the legacy alias for ``backend="scalar"``."""
+        ``backend`` pins a registered execution backend by name."""
         self.bank = bank if bank is not None else MemoTableBank.paper_baseline()
         self.validate = validate
-        self.backend = "scalar" if scalar and backend is None else backend
+        self.backend = backend
 
     def run(self, events: Iterable[TraceEvent]) -> SimulationReport:
         """Consume a trace; returns statistics.  Tables persist across runs."""
@@ -97,15 +90,11 @@ class ShadeSimulator:
                 validate=self.validate,
                 backend=self.backend,
             )
-        speculation = getattr(report, "speculation", None)
         return SimulationReport(
             instructions=report.instructions,
             breakdown=report.counts,
             unit_stats={op: unit.stats for op, unit in self.bank.units.items()},
             mismatches=report.mismatches,
-            speculation=(
-                speculation.as_dict() if speculation is not None else None
-            ),
         )
 
 

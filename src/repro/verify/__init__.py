@@ -1,6 +1,6 @@
 """Golden-oracle differential verification of the memo-table hierarchy.
 
-The batched probe kernel (:mod:`repro.core.kernel`) concentrates every
+The fused probe kernel (:mod:`repro.core.kernel`) concentrates every
 hit/miss decision of the simulation into one optimized inner loop.  This
 package is its adversarial safety net:
 
@@ -9,7 +9,7 @@ package is its adversarial safety net:
   speed, sharing no probe machinery with the kernel;
 * :mod:`~repro.verify.fuzz` -- a seeded, coverage-guided trace/config
   fuzzer biased toward IEEE-754 and table-geometry edge cases;
-* :mod:`~repro.verify.differential` -- runs oracle vs. batched kernel
+* :mod:`~repro.verify.differential` -- runs oracle vs. fused kernel
   vs. scalar reference on each case and demands bit-exact agreement of
   statistics, final table contents and delivered values;
 * :mod:`~repro.verify.shrink` -- delta-debugs any divergence down to a

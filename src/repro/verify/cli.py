@@ -17,7 +17,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -153,12 +152,11 @@ def _run_fuzz(args) -> int:
     if args.submit:
         return _submit_fuzz(args)
     if execution.selected_name() != execution.DEFAULT_BACKEND:
-        # Faults and most divergences live in the batched fast path, and
+        # Faults and most divergences live in the fused probe loop, and
         # the differential legs pin their backends explicitly; forcing a
         # process-wide backend would fuzz a path against itself.
         execution.set_backend(None)
-        os.environ.pop(execution.LEGACY_ENV_VAR, None)
-        print("note: REPRO_BACKEND/REPRO_SCALAR ignored under `repro verify`")
+        print("note: REPRO_BACKEND ignored under `repro verify`")
 
     if args.inject:
         with inject(args.inject):
@@ -225,8 +223,7 @@ def _run_fuzz(args) -> int:
 def _run_smoke(args) -> int:
     if execution.selected_name() != execution.DEFAULT_BACKEND:
         execution.set_backend(None)
-        os.environ.pop(execution.LEGACY_ENV_VAR, None)
-        print("note: REPRO_BACKEND/REPRO_SCALAR ignored under `repro verify`")
+        print("note: REPRO_BACKEND ignored under `repro verify`")
     failures = []
 
     clean = fuzz_run(args.budget, seed=args.seed, stop_after=1)

@@ -1,31 +1,27 @@
-"""Differential driver: oracle vs. scalar vs. batched vs. fused vs.
-speculative.
+"""Differential driver: oracle vs. scalar vs. fused.
 
 One fuzz case is a (trace, table configuration, trivial policy) triple.
-:func:`run_case` executes it five ways --
+:func:`run_case` executes it three ways --
 
 * the pure-Python golden oracle (:mod:`repro.verify.oracle`),
 * the scalar reference path (event-at-a-time
   :func:`repro.core.backend.probe_one`, which is ``unit.execute``),
-* the batched columnar kernel (the ``batched`` execution backend over
-  a :class:`~repro.isa.columns.ColumnBatch`),
-* the LUT-fused kernel (the ``fused`` execution backend),
-* the hot-trace speculation layer (the ``speculative`` execution
-  backend: region plans, guarded bulk commits, fused abort path),
+* the pair-id columnar kernel (the ``fused`` execution backend over a
+  :class:`~repro.isa.columns.ColumnBatch`, pinned explicitly through
+  the registry so a process-wide ``REPRO_BACKEND`` can never alias two
+  parties onto the same code path)
 
-each backend pinned explicitly through the registry so a process-wide
-``REPRO_BACKEND`` can never alias two parties onto the same code path
 -- and demands bit-exact agreement on every unit/table counter, the
 final table contents (tags, values, stored operands, recency), and the
 per-event delivered values (oracle vs. scalar).  It additionally checks
-two sound cross-invariants: the batched report's opcode accounting
+two sound cross-invariants: the fused report's opcode accounting
 matches the column breakdown, and no finite full-tag table ever hits
 more often than the infinite-table replay upper bound
 (:func:`repro.core.backend.replay_infinite` -- the same quantity the
 static analyzer's bounds are validated against).
 
 Any violated comparison becomes a human-readable divergence string; an
-empty list means the five implementations agree exactly.
+empty list means the three implementations agree exactly.
 """
 
 from __future__ import annotations
@@ -226,7 +222,7 @@ def _features(case: FuzzCase, oracle: OracleBank) -> frozenset:
 
 
 def run_case(case: FuzzCase) -> CaseResult:
-    """Execute one case five ways and cross-check everything.
+    """Execute one case three ways and cross-check everything.
 
     A crash in any path is itself a divergence (reported, not raised),
     so the campaign survives it and the shrinker can minimize it.
@@ -269,60 +265,26 @@ def run_case(case: FuzzCase) -> CaseResult:
         diverge(f"crash: scalar path raised {exc!r}")
         return result
 
-    # Path 3: batched kernel over the columnar view (pinned by name so
+    # Path 3: fused kernel over the columnar view (pinned by name so
     # the environment cannot redirect this leg onto another backend).
-    batched_bank = make_bank(case)
-    try:
-        report = execution.get("batched").probe_batch(
-            batch, batched_bank.units, execution.KernelConfig()
-        )
-    except Exception as exc:
-        diverge(f"crash: batched kernel raised {exc!r}")
-        return result
-
-    # Path 4: LUT-fused kernel, likewise pinned.
     fused_bank = make_bank(case)
     try:
-        fused_report = execution.get("fused").probe_batch(
+        report = execution.get("fused").probe_batch(
             batch, fused_bank.units, execution.KernelConfig()
         )
     except Exception as exc:
         diverge(f"crash: fused kernel raised {exc!r}")
         return result
 
-    # Path 5: hot-trace speculation layer, likewise pinned (traces
-    # without recurring pcs simply detect no regions and degrade to
-    # the fused tier, which is itself under test above).
-    spec_bank = make_bank(case)
-    try:
-        spec_report = execution.get("speculative").probe_batch(
-            batch, spec_bank.units, execution.KernelConfig()
-        )
-    except Exception as exc:
-        diverge(f"crash: speculative kernel raised {exc!r}")
-        return result
-
     # -- comparisons ------------------------------------------------------
 
     oracle_fp = oracle.fingerprint()
     scalar_fp = _bank_fingerprint(scalar_bank)
-    batched_fp = _bank_fingerprint(batched_bank)
     fused_fp = _bank_fingerprint(fused_bank)
-    if batched_fp != scalar_fp:
-        diverge(
-            "stats: batched != scalar for unit "
-            f"{_first_diff(batched_fp, scalar_fp)}"
-        )
     if fused_fp != scalar_fp:
         diverge(
             "stats: fused != scalar for unit "
             f"{_first_diff(fused_fp, scalar_fp)}"
-        )
-    spec_fp = _bank_fingerprint(spec_bank)
-    if spec_fp != scalar_fp:
-        diverge(
-            "stats: speculative != scalar for unit "
-            f"{_first_diff(spec_fp, scalar_fp)}"
         )
     if oracle_fp != scalar_fp:
         diverge(
@@ -331,24 +293,12 @@ def run_case(case: FuzzCase) -> CaseResult:
         )
 
     scalar_contents = _bank_contents(scalar_bank)
-    batched_contents = _bank_contents(batched_bank)
     fused_contents = _bank_contents(fused_bank)
     oracle_contents = _oracle_contents(oracle)
-    if batched_contents != scalar_contents:
-        diverge(
-            "table contents: batched != scalar for unit "
-            f"{_first_diff(batched_contents, scalar_contents)}"
-        )
     if fused_contents != scalar_contents:
         diverge(
             "table contents: fused != scalar for unit "
             f"{_first_diff(fused_contents, scalar_contents)}"
-        )
-    spec_contents = _bank_contents(spec_bank)
-    if spec_contents != scalar_contents:
-        diverge(
-            "table contents: speculative != scalar for unit "
-            f"{_first_diff(spec_contents, scalar_contents)}"
         )
     if oracle_contents != scalar_contents:
         diverge(
@@ -367,25 +317,11 @@ def run_case(case: FuzzCase) -> CaseResult:
 
     if report.instructions != len(events):
         diverge(
-            f"report: batched saw {report.instructions} instructions, "
+            f"report: fused saw {report.instructions} instructions, "
             f"trace has {len(events)}"
         )
     if report.counts != batch.breakdown():
-        diverge("report: batched opcode counts != column breakdown")
-    if fused_report.instructions != report.instructions:
-        diverge(
-            f"report: fused saw {fused_report.instructions} instructions, "
-            f"batched saw {report.instructions}"
-        )
-    if fused_report.counts != report.counts:
-        diverge("report: fused opcode counts != batched opcode counts")
-    if spec_report.instructions != report.instructions:
-        diverge(
-            f"report: speculative saw {spec_report.instructions} "
-            f"instructions, batched saw {report.instructions}"
-        )
-    if spec_report.counts != report.counts:
-        diverge("report: speculative opcode counts != batched opcode counts")
+        diverge("report: fused opcode counts != column breakdown")
 
     # Sound reuse bound: a finite full-tag table can never out-hit the
     # infinite-table replay of the same trace (mantissa tags can, by

@@ -2,14 +2,14 @@
 
 A verification harness that has never caught a bug proves nothing, so
 ``repro verify smoke`` plants real bugs: each named fault below flips
-one decision inside the batched kernel's fast path
-(:func:`repro.core.kernel._probe_fast`) or the speculation layer's
-guard/abort machinery (:mod:`repro.core.speculate`) the way a
-plausible regression would, and the differential fuzzer must detect
-the divergence within its budget.  The seam is the kernel's active-fault latch, reached
-through the backend facade (:func:`repro.core.backend.set_active_fault`);
-it is only ever set through the :func:`inject` context manager and
-therefore never leaks into production runs.
+one decision inside the kernel's pair-id probe loop
+(:func:`repro.core.kernel._probe_fused`) the way a plausible
+regression would, and the differential fuzzer must detect the
+divergence within its budget.  The seam is the kernel's active-fault
+latch, reached through the backend facade
+(:func:`repro.core.backend.set_active_fault`); it is only ever set
+through the :func:`inject` context manager and therefore never leaks
+into production runs.
 """
 
 from __future__ import annotations
@@ -38,20 +38,9 @@ KERNEL_FAULTS: Dict[str, str] = {
         "a miss inserts under the previous probe's tag (a stale tag "
         "latch), corrupting future lookups"
     ),
-    "speculate_guard_false_pass": (
-        "the speculative region guard always passes, committing a "
-        "trained region plan even when the operand sequence changed"
-    ),
-    "speculate_abort_drops_stats": (
-        "a speculative abort re-executes the region but drops its "
-        "in-flight lookup/hit/insert counters on the floor"
-    ),
 }
 
-assert (
-    tuple(KERNEL_FAULTS)
-    == execution.KERNEL_FAULTS + execution.SPECULATE_FAULTS
-)
+assert tuple(KERNEL_FAULTS) == execution.KERNEL_FAULTS
 
 
 @contextlib.contextmanager

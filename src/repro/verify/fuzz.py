@@ -14,9 +14,9 @@ objects biased toward the places memo-table implementations break:
   every replacement policy and trivial policy, mantissa tags, and the
   infinite reference table;
 * hot-loop traces -- small op bodies replayed under recurring pcs
-  (loop-invariant or per-iteration-redrawn operands), so the
-  speculative backend's region detector, guard and abort paths are all
-  on the differential hook.
+  (loop-invariant or per-iteration-redrawn operands), so operand pairs
+  repeat the way real loops repeat them -- exactly what the fused
+  kernel deduplicates into shared pair ids.
 
 Coverage guidance is behavioural: each executed case reports a feature
 signature (per-operation hit/eviction/commutative/trivial activity under
@@ -212,10 +212,10 @@ class TraceFuzzer:
 
     def _loop_events(self) -> List[TraceEvent]:
         """A hot loop: one small body of memo ops replayed under
-        recurring pcs -- the trace shape the speculative backend's
-        region detector engages on.  Loop-invariant operand streams
-        drive the commit path; redrawn operands drive guard failures
-        and the abort handoff."""
+        recurring pcs.  Loop-invariant operand streams repeat every
+        pair (many events per pair id, steady hits); redrawn operands
+        mix fresh pairs into the repetition (misses and evictions
+        between repeated ids)."""
         rng = self.rng
         body_n = rng.randint(2, 6)
         iters = rng.randint(4, max(4, min(14, self.max_events // body_n)))
@@ -288,10 +288,10 @@ class TraceFuzzer:
         )
 
     def _generate_loop(self) -> FuzzCase:
-        """A hot-loop case.  The speculation tier only engages on the
-        stock configuration (EXCLUDE, full tags, LRU, finite), so bias
-        -- not pin -- the config there; the unbiased tail still
-        exercises the degrade path under loop traces."""
+        """A hot-loop case.  Biased -- not pinned -- toward the stock
+        configuration (EXCLUDE, full tags, LRU, finite), the paper's
+        design point; the unbiased tail still drives loop traces
+        through the other tables and the ``unit.execute`` tier."""
         rng = self.rng
         config = self._fresh_config()
         if rng.random() < 0.8:
@@ -422,12 +422,11 @@ class TraceFuzzer:
 
     def next_case(self) -> FuzzCase:
         # Every third case is a hot-loop case, independently of the
-        # corpus: the speculation tier's guard/abort bugs (both planted
-        # ones live there) only manifest on recurring-pc traces, which
-        # mutation of an arbitrary corpus parent essentially never
-        # produces -- and a fixed cadence (rather than a coin flip)
-        # keeps the first loop cases inside the small smoke budgets for
-        # every seed.
+        # corpus: heavily repeated operand pairs under recurring pcs are
+        # a shape mutation of an arbitrary corpus parent essentially
+        # never produces -- and a fixed cadence (rather than a coin
+        # flip) keeps the first loop cases inside the small smoke
+        # budgets for every seed.
         if self.cases_made % 3 == 1:
             return self._generate_loop()
         if self.corpus and self.rng.random() < 0.6:

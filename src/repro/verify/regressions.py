@@ -180,7 +180,7 @@ def _seed_replacement_tiebreak() -> Tuple[str, str, FuzzCase]:
     # Four distinct pairs land in the same set of a 4-entry 2-way LRU
     # table, forcing evictions where both ways were inserted on
     # consecutive clocks; the victim choice (strict argmin, first way
-    # wins ties) must match across oracle, scalar and batched paths.
+    # wins ties) must match across oracle, scalar and fused paths.
     events = [
         TraceEvent(Opcode.FMUL, 3.0, 5.0, 15.0),
         TraceEvent(Opcode.FMUL, 7.0, 11.0, 77.0),
@@ -237,12 +237,11 @@ def _seed_trivial_shortcircuit() -> Tuple[str, str, FuzzCase]:
 
 
 def _seed_speculation_abort() -> Tuple[str, str, FuzzCase]:
-    # A hot two-op loop (recurring pcs) that trains the speculative
-    # backend's region plans, commits several stable iterations, then
-    # changes one operand on the final iteration: the region guard must
-    # fail and the abort handoff must re-execute the iteration through
-    # the general path bit-exactly (stats, recency and the new entry's
-    # insertion all land as the scalar protocol would).
+    # A hot two-op loop (recurring pcs) that repeats the same two
+    # operand pairs for several iterations, then changes one operand on
+    # the final iteration: the fused kernel's shared pair ids must give
+    # way to a fresh id mid-stream bit-exactly (stats, recency and the
+    # new entry's insertion all land as the scalar protocol would).
     events = []
     for _ in range(5):
         events.append(TraceEvent(Opcode.FMUL, 2.5, 3.0, 7.5, pc=64))
@@ -252,9 +251,9 @@ def _seed_speculation_abort() -> Tuple[str, str, FuzzCase]:
     config = MemoTableConfig(entries=8, associativity=2)
     return (
         "seed-speculation-abort",
-        "A trained hot region whose last iteration changes an operand: "
-        "the speculative guard must fail and the abort path must hand "
-        "state to the general loop bit-exactly on every counter.",
+        "A hot two-op loop whose last iteration changes an operand: "
+        "the new pair must take a fresh pair id and a fresh entry "
+        "between repeated ones, bit-exactly on every counter.",
         FuzzCase(
             events=canonicalize(events),
             config=config,

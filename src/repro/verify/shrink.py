@@ -75,7 +75,7 @@ def divergence_signature(divergences: Iterable[str]) -> FrozenSet[str]:
     ``table contents``, ``delivered value``, ``report``, ``reuse
     bound``); crash lines contribute ``crash:<path>:<ExcClass>`` so a
     ``ZeroDivisionError`` from the oracle is never confused with, say, a
-    ``ValueError`` out of the batched kernel.
+    ``ValueError`` out of the fused kernel.
     """
     kinds = set()
     for line in divergences:

@@ -1,16 +1,15 @@
 """Unit tests for the execution-backend registry (repro.core.backend).
 
-Covers the registry proper (registration, lookup, selection precedence,
-availability fallback), the legacy ``--scalar``/``REPRO_SCALAR``
-aliases, the serve job-spec ``backend`` field, the per-backend metrics
-attribution, and a handful of targeted fused-kernel parity cases
-(persistent tables across runs, pre-existing commutative twins) that
-the broad parity suite only hits statistically.
+Covers the registry proper (registration, lookup, selection
+precedence), the ``--backend`` flag and ``REPRO_BACKEND`` validation of
+the experiment CLI, the serve job-spec ``backend`` field, the
+per-backend metrics attribution, and a handful of targeted fused-kernel
+parity cases (persistent tables across runs, pre-existing commutative
+twins) that the broad parity suite only hits statistically.
 """
 
 import os
 import struct
-import warnings
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.core import backend as execution
 from repro.core.bank import MemoTableBank
 from repro.core.config import MemoTableConfig
 from repro.core.operations import Operation
+from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
 from repro.isa.trace import TraceEvent
 from repro.serve.protocol import JobSpec, ServeProtocolError, normalize_spec
@@ -29,19 +29,16 @@ ALL_OPERATIONS = tuple(Operation)
 @pytest.fixture(autouse=True)
 def _clean_selection():
     """Every test starts and ends with no backend forced."""
-    saved_backend = os.environ.pop(execution.ENV_VAR, None)
-    saved_scalar = os.environ.pop(execution.LEGACY_ENV_VAR, None)
+    saved = os.environ.pop(execution.ENV_VAR, None)
     execution.set_backend(None)
     try:
         yield
     finally:
         execution.set_backend(None)
-        for key, value in ((execution.ENV_VAR, saved_backend),
-                           (execution.LEGACY_ENV_VAR, saved_scalar)):
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop(execution.ENV_VAR, None)
+        else:
+            os.environ[execution.ENV_VAR] = saved
 
 
 def _bits(value):
@@ -75,18 +72,14 @@ def _fingerprint(bank):
 
 class TestRegistry:
     def test_registered_names(self):
-        names = execution.names()
-        assert "scalar" in names
-        assert "batched" in names
-        assert "fused" in names
-        assert "speculative" in names
+        assert execution.names() == ("scalar", "fused")
 
     def test_unknown_name_raises(self):
         with pytest.raises(execution.UnknownBackendError) as excinfo:
             execution.get("warp-drive")
         message = str(excinfo.value)
         assert "warp-drive" in message
-        assert "batched" in message  # lists what IS registered
+        assert "fused" in message  # lists what IS registered
 
     def test_set_backend_rejects_unknown_eagerly(self):
         with pytest.raises(execution.UnknownBackendError):
@@ -98,57 +91,18 @@ class TestRegistry:
         assert set(described) == set(execution.names())
         assert all(described.values())
 
-    def test_unavailable_backend_falls_back_to_batched(self):
-        class BrokenBackend(execution.ExecutionBackend):
-            name = "broken-for-test"
-            description = "always unavailable"
-
-            def availability(self):
-                return "test toolchain missing"
-
-        execution.register(BrokenBackend())
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                resolved = execution.resolve("broken-for-test")
-                again = execution.resolve("broken-for-test")
-            assert resolved.name == execution.FALLBACK_BACKEND
-            assert again.name == execution.FALLBACK_BACKEND
-            relevant = [
-                w for w in caught
-                if "broken-for-test" in str(w.message)
-            ]
-            assert len(relevant) == 1  # warn-once
-            assert issubclass(relevant[0].category, RuntimeWarning)
-        finally:
-            execution._REGISTRY.pop("broken-for-test", None)
-            execution._warned_unavailable.discard("broken-for-test")
-
     def test_duplicate_registration_rejected(self):
         with pytest.raises(execution.BackendError):
-            execution.register(execution.BatchedBackend())
+            execution.register(execution.FusedBackend())
 
 
 class TestSelectionPrecedence:
-    def test_default_is_batched(self):
-        assert execution.selected_name() == "batched"
+    def test_default_is_fused(self):
+        assert execution.selected_name() == "fused"
 
     def test_env_var_selects(self):
-        os.environ[execution.ENV_VAR] = "fused"
-        assert execution.selected_name() == "fused"
-
-    def test_legacy_scalar_env_selects_scalar(self):
-        os.environ[execution.LEGACY_ENV_VAR] = "1"
+        os.environ[execution.ENV_VAR] = "scalar"
         assert execution.selected_name() == "scalar"
-
-    def test_legacy_zero_means_off(self):
-        os.environ[execution.LEGACY_ENV_VAR] = "0"
-        assert execution.selected_name() == "batched"
-
-    def test_new_env_beats_legacy_env(self):
-        os.environ[execution.LEGACY_ENV_VAR] = "1"
-        os.environ[execution.ENV_VAR] = "fused"
-        assert execution.selected_name() == "fused"
 
     def test_set_backend_beats_env(self):
         os.environ[execution.ENV_VAR] = "fused"
@@ -166,12 +120,12 @@ class TestSelectionPrecedence:
         assert execution.ENV_VAR not in os.environ
 
     def test_use_backend_restores_override_and_env(self):
-        os.environ[execution.ENV_VAR] = "batched"
-        with execution.use_backend("fused"):
-            assert execution.selected_name() == "fused"
-            assert os.environ[execution.ENV_VAR] == "fused"
-        assert execution.selected_name() == "batched"
-        assert os.environ[execution.ENV_VAR] == "batched"
+        os.environ[execution.ENV_VAR] = "fused"
+        with execution.use_backend("scalar"):
+            assert execution.selected_name() == "scalar"
+            assert os.environ[execution.ENV_VAR] == "scalar"
+        assert execution.selected_name() == "fused"
+        assert os.environ[execution.ENV_VAR] == "fused"
 
     def test_use_backend_none_is_a_no_op(self):
         execution.set_backend("scalar")
@@ -179,39 +133,12 @@ class TestSelectionPrecedence:
             assert execution.selected_name() == "scalar"
         assert execution.selected_name() == "scalar"
 
-    def test_scalar_mode_shims(self):
-        assert not execution.scalar_mode()
-        execution.set_scalar_mode(True)
-        assert execution.scalar_mode()
-        assert os.environ[execution.ENV_VAR] == "scalar"
-        execution.set_scalar_mode(False)
-        assert not execution.scalar_mode()
-        assert execution.selected_name() == "batched"
-
 
 class TestCliAliases:
-    def test_scalar_flag_selects_scalar_backend(self, capsys):
-        from repro.cli import main
-
-        assert main(["list", "--scalar"]) == 0
-        assert execution.selected_name() == "scalar"
-
     def test_backend_flag_selects_named_backend(self, capsys):
         from repro.cli import main
 
-        assert main(["list", "--backend", "fused"]) == 0
-        assert execution.selected_name() == "fused"
-
-    def test_scalar_and_conflicting_backend_exit_2(self, capsys):
-        from repro.cli import main
-
-        assert main(["list", "--scalar", "--backend", "fused"]) == 2
-        assert "conflicts" in capsys.readouterr().err
-
-    def test_scalar_with_backend_scalar_is_allowed(self, capsys):
-        from repro.cli import main
-
-        assert main(["list", "--scalar", "--backend", "scalar"]) == 0
+        assert main(["list", "--backend", "scalar"]) == 0
         assert execution.selected_name() == "scalar"
 
     def test_unknown_backend_exits_2(self, capsys):
@@ -219,6 +146,19 @@ class TestCliAliases:
 
         assert main(["list", "--backend", "warp-drive"]) == 2
         assert "warp-drive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["warp-drive", "batched"])
+    def test_unknown_env_backend_exits_2(self, capsys, name):
+        # A stale REPRO_BACKEND (a made-up name, or a backend that no
+        # longer exists) is rejected before any experiment runs, with
+        # the registered names instead of a traceback.
+        from repro.cli import main
+
+        os.environ[execution.ENV_VAR] = name
+        assert main(["figure3", "--scale", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert name in err
+        assert "scalar, fused" in err
 
 
 class TestServeSpecBackend:
@@ -244,7 +184,7 @@ class TestServeSpecBackend:
     def test_backend_allowed_on_every_job_type(self):
         for spec in (
             {"type": "experiment", "experiment": "table7",
-             "backend": "batched"},
+             "backend": "fused"},
             {"type": "fuzz", "backend": "scalar"},
         ):
             assert normalize_spec(spec)["backend"] == spec["backend"]
@@ -254,12 +194,12 @@ class TestServeSpecBackend:
 
         result = run_job(
             {"type": "program", "program": "saxpy", "n": 8,
-             "backend": "fused"}
+             "backend": "scalar"}
         )
-        assert result["backend"] == "fused"
+        assert result["backend"] == "scalar"
         assert result["instructions"] > 0
         # The job-scoped selection must not leak into the worker.
-        assert execution.selected_name() == "batched"
+        assert execution.selected_name() == "fused"
 
 
 class TestMetricsAttribution:
@@ -287,7 +227,11 @@ class TestFusedTargetedParity:
             config=config, operations=ALL_OPERATIONS
         )
         for events in runs:
-            execution.dispatch(events, bank.units, backend=backend)
+            # Columnar input, so the fused side runs its pair-id loop
+            # rather than degrading to the scalar one.
+            batch = ColumnBatch.from_events(events)
+            assert execution.as_batch(batch) is not None
+            execution.dispatch(batch, bank.units, backend=backend)
         return _fingerprint(bank)
 
     def test_table_state_persists_across_runs(self):

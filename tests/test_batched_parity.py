@@ -1,13 +1,15 @@
-"""Backend-vs-scalar parity gate for the columnar probe kernels.
+"""Backend-vs-scalar parity gate for the columnar probe kernel.
 
 The execution backends (``repro.core.backend``) replace four scalar
 probe loops; their one contract is *bit-identical* statistics.  These
 tests run every bundled ISA program -- and synthetic edge-value traces
--- through every registered non-scalar backend (``batched``, ``fused``,
-and whatever else the registry carries) against the scalar reference,
+-- through every registered non-scalar backend (``fused``, and
+whatever else the registry carries) against the scalar reference,
 requiring exactly equal ``MemoStats`` / ``UnitStats`` counters, opcode
 breakdowns, cycle totals and final table contents.  NaN-carrying
-values are compared by bit pattern, never by ``==``.
+values are compared by bit pattern, never by ``==``.  Every input is
+columnar: a plain event list would send the fast backend down its
+scalar degrade path and compare the scalar loop with itself.
 
 CI runs this module once per backend (the backend-matrix job) as the
 parity gate required by the columnar-pipeline acceptance criteria.
@@ -23,8 +25,14 @@ from repro.arch.latency import FAST_DESIGN
 from repro.core import backend as execution
 from repro.core import kernel
 from repro.core.bank import MemoTableBank
-from repro.core.config import MemoTableConfig, TagMode, TrivialPolicy
+from repro.core.config import (
+    MemoTableConfig,
+    ReplacementKind,
+    TagMode,
+    TrivialPolicy,
+)
 from repro.core.operations import Operation
+from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
 from repro.isa.programs import PROGRAMS
 from repro.isa.trace import Trace, TraceEvent
@@ -107,15 +115,18 @@ def traces():
     return out
 
 
-def _run_both(events, make_bank, backend="batched", **kwargs):
+def _run_both(events, make_bank, backend="fused", **kwargs):
+    # The fast side must see a columnar view, or it silently degrades
+    # to the scalar loop and the comparison proves nothing.
+    assert execution.as_batch(events) is not None
     backend_bank = make_bank()
     scalar_bank = make_bank()
     report = ShadeSimulator(
         bank=backend_bank, backend=backend, **kwargs
     ).run(events)
-    scalar = ShadeSimulator(bank=scalar_bank, scalar=True, **kwargs).run(
-        events
-    )
+    scalar = ShadeSimulator(
+        bank=scalar_bank, backend="scalar", **kwargs
+    ).run(events)
     return report, scalar, backend_bank, scalar_bank
 
 
@@ -174,7 +185,8 @@ class TestProgramParity:
 
 
 def _edge_trace():
-    """Synthetic trace hammering trivial-operand and NaN edge cases."""
+    """Synthetic columnar trace hammering trivial-operand and NaN edge
+    cases."""
     nan = float("nan")
     inf = float("inf")
     tiny = 5e-324  # smallest subnormal
@@ -203,7 +215,7 @@ def _edge_trace():
                     continue
                 events.append(TraceEvent(op, a, b, 3))
     # Repeat everything so the second pass exercises hits and LRU state.
-    return events + events
+    return ColumnBatch.from_events(events + events)
 
 
 class TestEdgeValueParity:
@@ -258,11 +270,11 @@ class TestEdgeValueParity:
     def test_validation_mismatch_counts(self, backend):
         # Traced results are wrong on purpose: both tiers must flag the
         # same number of mismatches.
-        events = [
+        events = ColumnBatch.from_events([
             TraceEvent(Opcode.FMUL, 2.0, 3.0, 999.0),
             TraceEvent(Opcode.FMUL, 2.0, 3.0, 999.0),
             TraceEvent(Opcode.FMUL, 4.0, 5.0, 20.0),
-        ]
+        ])
         report, scalar, _, _ = _run_both(
             events,
             lambda: MemoTableBank.paper_baseline(operations=ALL_OPERATIONS),
@@ -271,9 +283,44 @@ class TestEdgeValueParity:
         )
         assert report.mismatches == scalar.mismatches > 0
 
+    @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
+    @pytest.mark.parametrize(
+        "replacement", [ReplacementKind.FIFO, ReplacementKind.RANDOM]
+    )
+    def test_non_lru_replacement(self, replacement, backend):
+        # A tiny 2-way table evicts constantly, so every victim choice
+        # of the policy (and RANDOM's seeded stream) must line up.
+        events = _edge_trace()
+        config = MemoTableConfig(
+            entries=4, associativity=2, replacement=replacement, seed=3
+        )
+        report, scalar, b_bank, s_bank = _run_both(
+            events,
+            lambda: MemoTableBank.paper_baseline(
+                config=config, operations=ALL_OPERATIONS
+            ),
+            backend=backend,
+        )
+        assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
+        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert sum(
+            unit.stats.table.evictions for unit in b_bank.units.values()
+        ) > 0
+
+    @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
+    def test_infinite_table(self, backend):
+        events = _edge_trace()
+        report, scalar, b_bank, s_bank = _run_both(
+            events,
+            lambda: MemoTableBank.infinite(operations=ALL_OPERATIONS),
+            backend=backend,
+        )
+        assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
+        assert _table_entries(b_bank) == _table_entries(s_bank)
+
 
 class TestSliceParity:
-    """``run_events(start=, stop=)`` is the sampling front-end's path."""
+    """``dispatch(start=, stop=)`` is the sampling front-end's path."""
 
     @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
     @pytest.mark.parametrize("window", [(0, 7), (3, 60), (100, 101),

@@ -324,8 +324,8 @@ class TestFlushBetweenSemantics:
 
 class TestSamplingBackendParity:
     """Every registered backend must produce bit-identical sampled
-    estimates -- including over column-backed traces, where the batched
-    and fused kernels take their vectorized paths."""
+    estimates -- including over column-backed traces, where the fused
+    kernel takes its pair-id path."""
 
     def _mixed_events(self):
         events = []

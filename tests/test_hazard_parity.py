@@ -2,12 +2,11 @@
 
 The hazard-aware pipeline model must resolve each event's hit/miss
 before the next issues, so it probes through ``kernel.probe_one`` one
-event at a time.  The batch backends reorder work into per-opcode
-columns (and the speculative one additionally bulk-commits hot
-regions).  All of them must leave a bank in the identical state --
-same statistics, same table contents -- for the same trace, or the
-hazard model's hit ratios (and therefore its stall accounting)
-silently drift from the headline results.
+event at a time.  The fused backend reorders work into per-opcode
+columns and dense pair ids.  Every backend must leave a bank in the
+identical state -- same statistics, same table contents -- for the
+same trace, or the hazard model's hit ratios (and therefore its stall
+accounting) silently drift from the headline results.
 """
 
 import pytest

@@ -364,7 +364,7 @@ class TestKernelImportRule:
         assert "repro.core.backend" in found[0].message
 
     def test_catches_absolute_from_import(self):
-        source = "from repro.core.kernel import run_events\n"
+        source = "from repro.core.kernel import probe_batch\n"
         assert len(_findings(source, self.SHADE, KernelImportRule())) == 1
 
     def test_catches_relative_submodule_from_import(self):

@@ -19,8 +19,8 @@ from repro.verify.shrink import divergence_signature, shrink_case
 class TestDivergenceSignature:
     def test_report_kinds(self):
         sig = divergence_signature([
-            "stats: batched != scalar for unit FP_MUL",
-            "table contents: batched and scalar tables differ",
+            "stats: fused != scalar for unit FP_MUL",
+            "table contents: fused and scalar tables differ",
             "delivered value: event 3",
             "reuse bound: unit INT_MUL",
         ])
@@ -31,11 +31,11 @@ class TestDivergenceSignature:
     def test_crash_kinds_carry_path_and_exception(self):
         sig = divergence_signature([
             "crash: oracle raised ZeroDivisionError('division by zero')",
-            "crash: batched kernel raised ValueError('bad column')",
+            "crash: fused kernel raised ValueError('bad column')",
         ])
         assert sig == frozenset({
             "crash:oracle:ZeroDivisionError",
-            "crash:batched kernel:ValueError",
+            "crash:fused kernel:ValueError",
         })
 
     def test_distinct_exceptions_do_not_match(self):
@@ -72,7 +72,7 @@ class TestDecoyRegression:
             if len(case.events) >= threshold:
                 return CaseResult(
                     case=case,
-                    divergences=["stats: batched != scalar for unit FP_MUL"],
+                    divergences=["stats: fused != scalar for unit FP_MUL"],
                 )
             return CaseResult(
                 case=case,
