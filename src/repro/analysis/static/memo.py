@@ -483,10 +483,8 @@ def measure_infinite_hit_ratio(
     """Replay a machine's trace through per-class infinite MEMO-TABLES.
 
     Returns ``(per-pc execution counts, hits, total memoizable ops)``.
-    The replay itself is the kernel's (columnar for column-backed traces,
-    the infinite-table reference loop otherwise).
+    The replay itself is the kernel's columnar one.
     """
-    assert machine.trace is not None, "machine must keep its trace"
     from ...core.backend import replay_infinite
 
     return replay_infinite(machine.trace)

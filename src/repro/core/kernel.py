@@ -96,8 +96,8 @@ _active_fault: Optional[str] = None
 def as_batch(events) -> Optional[ColumnBatch]:
     """The columnar view of ``events`` if one is available.
 
-    :class:`~repro.isa.trace.Trace` converts (and caches) on demand;
-    a :class:`ColumnBatch` is returned as-is; plain event sequences
+    A :class:`~repro.isa.trace.Trace` hands over its columns; a
+    :class:`ColumnBatch` is returned as-is; plain event sequences
     return None (callers fall back to the scalar path)."""
     if isinstance(events, ColumnBatch):
         return events

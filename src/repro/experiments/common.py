@@ -20,7 +20,6 @@ replays them without paying the recording cost again.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -69,7 +68,7 @@ SPEEDUP_IMAGE = "Muppet1"
 #: Entry bound of the in-process trace LRU.  Long-lived processes (the
 #: parallel workers, the test suite) would otherwise hold every trace
 #: they ever recorded.
-_DEFAULT_CACHE_ENTRIES = int(os.environ.get("REPRO_TRACE_CACHE_ENTRIES", "128"))
+_DEFAULT_CACHE_ENTRIES = 128
 
 _trace_cache: "OrderedDict[TraceKey, Trace]" = OrderedDict()
 _trace_cache_limit = _DEFAULT_CACHE_ENTRIES

@@ -3,7 +3,7 @@
 from .machine import Machine, MachineError, Program, assemble
 from .opcodes import MEMOIZABLE_OPCODES, Opcode, opcode_to_operation, operation_to_opcode
 from .programs import PROGRAMS
-from .trace import Trace, TraceEvent, dumps, frequency_breakdown, loads, read_trace, write_trace
+from .trace import Trace, TraceEvent, dumps, loads, read_trace, write_trace
 
 __all__ = [
     "Machine",
@@ -18,7 +18,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "dumps",
-    "frequency_breakdown",
     "loads",
     "read_trace",
     "write_trace",

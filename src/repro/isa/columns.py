@@ -1,14 +1,22 @@
-"""Columnar (struct-of-arrays) trace batches.
+"""Columnar (struct-of-arrays) traces: the one in-memory representation.
 
-The record-at-a-time :class:`~repro.isa.trace.TraceEvent` stream is the
-interface workloads speak, but replaying millions of NamedTuples through
-a Python loop is where simulation time goes.  A :class:`ColumnBatch`
-holds the same events as parallel fixed-width columns -- one
-``array('B')`` of opcode indices, one of per-event flags, int64 columns
-for operands/result/address/pc/dst and a flattened srcs column -- so the
-simulator kernel (:mod:`repro.core.kernel`) can partition a whole batch
-by opcode, extract index/tag columns and trivial-operand masks with
-numpy, and probe the MEMO-TABLES without touching an event object.
+A :class:`ColumnBatch` holds a trace as parallel fixed-width columns --
+one ``array('B')`` of opcode indices, one of per-event flags, int64
+columns for operands/result/address/pc/dst and a flattened srcs column
+-- so the simulator kernel (:mod:`repro.core.kernel`) can partition a
+whole trace by opcode, extract index/tag columns and trivial-operand
+masks with numpy, and probe the MEMO-TABLES without touching an event
+object.  The corpus stores the same columns as v3 blocks.
+
+Traces are born columnar: the workload recorder and the ISA machine
+append each operation to a :class:`ColumnAccumulator`, whose
+:meth:`~ColumnAccumulator.batch` turns the float64 operand buffers into
+int64 bit columns with one reinterpretation.  :class:`TraceEvent`
+objects exist only as the event view (:meth:`ColumnBatch.to_events`)
+that the scalar reference, the oracle, the hazard model and the reuse
+buffer walk; :meth:`ColumnBatch.append` / :meth:`ColumnBatch.from_events`
+is the one event-to-column converter, for traces that arrive as events
+(the text format, v1/v2 files, generated test cases).
 
 Encoding rules match the v2 binary format (:mod:`repro.isa.binfmt`):
 
@@ -30,17 +38,19 @@ and int64 corner values all survive the round trip.
 
 from __future__ import annotations
 
+import functools
+import gc
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..arch.ieee754 import bits_to_float64, float64_to_bits
 from .opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode
-from .trace import TraceEvent
+from .trace import Trace, TraceEvent
 
-__all__ = ["ColumnBatch", "ColumnBatchBuilder", "DEFAULT_BATCH_EVENTS"]
+__all__ = ["ColumnAccumulator", "ColumnBatch", "DEFAULT_BATCH_EVENTS"]
 
-#: Events per block in streaming/serialized form: large enough that the
-#: per-batch numpy fixed costs amortize, small enough to keep resident.
+#: Events per block in serialized form: large enough that the per-block
+#: fixed costs amortize, small enough to keep one block resident.
 DEFAULT_BATCH_EVENTS = 65536
 
 # Per-event flag bits (shared with the v3 on-disk block format, where
@@ -54,6 +64,10 @@ _F_WIDE = 16
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+#: TraceEvent from a complete field tuple, with no per-call Python frame.
+_make_event = functools.partial(tuple.__new__, TraceEvent)
 
 
 def _signed(bits: int) -> int:
@@ -254,80 +268,226 @@ class ColumnBatch:
         )
 
     def to_events(self) -> List[TraceEvent]:
-        """Materialize the whole batch (the bulk inverse of append)."""
-        opcodes = self.opcode_col
-        flags_col = self.flags_col
-        a_col, b_col, r_col = self.a_col, self.b_col, self.result_col
-        addr_col, pc_col, dst_col = self.address_col, self.pc_col, self.dst_col
-        offsets, srcs_col = self.src_offsets, self.srcs_col
-        wide = self.wide
-        events: List[TraceEvent] = []
-        append = events.append
-        for i in range(len(opcodes)):
-            flags = flags_col[i]
-            if flags & _F_WIDE:
-                a, b, result = wide[i]
-            elif flags & _F_INT:
-                a, b, result = a_col[i], b_col[i], r_col[i]
-            else:
-                a = bits_to_float64(a_col[i] & _U64_MASK)
-                b = bits_to_float64(b_col[i] & _U64_MASK)
-                result = bits_to_float64(r_col[i] & _U64_MASK)
-            lo, hi = offsets[i], offsets[i + 1]
-            append(
-                TraceEvent(
-                    OPCODE_LIST[opcodes[i]],
-                    a,
-                    b,
-                    result,
-                    address=addr_col[i] if flags & _F_ADDRESS else None,
-                    dst=dst_col[i] if flags & _F_DST else None,
-                    srcs=tuple(srcs_col[lo:hi]) if hi > lo else (),
-                    pc=pc_col[i] if flags & _F_PC else None,
+        """Materialize the whole batch (the bulk inverse of append).
+
+        Columns convert to Python values in bulk (float bit patterns
+        reinterpret exactly, so NaN payloads survive); only integer and
+        wide operands are patched event by event."""
+        import numpy as np
+
+        flags = np.frombuffer(self.flags_col, dtype=np.uint8)
+        ints = np.flatnonzero(flags & _F_INT).tolist()
+        operands = []
+        for col in (self.a_col, self.b_col, self.result_col):
+            values = np.frombuffer(col, dtype=np.float64).tolist()
+            for index in ints:
+                values[index] = col[index]
+            operands.append(values)
+        for index, triple in self.wide.items():
+            for values, value in zip(operands, triple):
+                values[index] = value
+
+        def optional(col, bit):
+            values = np.full(len(flags), None, dtype=object)
+            present = np.flatnonzero(flags & bit)
+            values[present] = np.frombuffer(col, dtype=np.int64)[
+                present
+            ].astype(object)
+            return values.tolist()
+
+        srcs = self.srcs_col.tolist()
+        offsets = self.src_offsets.tolist()
+        # Every event is a new GC-tracked tuple; collecting while the
+        # list grows would re-walk it many times over.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return list(
+                map(
+                    _make_event,
+                    zip(
+                        map(OPCODE_LIST.__getitem__, self.opcode_col),
+                        *operands,
+                        optional(self.address_col, _F_ADDRESS),
+                        optional(self.dst_col, _F_DST),
+                        [tuple(srcs[lo:hi]) for lo, hi in zip(offsets, offsets[1:])],
+                        optional(self.pc_col, _F_PC),
+                    ),
                 )
             )
-        return events
+        finally:
+            if collecting:
+                gc.enable()
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.to_events())
 
     def breakdown(self) -> Dict[Opcode, int]:
-        """Instruction frequency breakdown without materializing events."""
+        """Instruction frequency breakdown without materializing events,
+        keyed in first-occurrence order (as counting the events would)."""
         import numpy as np
 
-        counts = np.bincount(
-            self.views().opcode, minlength=len(OPCODE_LIST)
-        ).tolist()
+        codes, first, counts = np.unique(
+            self.views().opcode, return_index=True, return_counts=True
+        )
         return {
-            OPCODE_LIST[i]: count for i, count in enumerate(counts) if count
+            OPCODE_LIST[codes[i]]: int(counts[i]) for i in np.argsort(first)
         }
 
 
-class ColumnBatchBuilder:
-    """Streaming event consumer that flushes :class:`ColumnBatch` blocks.
+class ColumnAccumulator:
+    """Appends operations straight into columns, one call per event.
 
-    Plug into :class:`~repro.workloads.recorder.OperationRecorder` as a
-    consumer; every ``batch_events`` events the accumulated batch is
-    handed to ``sink`` and a fresh one started.  Call :meth:`flush` at
-    end of recording for the final partial block.
+    The workload recorder and the ISA machine write here instead of
+    building :class:`TraceEvent` objects.  ``code`` is an opcode's column
+    index (:data:`~repro.isa.opcodes.OPCODE_INDEX`).  Float operands go
+    into float64 buffers that :meth:`batch` reinterprets as the int64 bit
+    columns; integer operands keep :meth:`ColumnBatch.append`'s int64
+    range check and its ``_F_WIDE`` side table.  Every event a caller can
+    append encodes exactly as ``append`` encodes the equivalent event.
     """
 
-    def __init__(self, sink, batch_events: int = DEFAULT_BATCH_EVENTS) -> None:
-        if batch_events < 1:
-            raise ValueError(f"batch_events must be >= 1, got {batch_events}")
-        self._sink = sink
-        self._batch_events = batch_events
-        self._batch = ColumnBatch()
-        self.batches_emitted = 0
+    __slots__ = (
+        "opcode_col", "flags_col", "a_col", "b_col", "result_col",
+        "address_col", "pc_col", "dst_col", "src_offsets", "srcs_col",
+        "ints", "wide", "_trace",
+    )
 
-    def __call__(self, event: TraceEvent) -> None:
-        self._batch.append(event)
-        if len(self._batch) >= self._batch_events:
-            self.flush()
+    def __init__(self) -> None:
+        self.opcode_col = array("B")
+        self.flags_col = array("B")
+        # Integer-operand events hold 0.0 here; their values wait in
+        # ``ints`` (or ``wide``) until batch() places them.
+        self.a_col = array("d")
+        self.b_col = array("d")
+        self.result_col = array("d")
+        self.address_col = array("q")
+        self.pc_col = array("q")
+        self.dst_col = array("q")
+        self.src_offsets = array("Q", [0])
+        self.srcs_col = array("q")
+        #: (index, a, b, result) of each in-range integer-operand event.
+        self.ints: List[Tuple[int, int, int, int]] = []
+        self.wide: Dict[int, Tuple] = {}
+        self._trace: Optional[Trace] = None
 
-    def flush(self) -> None:
-        """Emit the current partial batch (no-op when empty)."""
-        if len(self._batch):
-            self._sink(self._batch)
-            self.batches_emitted += 1
-            self._batch = ColumnBatch()
+    def __len__(self) -> int:
+        return len(self.opcode_col)
+
+    # The three appenders below are the recording hot path: each writes
+    # every column inline rather than through a shared helper.
+
+    def float_op(
+        self, code: int, a: float, b: float, result: float,
+        dst: Optional[int] = None, srcs: tuple = (), pc: Optional[int] = None,
+    ) -> None:
+        """An event whose operands and result are floats."""
+        self.opcode_col.append(code)
+        self.flags_col.append(
+            (0 if pc is None else _F_PC) | (0 if dst is None else _F_DST)
+        )
+        self.a_col.append(a)
+        self.b_col.append(b)
+        self.result_col.append(result)
+        self.address_col.append(0)
+        self.pc_col.append(0 if pc is None else pc)
+        self.dst_col.append(0 if dst is None else dst)
+        if srcs:
+            self.srcs_col.extend(srcs)
+        self.src_offsets.append(len(self.srcs_col))
+
+    def int_op(
+        self, code: int, a: int, b: int, result: int,
+        dst: Optional[int] = None, srcs: tuple = (), pc: Optional[int] = None,
+    ) -> None:
+        """An event whose operands and result are (unbounded) ints."""
+        index = len(self.opcode_col)
+        if (
+            _INT64_MIN <= a <= _INT64_MAX
+            and _INT64_MIN <= b <= _INT64_MAX
+            and _INT64_MIN <= result <= _INT64_MAX
+        ):
+            flags = _F_INT
+            self.ints.append((index, a, b, result))
+        else:
+            flags = _F_WIDE
+            self.wide[index] = (a, b, result)
+        self.opcode_col.append(code)
+        self.flags_col.append(
+            flags | (0 if pc is None else _F_PC) | (0 if dst is None else _F_DST)
+        )
+        self.a_col.append(0.0)
+        self.b_col.append(0.0)
+        self.result_col.append(0.0)
+        self.address_col.append(0)
+        self.pc_col.append(0 if pc is None else pc)
+        self.dst_col.append(0 if dst is None else dst)
+        if srcs:
+            self.srcs_col.extend(srcs)
+        self.src_offsets.append(len(self.srcs_col))
+
+    def plain(
+        self, code: int, address: Optional[int] = None,
+        dst: Optional[int] = None, srcs: tuple = (), pc: Optional[int] = None,
+    ) -> None:
+        """An event without operands (memory access, ALU, branch, nop)."""
+        self.opcode_col.append(code)
+        self.flags_col.append(
+            (0 if address is None else _F_ADDRESS)
+            | (0 if pc is None else _F_PC)
+            | (0 if dst is None else _F_DST)
+        )
+        self.a_col.append(0.0)
+        self.b_col.append(0.0)
+        self.result_col.append(0.0)
+        self.address_col.append(0 if address is None else address)
+        self.pc_col.append(0 if pc is None else pc)
+        self.dst_col.append(0 if dst is None else dst)
+        if srcs:
+            self.srcs_col.extend(srcs)
+        self.src_offsets.append(len(self.srcs_col))
+
+    def plain_run(self, codes: bytes) -> None:
+        """``len(codes)`` bare operand-free events (no address, pc or
+        dataflow), e.g. one loop iteration's overhead."""
+        n = len(codes)
+        zeros = (0,) * n
+        self.opcode_col.frombytes(codes)
+        self.flags_col.frombytes(bytes(n))
+        self.a_col.extend((0.0,) * n)
+        self.b_col.extend((0.0,) * n)
+        self.result_col.extend((0.0,) * n)
+        self.address_col.extend(zeros)
+        self.pc_col.extend(zeros)
+        self.dst_col.extend(zeros)
+        self.src_offsets.extend((len(self.srcs_col),) * n)
+
+    def batch(self) -> ColumnBatch:
+        """A :class:`ColumnBatch` of everything appended so far (a copy:
+        appending may continue)."""
+        batch = ColumnBatch()
+        batch.opcode_col = self.opcode_col[:]
+        batch.flags_col = self.flags_col[:]
+        for name in ("a_col", "b_col", "result_col"):
+            bits = array("q")
+            bits.frombytes(memoryview(getattr(self, name)).cast("B"))
+            setattr(batch, name, bits)
+        a_col, b_col, r_col = batch.a_col, batch.b_col, batch.result_col
+        for index, a, b, result in self.ints:
+            a_col[index] = a
+            b_col[index] = b
+            r_col[index] = result
+        batch.address_col = self.address_col[:]
+        batch.pc_col = self.pc_col[:]
+        batch.dst_col = self.dst_col[:]
+        batch.src_offsets = self.src_offsets[:]
+        batch.srcs_col = self.srcs_col[:]
+        batch.wide = dict(self.wide)
+        return batch
+
+    def trace(self) -> Trace:
+        """A :class:`~repro.isa.trace.Trace` of everything appended so
+        far, reused until the next append."""
+        if self._trace is None or len(self._trace) != len(self):
+            self._trace = Trace(columns=self.batch())
+        return self._trace

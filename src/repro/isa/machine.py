@@ -4,10 +4,11 @@ The paper's measurement substrate is Shade executing SPARC binaries.
 The instrumented-Python workloads reproduce its *value streams*; this
 module closes the remaining gap for users who want to study real
 (if small) programs: an assembler for a SPARC-like textual ISA and an
-interpreter that executes programs while emitting the same
-:class:`~repro.isa.trace.TraceEvent` stream the simulators consume --
-with genuine program counters (for the Reuse Buffer comparison) and
-genuine register dataflow (for the hazard pipeline).
+interpreter that executes programs while appending each instruction to
+the same columnar trace the workload recorder builds
+(:class:`~repro.isa.columns.ColumnAccumulator`) -- with genuine program
+counters (for the Reuse Buffer comparison) and genuine register
+dataflow (for the hazard pipeline).
 
 Syntax (one instruction per line, ``!`` or ``#`` comments)::
 
@@ -40,12 +41,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.operations import ieee_div, ieee_log, ieee_recip, ieee_sqrt, int_div
 from ..errors import TraceFormatError
-from .opcodes import Opcode
-from .trace import Trace, TraceEvent
+from .columns import ColumnAccumulator
+from .opcodes import OPCODE_INDEX, Opcode
+from .trace import Trace
 
 __all__ = ["Program", "Instruction", "assemble", "Machine", "MachineError"]
 
@@ -64,13 +66,25 @@ def _ieee_cos(a: float) -> float:
     return math.cos(a) if math.isfinite(a) else math.nan
 
 
-#: Unary FP mnemonics -> (compute, traced opcode).
+# Column codes of the traced opcodes.
+_NOP = OPCODE_INDEX[Opcode.NOP]
+_IALU = OPCODE_INDEX[Opcode.IALU]
+_BRANCH = OPCODE_INDEX[Opcode.BRANCH]
+_LOAD = OPCODE_INDEX[Opcode.LOAD]
+_STORE = OPCODE_INDEX[Opcode.STORE]
+_IMUL = OPCODE_INDEX[Opcode.IMUL]
+_IDIV = OPCODE_INDEX[Opcode.IDIV]
+_FADD = OPCODE_INDEX[Opcode.FADD]
+_FMUL = OPCODE_INDEX[Opcode.FMUL]
+_FDIV = OPCODE_INDEX[Opcode.FDIV]
+
+#: Unary FP mnemonics -> (compute, traced opcode code).
 _FP_UNARY = {
-    "fsqrt": (ieee_sqrt, Opcode.FSQRT),
-    "frecip": (ieee_recip, Opcode.FRECIP),
-    "flog": (ieee_log, Opcode.FLOG),
-    "fsin": (_ieee_sin, Opcode.FSIN),
-    "fcos": (_ieee_cos, Opcode.FCOS),
+    "fsqrt": (ieee_sqrt, OPCODE_INDEX[Opcode.FSQRT]),
+    "frecip": (ieee_recip, OPCODE_INDEX[Opcode.FRECIP]),
+    "flog": (ieee_log, OPCODE_INDEX[Opcode.FLOG]),
+    "fsin": (_ieee_sin, OPCODE_INDEX[Opcode.FSIN]),
+    "fcos": (_ieee_cos, OPCODE_INDEX[Opcode.FCOS]),
 }
 
 
@@ -153,21 +167,20 @@ def assemble(source: str) -> Program:
 
 
 class Machine:
-    """Interpreter executing a :class:`Program` and emitting a trace."""
+    """Interpreter executing a :class:`Program` and recording its trace.
 
-    def __init__(
-        self,
-        program: Program,
-        consumer: Optional[Callable[[TraceEvent], None]] = None,
-        keep_trace: bool = True,
-    ) -> None:
+    Integer registers hold Python ints and floating-point registers and
+    memory hold floats (``write_doubles`` coerces), so every traced
+    operand triple is all-int or all-float.
+    """
+
+    def __init__(self, program: Program) -> None:
         self.program = program
         self.int_regs: List[int] = [0] * 32
         self.fp_regs: List[float] = [0.0] * 32
         self.memory: Dict[int, float] = {}
         self.cc = 0  # condition codes: sign of last cmp
-        self.trace: Optional[Trace] = Trace() if keep_trace else None
-        self._consumer = consumer
+        self._columns = ColumnAccumulator()
         self.steps = 0
         self.halted = False
         # Dataflow: last writer event id per register / memory word.
@@ -176,13 +189,12 @@ class Machine:
         self._fp_vids: List[Optional[int]] = [None] * 32
         self._mem_vids: Dict[int, int] = {}
 
-    # -- helpers -----------------------------------------------------------
+    @property
+    def trace(self) -> Trace:
+        """A :class:`~repro.isa.trace.Trace` of everything executed so far."""
+        return self._columns.trace()
 
-    def _emit(self, event: TraceEvent) -> None:
-        if self.trace is not None:
-            self.trace.append(event)
-        if self._consumer is not None:
-            self._consumer(event)
+    # -- helpers -----------------------------------------------------------
 
     def _new_vid(self) -> int:
         self._next_vid += 1
@@ -275,23 +287,24 @@ class Machine:
         m = ins.mnemonic
         ops = ins.operands
         pc = ins.pc
+        columns = self._columns
         try:
             if m == "halt":
                 self.halted = True
                 return index
             if m == "nop":
-                self._emit(TraceEvent(Opcode.NOP, pc=pc))
+                columns.plain(_NOP, pc=pc)
                 return index + 1
             if m == "set":
                 value, _ = self._read_int(ops[0])
                 vid = self._new_vid()
                 self._write_int(ops[1], value, vid)
-                self._emit(TraceEvent(Opcode.IALU, dst=vid, pc=pc))
+                columns.plain(_IALU, dst=vid, pc=pc)
                 return index + 1
             if m == "fset":
                 vid = self._new_vid()
                 self._write_fp(ops[1], float(ops[0]), vid)
-                self._emit(TraceEvent(Opcode.IALU, dst=vid, pc=pc))
+                columns.plain(_IALU, dst=vid, pc=pc)
                 return index + 1
             if m in _INT_OPS:
                 a, va = self._read_int(ops[0])
@@ -308,28 +321,17 @@ class Machine:
                 vid = self._new_vid()
                 self._write_int(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(TraceEvent(Opcode.IALU, dst=vid, srcs=srcs, pc=pc))
+                columns.plain(_IALU, dst=vid, srcs=srcs, pc=pc)
                 return index + 1
-            if m == "sdiv":
+            if m in ("sdiv", "smul"):
                 a, va = self._read_int(ops[0])
                 b, vb = self._read_int(ops[1])
-                result = int_div(a, b)
+                result = int_div(a, b) if m == "sdiv" else a * b
                 vid = self._new_vid()
                 self._write_int(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(
-                    TraceEvent(Opcode.IDIV, a, b, result, dst=vid, srcs=srcs, pc=pc)
-                )
-                return index + 1
-            if m == "smul":
-                a, va = self._read_int(ops[0])
-                b, vb = self._read_int(ops[1])
-                result = a * b
-                vid = self._new_vid()
-                self._write_int(ops[2], result, vid)
-                srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(
-                    TraceEvent(Opcode.IMUL, a, b, result, dst=vid, srcs=srcs, pc=pc)
+                columns.int_op(
+                    _IDIV if m == "sdiv" else _IMUL, a, b, result, vid, srcs, pc
                 )
                 return index + 1
             if m == "ld":
@@ -342,11 +344,7 @@ class Machine:
                     if v is not None
                 )
                 self._write_fp(ops[1], value, vid)
-                self._emit(
-                    TraceEvent(
-                        Opcode.LOAD, address=address, dst=vid, srcs=srcs, pc=pc
-                    )
-                )
+                columns.plain(_LOAD, address, vid, srcs, pc)
                 return index + 1
             if m == "st":
                 value, value_vid = self._read_fp(ops[0])
@@ -355,11 +353,7 @@ class Machine:
                 vid = self._new_vid()
                 self._mem_vids[address] = vid
                 srcs = tuple(v for v in (value_vid, base_vid) if v is not None)
-                self._emit(
-                    TraceEvent(
-                        Opcode.STORE, address=address, dst=vid, srcs=srcs, pc=pc
-                    )
-                )
+                columns.plain(_STORE, address, vid, srcs, pc)
                 return index + 1
             if m in ("fadd", "fsub"):
                 a, va = self._read_fp(ops[0])
@@ -368,40 +362,32 @@ class Machine:
                 vid = self._new_vid()
                 self._write_fp(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(
-                    TraceEvent(Opcode.FADD, a, b, result, dst=vid, srcs=srcs, pc=pc)
-                )
+                columns.float_op(_FADD, a, b, result, vid, srcs, pc)
                 return index + 1
             if m in ("fmul", "fdiv"):
                 a, va = self._read_fp(ops[0])
                 b, vb = self._read_fp(ops[1])
                 result = a * b if m == "fmul" else ieee_div(a, b)
-                opcode = Opcode.FMUL if m == "fmul" else Opcode.FDIV
+                code = _FMUL if m == "fmul" else _FDIV
                 vid = self._new_vid()
                 self._write_fp(ops[2], result, vid)
                 srcs = tuple(v for v in (va, vb) if v is not None)
-                self._emit(
-                    TraceEvent(opcode, a, b, result, dst=vid, srcs=srcs, pc=pc)
-                )
+                columns.float_op(code, a, b, result, vid, srcs, pc)
                 return index + 1
             if m in _FP_UNARY:
-                compute, opcode = _FP_UNARY[m]
+                compute, code = _FP_UNARY[m]
                 a, va = self._read_fp(ops[0])
                 result = float(compute(a))
                 vid = self._new_vid()
                 self._write_fp(ops[1], result, vid)
                 srcs = (va,) if va is not None else ()
-                self._emit(
-                    TraceEvent(
-                        opcode, a, 0.0, result, dst=vid, srcs=srcs, pc=pc
-                    )
-                )
+                columns.float_op(code, a, 0.0, result, vid, srcs, pc)
                 return index + 1
             if m == "cmp":
                 a, _ = self._read_int(ops[0])
                 b, _ = self._read_int(ops[1])
                 self.cc = (a > b) - (a < b)
-                self._emit(TraceEvent(Opcode.IALU, pc=pc))
+                columns.plain(_IALU, pc=pc)
                 return index + 1
             if m in _BRANCHES:
                 taken = {
@@ -413,7 +399,7 @@ class Machine:
                     "bg": self.cc > 0,
                     "bge": self.cc >= 0,
                 }[m]
-                self._emit(TraceEvent(Opcode.BRANCH, pc=pc))
+                columns.plain(_BRANCH, pc=pc)
                 if taken:
                     target = labels.get(ops[0])
                     if target is None:

@@ -5,22 +5,26 @@ carry operand and result values (what Shade extracted from registers);
 memory events carry an address (for the cache hierarchy of section 3.3);
 everything else is just an opcode for the frequency breakdown.
 
-Traces can be held in memory (:class:`Trace`), streamed event by event,
-or round-tripped through a simple line-oriented text format so recorded
-workloads can be archived and replayed.
+In memory a :class:`Trace` is one columnar
+:class:`~repro.isa.columns.ColumnBatch`; :class:`TraceEvent` is the type
+of its event view.  Traces can also be round-tripped through a simple
+line-oriented text format so recorded workloads can be archived and
+replayed.
 """
 
 from __future__ import annotations
 
 import io
-from collections import Counter
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, TextIO, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, TextIO, Union
 
 from ..arch.ieee754 import bits_to_float64, float64_to_bits
 from ..errors import TraceFormatError
 from .opcodes import Opcode
 
-__all__ = ["TraceEvent", "Trace", "write_trace", "read_trace", "frequency_breakdown"]
+if TYPE_CHECKING:
+    from .columns import ColumnBatch
+
+__all__ = ["TraceEvent", "Trace", "write_trace", "read_trace"]
 
 
 class TraceEvent(NamedTuple):
@@ -36,8 +40,8 @@ class TraceEvent(NamedTuple):
     model uses them to charge RAW stalls; the text serialization drops
     them (archived traces are value streams only).
 
-    A NamedTuple rather than a dataclass: traces run to millions of
-    events and construction cost dominates recording.
+    A NamedTuple rather than a dataclass: an event view runs to millions
+    of events and construction cost dominates materializing it.
     """
 
     opcode: Opcode
@@ -54,59 +58,42 @@ class TraceEvent(NamedTuple):
 
 
 class Trace:
-    """An in-memory instruction trace.
+    """An in-memory instruction trace: exactly one
+    :class:`~repro.isa.columns.ColumnBatch`.
 
-    Events are held either as a list of :class:`TraceEvent` records, as
-    a columnar :class:`~repro.isa.columns.ColumnBatch`, or both: a trace
-    loaded from the v3 binary format starts column-backed and only
-    materializes event objects when :attr:`events` is first read, while
-    a trace built by appending events converts lazily (and caches the
-    result) when :meth:`columns` is first called.  Either view describes
-    the identical event sequence.
+    The recorder, the ISA machine and the corpus build traces from
+    columns; ``Trace(events)`` converts an event sequence once.  The
+    event view (:attr:`events`, iteration, indexing) is materialized on
+    first use and cached, for the code that walks events one at a time.
     """
 
     def __init__(
         self,
         events: Optional[Iterable[TraceEvent]] = None,
-        columns: Optional["object"] = None,
+        columns: Optional["ColumnBatch"] = None,
     ) -> None:
         if columns is not None and events is not None:
             raise ValueError("pass either events or columns, not both")
-        self._events: Optional[List[TraceEvent]] = (
-            None if columns is not None else list(events or [])
-        )
+        if columns is None:
+            from .columns import ColumnBatch  # deferred: columns imports us
+
+            columns = ColumnBatch.from_events(events or ())
         self._columns = columns
+        self._events: Optional[List[TraceEvent]] = None
 
     @property
     def events(self) -> List[TraceEvent]:
-        """The event list (materialized from columns on first access)."""
+        """The event view (materialized from the columns on first use)."""
         if self._events is None:
             self._events = self._columns.to_events()
         return self._events
 
-    def columns(self):
-        """The columnar view (built from the event list on first call)."""
-        if self._columns is not None and (
-            self._events is None or len(self._events) == len(self._columns)
-        ):
-            return self._columns
-        from .columns import ColumnBatch  # deferred: columns imports us
-
-        self._columns = ColumnBatch.from_events(self._events)
+    def columns(self) -> "ColumnBatch":
+        """The columnar trace."""
         return self._columns
 
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        self._columns = None
-
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        self.events.extend(events)
-        self._columns = None
-
     def __len__(self) -> int:
-        if self._events is None:
-            return len(self._columns)
-        return len(self._events)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -120,19 +107,11 @@ class Trace:
         return Trace(e for e in self.events if e.opcode in wanted)
 
     def count(self, opcode: Opcode) -> int:
-        return sum(1 for e in self.events if e.opcode is opcode)
+        return self.breakdown().get(opcode, 0)
 
     def breakdown(self) -> Dict[Opcode, int]:
         """Instruction frequency breakdown (per section 3 of the paper)."""
-        if self._events is None:
-            return self._columns.breakdown()  # no need to materialize
-        return frequency_breakdown(self.events)
-
-
-def frequency_breakdown(events: Iterable[TraceEvent]) -> Dict[Opcode, int]:
-    """Count dynamic instructions by opcode class."""
-    counts: Counter = Counter(e.opcode for e in events)
-    return dict(counts)
+        return self._columns.breakdown()
 
 
 # -- text serialization ----------------------------------------------------

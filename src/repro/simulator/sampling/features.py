@@ -413,7 +413,7 @@ def interval_features(
     """Chop ``batch[start:stop]`` into intervals and fingerprint each.
 
     ``batch`` is a :class:`~repro.isa.columns.ColumnBatch` (or anything
-    with a compatible ``views()``), a column-backed
+    with a compatible ``views()``), a
     :class:`~repro.isa.trace.Trace`, or a plain event sequence
     (converted once); the final interval may be shorter
     than ``config.interval`` and its row is normalized by its own

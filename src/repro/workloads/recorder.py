@@ -5,32 +5,53 @@ are ordinary Python functions written against an
 :class:`OperationRecorder`, which
 
 * performs each arithmetic operation (so the kernel really computes its
-  output) while appending the matching :class:`TraceEvent`;
+  output) while appending the matching event -- opcode, operands,
+  result, dataflow edges and optional PC -- straight into the columns of
+  a :class:`~repro.isa.columns.ColumnAccumulator`;
 * tracks array accesses through :class:`TrackedArray` so loads/stores
   carry realistic addresses for the cache hierarchy;
 * counts loop overhead (branch + index arithmetic) via :meth:`loop`.
 
-The recorded stream is exactly what the simulators consume, so the
-operand values reaching the MEMO-TABLES are the values the computation
-actually produced -- value locality is emergent, not synthesized.
+No event object is built while recording: :attr:`OperationRecorder.trace`
+hands the columns to the simulators as a :class:`~repro.isa.trace.Trace`,
+so the operand values reaching the MEMO-TABLES are the values the
+computation actually produced -- value locality is emergent, not
+synthesized.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..core.operations import ieee_div, ieee_log, ieee_sqrt, int_div
-from ..errors import WorkloadError
-from ..isa.opcodes import Opcode
-from ..isa.trace import Trace, TraceEvent
+from ..isa.columns import ColumnAccumulator
+from ..isa.opcodes import OPCODE_INDEX, Opcode
+from ..isa.trace import Trace
 
 __all__ = ["OperationRecorder", "TrackedArray", "TracedValue", "TracedInt", "vid_of"]
 
-Consumer = Callable[[TraceEvent], None]
+# Column codes of the opcodes the recorder appends; IALU and BRANCH are
+# one-byte runs for ColumnAccumulator.plain_run.
+_IMUL = OPCODE_INDEX[Opcode.IMUL]
+_IDIV = OPCODE_INDEX[Opcode.IDIV]
+_FMUL = OPCODE_INDEX[Opcode.FMUL]
+_FDIV = OPCODE_INDEX[Opcode.FDIV]
+_FSQRT = OPCODE_INDEX[Opcode.FSQRT]
+_FRECIP = OPCODE_INDEX[Opcode.FRECIP]
+_FLOG = OPCODE_INDEX[Opcode.FLOG]
+_FSIN = OPCODE_INDEX[Opcode.FSIN]
+_FCOS = OPCODE_INDEX[Opcode.FCOS]
+_FADD = OPCODE_INDEX[Opcode.FADD]
+_LOAD = OPCODE_INDEX[Opcode.LOAD]
+_STORE = OPCODE_INDEX[Opcode.STORE]
+_IALU = bytes([OPCODE_INDEX[Opcode.IALU]])
+_BRANCH = bytes([OPCODE_INDEX[Opcode.BRANCH]])
+#: One loop iteration's overhead: two IALU and one BRANCH.
+_LOOP_OVERHEAD = _IALU + _IALU + _BRANCH
 
 
 class TracedValue(float):
@@ -43,7 +64,7 @@ class TracedValue(float):
     """
 
     def __new__(cls, value: float, vid: int):
-        self = super().__new__(cls, value)
+        self = float.__new__(cls, value)
         self.vid = vid
         return self
 
@@ -52,7 +73,7 @@ class TracedInt(int):
     """Integer twin of :class:`TracedValue` (for imul results)."""
 
     def __new__(cls, value: int, vid: int):
-        self = super().__new__(cls, value)
+        self = int.__new__(cls, value)
         self.vid = vid
         return self
 
@@ -62,9 +83,11 @@ def vid_of(value) -> Optional[int]:
     return getattr(value, "vid", None)
 
 
-def _srcs(*operands) -> tuple:
+def _srcs(a, b=None) -> tuple:
     """Dataflow edges: the ids of traced operands (constants drop out)."""
-    return tuple(v.vid for v in operands if hasattr(v, "vid"))
+    if hasattr(a, "vid"):
+        return (a.vid, b.vid) if hasattr(b, "vid") else (a.vid,)
+    return (b.vid,) if hasattr(b, "vid") else ()
 
 #: Tracked arrays are laid out in a flat synthetic address space,
 #: page-aligned so distinct arrays never share cache lines.
@@ -104,10 +127,9 @@ class TrackedArray:
 
     def __getitem__(self, index):
         recorder = self._recorder
-        vid = recorder._new_vid()
-        recorder.emit(
-            TraceEvent(Opcode.LOAD, address=self._address(index), dst=vid)
-        )
+        recorder._next_vid += 1
+        vid = recorder._next_vid
+        recorder._columns.plain(_LOAD, self._address(index), vid)
         value = self.array[index]
         if isinstance(value, np.generic):
             value = value.item()
@@ -118,10 +140,8 @@ class TrackedArray:
         return value
 
     def __setitem__(self, index, value) -> None:
-        self._recorder.emit(
-            TraceEvent(
-                Opcode.STORE, address=self._address(index), srcs=_srcs(value)
-            )
+        self._recorder._columns.plain(
+            _STORE, self._address(index), None, _srcs(value)
         )
         self.array[index] = value
 
@@ -134,32 +154,29 @@ class TrackedArray:
 class OperationRecorder:
     """Collects the dynamic instruction stream of an instrumented kernel."""
 
-    def __init__(
-        self,
-        keep_trace: bool = True,
-        consumers: Sequence[Consumer] = (),
-        record_sites: bool = False,
-    ) -> None:
-        """``keep_trace`` materializes events in :attr:`trace`;
-        ``consumers`` receive every event as it happens (streaming mode,
-        for runs too large to hold in memory); ``record_sites`` stamps
-        each arithmetic event with a synthetic PC identifying its static
-        call site (needed by PC-indexed schemes like the Reuse Buffer)."""
-        self.trace: Optional[Trace] = Trace() if keep_trace else None
-        self._consumers: List[Consumer] = list(consumers)
+    def __init__(self, record_sites: bool = False) -> None:
+        """``record_sites`` stamps each arithmetic event with a synthetic
+        PC identifying its static call site (needed by PC-indexed schemes
+        like the Reuse Buffer)."""
+        self._columns = ColumnAccumulator()
         self._next_base = _ARRAY_ALIGNMENT
         self._next_vid = 0
         self.record_sites = record_sites
         self._sites: Dict[tuple, int] = {}
-        self.events_recorded = 0
 
-    def _new_vid(self) -> int:
-        """Allocate a fresh virtual value id (dataflow node)."""
-        self._next_vid += 1
-        return self._next_vid
+    @property
+    def trace(self) -> Trace:
+        """A :class:`~repro.isa.trace.Trace` of everything recorded so far."""
+        return self._columns.trace()
 
-    def _site_pc(self) -> Optional[int]:
-        """Synthetic PC of the kernel statement that called the recorder.
+    @property
+    def events_recorded(self) -> int:
+        """Number of events recorded so far."""
+        return len(self._columns)
+
+    def _site_pc(self) -> int:
+        """Synthetic PC of the kernel statement that called the recorder
+        (callers check :attr:`record_sites` first).
 
         Derived from the caller's code object and bytecode offset, two
         frames up (kernel -> public method -> helper), so one source
@@ -167,8 +184,6 @@ class OperationRecorder:
         occupies multiple PCs, exactly the distinction the paper draws
         against the Reuse Buffer.
         """
-        if not self.record_sites:
-            return None
         frame = sys._getframe(3)
         key = (id(frame.f_code), frame.f_lasti)
         pc = self._sites.get(key)
@@ -177,48 +192,6 @@ class OperationRecorder:
             pc = 0x10000 + 4 * len(self._sites)
             self._sites[key] = pc
         return pc
-
-    # -- plumbing ---------------------------------------------------------
-
-    def add_consumer(self, consumer: Consumer) -> None:
-        self._consumers.append(consumer)
-
-    def add_batch_consumer(self, sink, batch_events: Optional[int] = None):
-        """Stream the recording to ``sink`` as columnar batches.
-
-        ``sink`` receives :class:`~repro.isa.columns.ColumnBatch` blocks
-        of up to ``batch_events`` events -- the struct-of-arrays form the
-        simulator kernel and the v3 trace format consume directly, so a
-        streaming pipeline never materializes per-event tuples beyond
-        the current block.  Returns the builder; call
-        :meth:`flush_batches` (or the builder's ``flush``) after the
-        kernel finishes to emit the final partial block.
-        """
-        from ..isa.columns import ColumnBatchBuilder, DEFAULT_BATCH_EVENTS
-
-        builder = ColumnBatchBuilder(
-            sink,
-            batch_events=(
-                batch_events if batch_events is not None
-                else DEFAULT_BATCH_EVENTS
-            ),
-        )
-        self._consumers.append(builder)
-        return builder
-
-    def flush_batches(self) -> None:
-        """Flush every batch consumer's pending partial block."""
-        for consumer in self._consumers:
-            flush = getattr(consumer, "flush", None)
-            if callable(flush):
-                flush()
-
-    def emit(self, event: TraceEvent) -> None:
-        self.events_recorded += 1
-        if self.trace is not None:
-            self.trace.append(event)
-        for consumer in self._consumers:
-            consumer(event)
 
     # -- memory -----------------------------------------------------------
 
@@ -238,96 +211,104 @@ class OperationRecorder:
 
     # -- arithmetic (records and computes) ----------------------------------
     #
-    # Every method computes the true result, emits an event carrying the
-    # plain operand values plus dataflow edges, and returns the result
+    # Every method computes the true result, appends an event carrying
+    # the plain operand values plus dataflow edges, and returns the result
     # wrapped with its value id so later events can name it as a source.
 
-    def _binary(self, opcode: Opcode, raw_a, raw_b, value_a, value_b, result):
-        """Emit a two-operand event; ``raw_*`` keep the dataflow ids."""
-        vid = self._new_vid()
-        self.emit(
-            TraceEvent(
-                opcode, value_a, value_b, result,
-                dst=vid, srcs=_srcs(raw_a, raw_b), pc=self._site_pc(),
-            )
+    def _binary(self, code: int, raw_a, raw_b, value_a, value_b, result):
+        """Append a float two-operand event; ``raw_*`` keep the dataflow ids."""
+        self._next_vid += 1
+        vid = self._next_vid
+        self._columns.float_op(
+            code, value_a, value_b, result, vid, _srcs(raw_a, raw_b),
+            self._site_pc() if self.record_sites else None,
         )
         return vid
 
-    def _unary(self, opcode: Opcode, raw_a, value_a, result):
-        vid = self._new_vid()
-        self.emit(
-            TraceEvent(
-                opcode, value_a, 0.0, result,
-                dst=vid, srcs=_srcs(raw_a), pc=self._site_pc(),
-            )
+    def _integer(self, code: int, raw_a, raw_b, value_a, value_b, result):
+        """Append an integer two-operand event."""
+        self._next_vid += 1
+        vid = self._next_vid
+        self._columns.int_op(
+            code, value_a, value_b, result, vid, _srcs(raw_a, raw_b),
+            self._site_pc() if self.record_sites else None,
+        )
+        return vid
+
+    def _unary(self, code: int, raw_a, value_a, result):
+        self._next_vid += 1
+        vid = self._next_vid
+        self._columns.float_op(
+            code, value_a, 0.0, result, vid, _srcs(raw_a),
+            self._site_pc() if self.record_sites else None,
         )
         return vid
 
     def imul(self, a: int, b: int) -> int:
-        result = int(a) * int(b)
-        vid = self._binary(Opcode.IMUL, a, b, int(a), int(b), result)
-        return TracedInt(result, vid)
+        ia, ib = int(a), int(b)
+        result = ia * ib
+        return TracedInt(result, self._integer(_IMUL, a, b, ia, ib, result))
 
     def idiv(self, a: int, b: int) -> int:
-        result = int_div(int(a), int(b))
-        vid = self._binary(Opcode.IDIV, a, b, int(a), int(b), result)
-        return TracedInt(result, vid)
+        ia, ib = int(a), int(b)
+        result = int_div(ia, ib)
+        return TracedInt(result, self._integer(_IDIV, a, b, ia, ib, result))
 
     def fmul(self, a: float, b: float) -> float:
-        result = float(a) * float(b)
-        vid = self._binary(Opcode.FMUL, a, b, float(a), float(b), result)
-        return TracedValue(result, vid)
+        fa, fb = float(a), float(b)
+        result = fa * fb
+        return TracedValue(result, self._binary(_FMUL, a, b, fa, fb, result))
 
     def fdiv(self, a: float, b: float) -> float:
-        result = ieee_div(float(a), float(b))
-        vid = self._binary(Opcode.FDIV, a, b, float(a), float(b), result)
-        return TracedValue(result, vid)
+        fa, fb = float(a), float(b)
+        result = ieee_div(fa, fb)
+        return TracedValue(result, self._binary(_FDIV, a, b, fa, fb, result))
 
     def fsqrt(self, a: float) -> float:
-        result = ieee_sqrt(float(a))
-        vid = self._unary(Opcode.FSQRT, a, float(a), result)
-        return TracedValue(result, vid)
+        fa = float(a)
+        result = ieee_sqrt(fa)
+        return TracedValue(result, self._unary(_FSQRT, a, fa, result))
 
     def frecip(self, a: float) -> float:
-        result = ieee_div(1.0, float(a))
-        vid = self._unary(Opcode.FRECIP, a, float(a), result)
-        return TracedValue(result, vid)
+        fa = float(a)
+        result = ieee_div(1.0, fa)
+        return TracedValue(result, self._unary(_FRECIP, a, fa, result))
 
     def flog(self, a: float) -> float:
-        result = ieee_log(float(a))
-        vid = self._unary(Opcode.FLOG, a, float(a), result)
-        return TracedValue(result, vid)
+        fa = float(a)
+        result = ieee_log(fa)
+        return TracedValue(result, self._unary(_FLOG, a, fa, result))
 
     def fsin(self, a: float) -> float:
-        result = math.sin(float(a))
-        vid = self._unary(Opcode.FSIN, a, float(a), result)
-        return TracedValue(result, vid)
+        fa = float(a)
+        result = math.sin(fa)
+        return TracedValue(result, self._unary(_FSIN, a, fa, result))
 
     def fcos(self, a: float) -> float:
-        result = math.cos(float(a))
-        vid = self._unary(Opcode.FCOS, a, float(a), result)
-        return TracedValue(result, vid)
+        fa = float(a)
+        result = math.cos(fa)
+        return TracedValue(result, self._unary(_FCOS, a, fa, result))
 
     def fadd(self, a: float, b: float) -> float:
-        result = float(a) + float(b)
-        vid = self._binary(Opcode.FADD, a, b, float(a), float(b), result)
-        return TracedValue(result, vid)
+        fa, fb = float(a), float(b)
+        result = fa + fb
+        return TracedValue(result, self._binary(_FADD, a, b, fa, fb, result))
 
     def fsub(self, a: float, b: float) -> float:
-        result = float(a) - float(b)
-        vid = self._binary(Opcode.FADD, a, b, float(a), float(b), result)
-        return TracedValue(result, vid)
+        fa, fb = float(a), float(b)
+        result = fa - fb
+        return TracedValue(result, self._binary(_FADD, a, b, fa, fb, result))
 
     # -- overhead instructions ----------------------------------------------
 
     def ialu(self, count: int = 1) -> None:
         """Record integer ALU work (address arithmetic, comparisons...)."""
-        for _ in range(count):
-            self.emit(TraceEvent(Opcode.IALU))
+        if count > 0:
+            self._columns.plain_run(_IALU * count)
 
     def branch(self, count: int = 1) -> None:
-        for _ in range(count):
-            self.emit(TraceEvent(Opcode.BRANCH))
+        if count > 0:
+            self._columns.plain_run(_BRANCH * count)
 
     def loop(self, iterable: Iterable) -> Iterator:
         """Iterate while charging per-iteration loop overhead.
@@ -337,18 +318,13 @@ class OperationRecorder:
         mix (two IALU + one BRANCH), so traces carry a realistic
         instruction breakdown even though the kernel bodies are Python.
         """
-        ialu = TraceEvent(Opcode.IALU)
-        branch = TraceEvent(Opcode.BRANCH)
+        plain_run = self._columns.plain_run
         for item in iterable:
-            self.emit(ialu)
-            self.emit(ialu)
-            self.emit(branch)
+            plain_run(_LOOP_OVERHEAD)
             yield item
 
     # -- summary ------------------------------------------------------------
 
     def breakdown(self) -> dict:
-        """Opcode frequency breakdown (requires keep_trace=True)."""
-        if self.trace is None:
-            raise WorkloadError("breakdown requires keep_trace=True")
+        """Opcode frequency breakdown of everything recorded so far."""
         return self.trace.breakdown()

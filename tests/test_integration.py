@@ -40,27 +40,6 @@ class TestRecordSerializeReplay:
         report = ShadeSimulator(validate=True).run(recorder.trace)
         assert report.mismatches == 0
 
-    def test_streaming_equals_batch(self, small_image):
-        """Feeding a simulator during recording equals replay after."""
-        batch_recorder = OperationRecorder()
-        run_kernel("vgauss", batch_recorder, small_image)
-        batch = ShadeSimulator().run(batch_recorder.trace)
-
-        streaming_sim = ShadeSimulator()
-        streamed = []
-
-        def consumer(event):
-            streamed.append(event)
-
-        stream_recorder = OperationRecorder(keep_trace=False, consumers=[consumer])
-        run_kernel("vgauss", stream_recorder, small_image)
-        stream = streaming_sim.run(streamed)
-
-        assert stream.breakdown == batch.breakdown
-        assert stream.hit_ratio(Operation.FP_MUL) == batch.hit_ratio(
-            Operation.FP_MUL
-        )
-
 
 class TestWholeMachine:
     def test_cycle_counts_internally_consistent(self, small_image):

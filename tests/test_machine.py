@@ -234,14 +234,3 @@ class TestMachineTracesThroughStack:
         assert report.skipped_no_pc == 0
         # One static fdiv site with constant operands: hits after warmup.
         assert report.hit_ratio(Opcode.FDIV) == pytest.approx(0.9)
-
-    def test_streaming_consumer(self):
-        seen = []
-        machine = Machine(
-            assemble("fset 1.5, %f1\nfmul %f1, %f1, %f2\nhalt\n"),
-            consumer=seen.append,
-            keep_trace=False,
-        )
-        machine.run()
-        assert machine.trace is None
-        assert any(e.opcode is Opcode.FMUL for e in seen)

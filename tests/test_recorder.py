@@ -3,11 +3,10 @@
 import math
 
 import numpy as np
-import pytest
 
-from repro.errors import WorkloadError
 from repro.isa.opcodes import Opcode
-from repro.workloads.recorder import OperationRecorder, TrackedArray
+from repro.simulator.shade import ShadeSimulator
+from repro.workloads.recorder import TrackedArray
 
 
 class TestArithmeticRecording:
@@ -103,21 +102,10 @@ class TestOverheadAndStreaming:
         counts = recorder.breakdown()
         assert counts[Opcode.IALU] == 3 and counts[Opcode.BRANCH] == 2
 
-    def test_streaming_consumer(self):
-        seen = []
-        recorder = OperationRecorder(keep_trace=False, consumers=[seen.append])
-        recorder.fmul(2.0, 3.0)
-        assert recorder.trace is None
-        assert len(seen) == 1 and seen[0].opcode is Opcode.FMUL
-        assert recorder.events_recorded == 1
-
-    def test_breakdown_requires_trace(self):
-        recorder = OperationRecorder(keep_trace=False)
-        with pytest.raises(WorkloadError):
-            recorder.breakdown()
-
-    def test_add_consumer_later(self, recorder):
-        seen = []
-        recorder.add_consumer(seen.append)
+    def test_recorded_events_replay_validated(self, recorder):
         recorder.fadd(1.0, 1.0)
-        assert len(seen) == 1
+        recorder.fmul(recorder.fdiv(3.0, 7.0), 7.0)
+        recorder.imul(6, 7)
+        report = ShadeSimulator(validate=True).run(recorder.trace)
+        assert report.instructions == recorder.events_recorded == 4
+        assert report.mismatches == 0
