@@ -12,10 +12,9 @@
 
 All subcommands take ``--dir PATH`` (default: ``$REPRO_CORPUS_DIR`` or
 ``~/.cache/repro/corpus``).  The store shards objects into two-hex-digit
-prefix subdirectories (``objects/ab/<digest>.trc.gz``); every
-maintenance command traverses both the sharded and the legacy flat
-layout, counting each digest exactly once (shard copy wins), so a
-mid-migration corpus is always safe to ls/verify/gc.
+prefix subdirectories (``objects/ab/<digest>.trc.gz``), one path per
+digest.  ``verify`` reports an object in a retired trace format as
+undecodable; the next experiment run re-records it.
 """
 
 from __future__ import annotations

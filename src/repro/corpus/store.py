@@ -14,17 +14,13 @@ Layout of a corpus directory::
     <root>/manifest.json          key metadata + integrity checksums
     <root>/objects/<dd>/<digest>.trc.gz   gzip'd binary trace, sharded by
                                   the first two digest hex chars
-    <root>/objects/<digest>.trc.gz   legacy flat layout (still readable)
     <root>/locks/                 cooperative lock files
 
-Objects are **sharded by content hash**: new writes land in a 256-way
-prefix fan-out (``objects/3f/<digest>.trc.gz``), which keeps directory
-listings bounded when the experiment service floods the store with
-thousands of traces, and gives a natural unit for placing shards on
-separate disks/hosts.  The migration is incremental and safe: the flat
-layout remains readable, a flat object is promoted into its shard on
-first use, and the maintenance paths (``verify``/``gc``/``ls``) see
-each digest exactly once no matter which layout(s) it occupies.
+Objects are **sharded by content hash** into a 256-way prefix fan-out
+(``objects/3f/<digest>.trc.gz``), which keeps directory listings bounded
+when the experiment service floods the store with thousands of traces,
+and gives a natural unit for placing shards on separate disks/hosts.
+Each digest has exactly one object path.
 
 Properties:
 
@@ -32,8 +28,9 @@ Properties:
   key fields and the recorder version, so a recorder change can never
   silently serve stale traces;
 * **verified** -- every load re-hashes the compressed object against the
-  manifest checksum; a truncated or flipped file is dropped and the
-  caller transparently re-records;
+  manifest checksum and decodes it as an ``RPROTRC3`` stream; a
+  truncated or flipped file, or one in any other format, is dropped and
+  the caller transparently re-records;
 * **bounded** -- :meth:`TraceCorpus.gc` evicts least-recently-used
   objects (recency = object mtime, touched on every hit) until the
   store fits ``max_bytes``;
@@ -198,8 +195,8 @@ class TraceCorpus:
 
     @staticmethod
     def _serialize(trace: Trace) -> bytes:
-        # v3 columnar blocks: a column-backed trace serializes without
-        # ever materializing event objects.
+        # A column-backed trace serializes without ever materializing
+        # event objects.
         raw = io.BytesIO()
         write_column_trace(trace, raw)
         # mtime=0 keeps the gzip container deterministic, so identical
@@ -214,18 +211,10 @@ class TraceCorpus:
     @staticmethod
     def _deserialize(blob: bytes) -> Trace:
         # Traces come back column-backed, so the simulators' fused
-        # kernel path engages without an events round trip.  Objects
-        # written by older stores (v1/v2 record formats) are adapted to
-        # columns by the reader.
+        # kernel path engages without an events round trip.
         with gzip.GzipFile(fileobj=io.BytesIO(blob), mode="rb") as zipped:
             payload = io.BytesIO(zipped.read())
-        merged: Optional[ColumnBatch] = None
-        for block in read_column_blocks(payload):
-            if merged is None:
-                merged = block
-            else:
-                merged.extend_batch(block)
-        return Trace(columns=merged if merged is not None else ColumnBatch())
+        return Trace(columns=ColumnBatch.concat(read_column_blocks(payload)))
 
     @staticmethod
     def _checksum(blob: bytes) -> str:
@@ -287,66 +276,27 @@ class TraceCorpus:
         return [entry for _, entry in loaded]
 
     def _mtime(self, digest: str) -> float:
-        path = self._find_object(digest)
-        if path is None:
-            return 0.0
-        stamp = mtime(path)
+        stamp = mtime(self._object_path(digest))
         return 0.0 if stamp is None else stamp
 
     def _object_path(self, digest: str) -> Path:
-        """Canonical (sharded) location of a digest's object."""
+        """The one on-disk location of a digest's object."""
         return self.objects_dir / digest[:_SHARD_WIDTH] / f"{digest}.trc.gz"
 
-    def _flat_path(self, digest: str) -> Path:
-        """Pre-sharding flat location (still readable, never written)."""
-        return self.objects_dir / f"{digest}.trc.gz"
-
-    def _find_object(self, digest: str) -> Optional[Path]:
-        """The on-disk object for a digest, preferring the shard."""
-        sharded = self._object_path(digest)
-        if sharded.exists():
-            return sharded
-        flat = self._flat_path(digest)
-        if flat.exists():
-            return flat
-        return None
-
-    def _object_exists(self, digest: str) -> bool:
-        return self._find_object(digest) is not None
-
     def _unlink_object(self, digest: str) -> None:
-        """Remove every copy of a digest's object (both layouts)."""
-        for path in (self._object_path(digest), self._flat_path(digest)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def _promote(self, digest: str) -> None:
-        """Move a flat-layout object into its shard (incremental
-        migration; atomic rename, no-op if already sharded)."""
-        flat = self._flat_path(digest)
-        sharded = self._object_path(digest)
-        if sharded.exists() or not flat.exists():
-            return
         try:
-            sharded.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat, sharded)
+            self._object_path(digest).unlink()
         except OSError:
-            pass  # raced with another promoter/evictor; either is fine
+            pass
 
     def _iter_objects(self) -> Dict[str, Path]:
-        """Every stored object, deduplicated: digest -> preferred path.
-
-        An object present in both layouts mid-migration counts exactly
-        once (the sharded copy wins).
-        """
-        objects: Dict[str, Path] = {}
-        for path in self.objects_dir.glob("*.trc.gz"):
-            objects[path.name[: -len(".trc.gz")]] = path
-        for path in self.objects_dir.glob(f"{'[0-9a-f]' * _SHARD_WIDTH}/*.trc.gz"):
-            objects[path.name[: -len(".trc.gz")]] = path
-        return objects
+        """Every stored object: digest -> path."""
+        return {
+            path.name[: -len(".trc.gz")]: path
+            for path in self.objects_dir.glob(
+                f"{'[0-9a-f]' * _SHARD_WIDTH}/*.trc.gz"
+            )
+        }
 
     def total_bytes(self) -> int:
         total = 0
@@ -398,12 +348,10 @@ class TraceCorpus:
         if entry is None:
             self.stats.misses += 1
             return None
-        path = self._find_object(digest)
+        path = self._object_path(digest)
         try:
-            blob = path.read_bytes() if path is not None else None
+            blob = path.read_bytes()
         except OSError:
-            blob = None
-        if blob is None:
             self.stats.misses += 1
             self._update_manifest(lambda entries: entries.pop(digest, None))
             return None
@@ -421,12 +369,9 @@ class TraceCorpus:
             return None
         self.stats.disk_hits += 1
         self.stats.bytes_read += len(blob)
-        self._promote(digest)  # incremental flat -> shard migration
-        path = self._find_object(digest)
-        if path is not None:
-            # LRU recency for gc; a concurrent eviction is fine -- the
-            # blob in hand is still good.
-            touch(path)
+        # LRU recency for gc; a concurrent eviction is fine -- the blob
+        # in hand is still good.
+        touch(path)
         self._memory_put(digest, trace)
         return trace
 
@@ -439,11 +384,6 @@ class TraceCorpus:
         tmp = path.parent / f".tmp-{digest}-{os.getpid()}"
         tmp.write_bytes(blob)
         os.replace(tmp, path)
-        try:
-            # A re-recorded entry must not leave a stale flat twin behind.
-            self._flat_path(digest).unlink()
-        except OSError:
-            pass
         entry = CorpusEntry(
             suite=key.suite,
             name=key.name,
@@ -487,22 +427,12 @@ class TraceCorpus:
     # -- maintenance -------------------------------------------------------
 
     def verify(self) -> List[Tuple[CorpusEntry, bool, str]]:
-        """Re-hash and re-parse every entry; (entry, ok, reason) rows.
-
-        Shard-aware: each manifest digest is checked against its single
-        preferred object (sharded copy wins over a flat leftover), so an
-        entry occupying both layouts mid-migration is verified -- and
-        counted -- exactly once.
-        """
+        """Re-hash and re-parse every entry; (entry, ok, reason) rows."""
         report = []
         for entry in self.entries():
-            digest = entry.key.digest
-            path = self._find_object(digest)
             try:
-                blob = path.read_bytes() if path is not None else None
+                blob = self._object_path(entry.key.digest).read_bytes()
             except OSError:
-                blob = None
-            if blob is None:
                 report.append((entry, False, "object file missing"))
                 continue
             if self._checksum(blob) != entry.checksum:
@@ -545,16 +475,6 @@ class TraceCorpus:
             known = set(entries)
             for digest, path in self._iter_objects().items():
                 if digest in known:
-                    # De-duplicate mid-migration twins: when the shard
-                    # copy exists, a flat leftover is dead weight (put
-                    # and promote both target the shard) -- remove it so
-                    # nothing is ever counted or served twice.
-                    flat = self._flat_path(digest)
-                    if path != flat:
-                        try:
-                            flat.unlink()
-                        except OSError:
-                            pass
                     continue
                 age = mtime_age(path, now)
                 if age is not None and age < orphan_grace:
@@ -566,16 +486,15 @@ class TraceCorpus:
             removed = {
                 digest
                 for digest in entries
-                if not self._object_exists(digest)
+                if not self._object_path(digest).exists()
             }
             if bound is not None:
                 survivors = [d for d in entries if d not in removed]
                 survivors.sort(key=self._mtime)
                 sizes = {}
                 for digest in survivors:
-                    path = self._find_object(digest)
                     try:
-                        sizes[digest] = path.stat().st_size if path else 0
+                        sizes[digest] = self._object_path(digest).stat().st_size
                     except OSError:
                         sizes[digest] = 0
                 total = sum(sizes.values())

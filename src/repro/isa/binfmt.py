@@ -1,262 +1,53 @@
-"""Compact binary trace format.
+"""Compact binary trace format (v3, magic ``RPROTRC3``).
 
 The text format (:mod:`repro.isa.trace`) is greppable but ~50 bytes per
-event; full-size workload runs produce tens of millions of events, so a
-fixed-width binary record keeps archives practical:
+event; full-size workload runs produce tens of millions of events, so
+archives use a columnar binary format: an 8-byte magic, then a sequence
+of blocks, each holding up to :data:`~repro.isa.columns.
+DEFAULT_BATCH_EVENTS` events as the parallel columns of a
+:class:`~repro.isa.columns.ColumnBatch`.
 
-========  =====  =========================================
-field     bytes  contents
-========  =====  =========================================
-opcode        1  index into the Opcode enum
-flags         1  bit 0: operands present, bit 1: address present
-a             8  operand bit pattern (IEEE-754 or int64)
-b             8  operand bit pattern
-result        8  result bit pattern
-address       8  load/store address
-========  =====  =========================================
+Integer operands are stored as two's-complement int64 (flag bit 0),
+float operands as raw IEEE-754 bits, so round-trips are exact.  The
+format keeps everything the recorder produced -- operands of any opcode,
+load/store addresses, synthetic PCs and dataflow ``dst``/``srcs`` ids --
+so PC-indexed schemes (the Reuse Buffer) and the hazard-aware pipeline
+replay identically from disk.
 
-Integer-multiply operands are stored as two's-complement int64 (flag
-bit 2 marks them), float operands as raw IEEE-754 bits, so round-trips
-are exact.  A 8-byte magic + version header guards the format.
-
-Two on-disk versions exist:
-
-* **v1** (``RPROTRC1``) is the fixed 34-byte record above.  It archives
-  value streams only -- dataflow (``dst``/``srcs``) and PC annotations
-  are dropped, the same information Shade recorded.
-* **v2** (``RPROTRC2``) appends optional variable-length annotation
-  fields after the fixed record, marked by three extra flag bits: a
-  synthetic PC (bit 3), a dataflow destination id (bit 4) and a
-  source-id list (bit 5: one count byte then that many ids).  v2 exists
-  so the trace corpus can persist *exactly* what the recorder produced;
-  PC-indexed schemes (the Reuse Buffer) and the hazard-aware pipeline
-  replay identically from disk.
-* **v3** (``RPROTRC3``) is the columnar block format: the stream is a
-  sequence of blocks, each holding up to :data:`~repro.isa.columns.
-  DEFAULT_BATCH_EVENTS` events as the parallel columns of a
-  :class:`~repro.isa.columns.ColumnBatch` (opcode bytes, flag bytes,
-  little-endian int64 operand/result columns, then address/pc/dst/srcs
-  columns present only when some event in the block uses them).  It
-  archives exactly the v2 information, but deserializes straight into
-  batches -- :func:`read_column_blocks` never builds an event object,
-  which is what makes corpus replay fast.
-
-Readers accept all versions transparently; :func:`read_column_blocks`
-adapts v1/v2 streams into batches so every consumer can be columnar.
-Writers default to v1 for compatibility.
+:func:`write_column_trace` is the one writer and
+:func:`read_column_blocks` the one reader.  The reader deserializes
+straight into batches and never builds an event object, which is what
+makes corpus replay fast; :meth:`ColumnBatch.concat
+<repro.isa.columns.ColumnBatch.concat>` joins its blocks into one trace.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from typing import BinaryIO, Iterable, Iterator, Optional
+from array import array
+from typing import BinaryIO, Iterator, Union
 
 from ..errors import TraceFormatError
-from .opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode
-from .trace import TraceEvent
-from ..arch.ieee754 import bits_to_float64, float64_to_bits
+from .columns import (
+    _F_ADDRESS,
+    _F_DST,
+    _F_INT,
+    _F_PC,
+    DEFAULT_BATCH_EVENTS,
+    ColumnBatch,
+)
+from .opcodes import OPCODE_LIST
+from .trace import Trace
 
 __all__ = [
-    "write_binary_trace",
-    "read_binary_trace",
     "write_column_trace",
     "read_column_blocks",
-    "BINARY_MAGIC",
-    "BINARY_MAGIC_V2",
     "BINARY_MAGIC_V3",
 ]
 
-BINARY_MAGIC = b"RPROTRC1"
-BINARY_MAGIC_V2 = b"RPROTRC2"
 BINARY_MAGIC_V3 = b"RPROTRC3"
 
-_RECORD = struct.Struct("<BBqqqq")
-_QWORD = struct.Struct("<q")
-_OPCODES = list(OPCODE_LIST)
-_OPCODE_INDEX = OPCODE_INDEX
-
-_FLAG_OPERANDS = 1
-_FLAG_ADDRESS = 2
-_FLAG_INT_OPERANDS = 4
-# v2-only annotation flags.
-_FLAG_PC = 8
-_FLAG_DST = 16
-_FLAG_SRCS = 32
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
-
-def _signed(bits: int) -> int:
-    bits &= 0xFFFFFFFFFFFFFFFF
-    return bits - (1 << 64) if bits >> 63 else bits
-
-
-def write_binary_trace(
-    events: Iterable[TraceEvent], stream: BinaryIO, version: int = 1
-) -> int:
-    """Serialize events; returns the number written.
-
-    ``version=1`` archives the value stream only (dataflow and PC
-    annotations dropped); ``version=2`` appends the annotations so the
-    round-trip is lossless.  Integer-multiply operands outside int64
-    range are rejected (they could not exist in a real register trace).
-    """
-    if version == 3:
-        return write_column_trace(events, stream)
-    if version == 1:
-        stream.write(BINARY_MAGIC)
-    elif version == 2:
-        stream.write(BINARY_MAGIC_V2)
-    else:
-        raise TraceFormatError(f"unknown binary trace version {version!r}")
-    annotate = version == 2
-    count = 0
-    pack = _RECORD.pack
-    pack_q = _QWORD.pack
-    for event in events:
-        flags = 0
-        a = b = result = address = 0
-        # v1 archives operands of memoizable opcodes only (the value
-        # stream Shade kept); v2 keeps any operands the recorder
-        # attached -- e.g. fp-add values -- so round-trips are lossless.
-        has_operands = event.opcode.is_memoizable or (
-            annotate
-            and not (event.a == 0 and event.b == 0 and event.result == 0)
-        )
-        if has_operands:
-            flags |= _FLAG_OPERANDS
-            as_int = (
-                event.opcode in (Opcode.IMUL, Opcode.IDIV)
-                if not annotate
-                else all(
-                    isinstance(v, int) and not isinstance(v, bool)
-                    for v in (event.a, event.b, event.result)
-                )
-            )
-            if as_int:
-                flags |= _FLAG_INT_OPERANDS
-                for value in (event.a, event.b, event.result):
-                    if not _INT64_MIN <= int(value) <= _INT64_MAX:
-                        raise TraceFormatError(
-                            f"integer operand {value} exceeds int64 range"
-                        )
-                a, b, result = int(event.a), int(event.b), int(event.result)
-            else:
-                a = _signed(float64_to_bits(float(event.a)))
-                b = _signed(float64_to_bits(float(event.b)))
-                result = _signed(float64_to_bits(float(event.result)))
-        elif event.opcode.is_memory:
-            flags |= _FLAG_ADDRESS
-            address = event.address or 0
-        tail = b""
-        if annotate:
-            if event.pc is not None:
-                flags |= _FLAG_PC
-                tail += pack_q(event.pc)
-            if event.dst is not None:
-                flags |= _FLAG_DST
-                tail += pack_q(event.dst)
-            if event.srcs:
-                if len(event.srcs) > 255:
-                    raise TraceFormatError(
-                        f"event has {len(event.srcs)} sources; v2 caps at 255"
-                    )
-                flags |= _FLAG_SRCS
-                tail += bytes((len(event.srcs),))
-                for src in event.srcs:
-                    tail += pack_q(src)
-        stream.write(
-            pack(_OPCODE_INDEX[event.opcode], flags, a, b, result, address)
-            + tail
-        )
-        count += 1
-    return count
-
-
-def _read_exact(stream: BinaryIO, size: int, what: str) -> bytes:
-    blob = stream.read(size)
-    if len(blob) != size:
-        raise TraceFormatError(f"truncated binary trace {what}")
-    return blob
-
-
-def read_binary_trace(stream: BinaryIO) -> Iterator[TraceEvent]:
-    """Parse events written by :func:`write_binary_trace` (v1, v2 or v3)."""
-    magic = stream.read(len(BINARY_MAGIC))
-    if magic == BINARY_MAGIC:
-        annotated = False
-    elif magic == BINARY_MAGIC_V2:
-        annotated = True
-    elif magic == BINARY_MAGIC_V3:
-        for batch in _read_v3_blocks(stream):
-            yield from batch.to_events()
-        return
-    else:
-        raise TraceFormatError(
-            f"bad magic {magic!r}; not a binary trace (expected "
-            f"{BINARY_MAGIC!r}, {BINARY_MAGIC_V2!r} or {BINARY_MAGIC_V3!r})"
-        )
-    yield from _read_records(stream, annotated)
-
-
-def _read_records(stream: BinaryIO, annotated: bool) -> Iterator[TraceEvent]:
-    """Yield the fixed-record events of a v1/v2 stream (magic consumed)."""
-    record_size = _RECORD.size
-    unpack = _RECORD.unpack
-    unpack_q = _QWORD.unpack
-    while True:
-        blob = stream.read(record_size)
-        if not blob:
-            return
-        if len(blob) != record_size:
-            raise TraceFormatError("truncated binary trace record")
-        opcode_index, flags, a, b, result, address = unpack(blob)
-        try:
-            opcode = _OPCODES[opcode_index]
-        except IndexError:
-            raise TraceFormatError(
-                f"unknown opcode index {opcode_index}"
-            ) from None
-        pc = dst = None
-        srcs: tuple = ()
-        if annotated:
-            if flags & _FLAG_PC:
-                pc = unpack_q(_read_exact(stream, 8, "pc field"))[0]
-            if flags & _FLAG_DST:
-                dst = unpack_q(_read_exact(stream, 8, "dst field"))[0]
-            if flags & _FLAG_SRCS:
-                n = _read_exact(stream, 1, "srcs count")[0]
-                srcs = tuple(
-                    unpack_q(_read_exact(stream, 8, "src field"))[0]
-                    for _ in range(n)
-                )
-        elif flags & (_FLAG_PC | _FLAG_DST | _FLAG_SRCS):
-            raise TraceFormatError(
-                "annotation flags present in a v1 binary trace record"
-            )
-        if flags & _FLAG_OPERANDS:
-            if flags & _FLAG_INT_OPERANDS:
-                yield TraceEvent(opcode, a, b, result, dst=dst, srcs=srcs, pc=pc)
-            else:
-                yield TraceEvent(
-                    opcode,
-                    bits_to_float64(a & 0xFFFFFFFFFFFFFFFF),
-                    bits_to_float64(b & 0xFFFFFFFFFFFFFFFF),
-                    bits_to_float64(result & 0xFFFFFFFFFFFFFFFF),
-                    dst=dst,
-                    srcs=srcs,
-                    pc=pc,
-                )
-        elif flags & _FLAG_ADDRESS:
-            yield TraceEvent(opcode, address=address, dst=dst, srcs=srcs, pc=pc)
-        else:
-            yield TraceEvent(opcode, dst=dst, srcs=srcs, pc=pc)
-
-
-# -- v3: columnar blocks ----------------------------------------------------
-#
 # Stream layout: the 8-byte magic, then zero or more blocks.  Each block:
 #
 #   <u32 n_events> <u8 presence>
@@ -278,57 +69,36 @@ _P_PC = 2
 _P_DST = 4
 _P_SRCS = 8
 # In-memory ColumnBatch flag bits legal on disk (everything but _F_WIDE).
-_V3_FLAG_MASK = 1 | 2 | 4 | 8
+_FLAG_MASK = _F_INT | _F_ADDRESS | _F_PC | _F_DST
 
 
 def _le_bytes(column) -> bytes:
     if sys.byteorder == "little":
         return column.tobytes()
-    from array import array as _array
-
-    clone = _array(column.typecode, column)
+    clone = array(column.typecode, column)
     clone.byteswap()
     return clone.tobytes()
 
 
-def _column_from_le(typecode: str, blob: bytes):
-    from array import array as _array
-
-    column = _array(typecode)
+def _column_from_le(typecode: str, blob: bytes) -> array:
+    column = array(typecode)
     column.frombytes(blob)
     if sys.byteorder != "little":
         column.byteswap()
     return column
 
 
-def _reject_wide(batch, start: int, stop: int) -> None:
-    """Raise exactly as the v2 writer would for unencodable operands."""
-    for index in sorted(batch.wide):
-        if not start <= index < stop:
-            continue
-        a, b, result = batch.wide[index]
-        if all(
-            isinstance(v, int) and not isinstance(v, bool)
-            for v in (a, b, result)
-        ):
-            for value in (a, b, result):
-                if not _INT64_MIN <= int(value) <= _INT64_MAX:
-                    raise TraceFormatError(
-                        f"integer operand {value} exceeds int64 range"
-                    )
-        # A mixed triple went wide because float coercion overflowed;
-        # coercing again raises the same OverflowError the v2 writer
-        # surfaces for such events.
-        float(a), float(b), float(result)
-        raise TraceFormatError(
-            "unencodable wide operands"
-        )  # pragma: no cover - unreachable by construction
+def _read_exact(stream: BinaryIO, size: int, what: str) -> bytes:
+    blob = stream.read(size)
+    if len(blob) != size:
+        raise TraceFormatError(f"truncated binary trace {what}")
+    return blob
 
 
-def _write_block(stream: BinaryIO, batch, start: int, stop: int) -> None:
+def _write_block(
+    stream: BinaryIO, batch: ColumnBatch, start: int, stop: int
+) -> None:
     n = stop - start
-    if batch.wide:
-        _reject_wide(batch, start, stop)
     flags = batch.flags_col[start:stop]
     or_flags = 0
     for value in flags:
@@ -336,11 +106,11 @@ def _write_block(stream: BinaryIO, batch, start: int, stop: int) -> None:
     src_lo = batch.src_offsets[start]
     src_hi = batch.src_offsets[stop]
     presence = 0
-    if or_flags & 2:  # _F_ADDRESS
+    if or_flags & _F_ADDRESS:
         presence |= _P_ADDRESS
-    if or_flags & 4:  # _F_PC
+    if or_flags & _F_PC:
         presence |= _P_PC
-    if or_flags & 8:  # _F_DST
+    if or_flags & _F_DST:
         presence |= _P_DST
     if src_hi > src_lo:
         presence |= _P_SRCS
@@ -357,9 +127,7 @@ def _write_block(stream: BinaryIO, batch, start: int, stop: int) -> None:
     if presence & _P_DST:
         stream.write(_le_bytes(batch.dst_col[start:stop]))
     if presence & _P_SRCS:
-        from array import array as _array
-
-        offsets = _array(
+        offsets = array(
             "I", (bound - src_lo for bound in batch.src_offsets[start:stop + 1])
         )
         stream.write(_le_bytes(offsets))
@@ -367,51 +135,47 @@ def _write_block(stream: BinaryIO, batch, start: int, stop: int) -> None:
 
 
 def write_column_trace(
-    source, stream: BinaryIO, block_events: Optional[int] = None
+    source: Union[Trace, ColumnBatch], stream: BinaryIO
 ) -> int:
-    """Serialize a trace as v3 columnar blocks; returns events written.
+    """Serialize a trace as columnar blocks; returns events written.
 
-    ``source`` may be a :class:`~repro.isa.columns.ColumnBatch`, a
-    :class:`~repro.isa.trace.Trace` (its columnar view is used -- no
-    event objects are materialized), or any iterable of events.
+    A :class:`~repro.isa.trace.Trace` is written from its columns, so no
+    event objects are built.  Events whose operands no fixed column can
+    hold (see :class:`~repro.isa.columns.ColumnBatch`) are rejected
+    before anything is written.
     """
-    from .columns import ColumnBatch, DEFAULT_BATCH_EVENTS
-
-    if block_events is None:
-        block_events = DEFAULT_BATCH_EVENTS
-    if block_events < 1:
-        raise TraceFormatError(f"block_events must be >= 1, got {block_events}")
+    batch = source.columns() if isinstance(source, Trace) else source
+    if batch.wide:
+        index = min(batch.wide)
+        opcode = OPCODE_LIST[batch.opcode_col[index]]
+        raise TraceFormatError(
+            f"event {index} ({opcode.value}) has operands beyond int64 "
+            f"or float64 range; such a trace cannot be archived"
+        )
     stream.write(BINARY_MAGIC_V3)
-    columns = getattr(source, "columns", None)
-    if callable(columns):
-        source = columns()
-    if isinstance(source, ColumnBatch):
-        total = len(source)
-        for start in range(0, total, block_events):
-            _write_block(stream, source, start, min(start + block_events, total))
-        return total
-    # Plain event iterable: batch incrementally so memory stays bounded.
-    total = 0
-    batch = ColumnBatch()
-    for event in source:
-        batch.append(event)
-        if len(batch) >= block_events:
-            _write_block(stream, batch, 0, len(batch))
-            total += len(batch)
-            batch = ColumnBatch()
-    if len(batch):
-        _write_block(stream, batch, 0, len(batch))
-        total += len(batch)
+    total = len(batch)
+    for start in range(0, total, DEFAULT_BATCH_EVENTS):
+        _write_block(
+            stream, batch, start, min(start + DEFAULT_BATCH_EVENTS, total)
+        )
     return total
 
 
-def _read_v3_blocks(stream: BinaryIO) -> Iterator["object"]:
-    """Yield ColumnBatch blocks of a v3 stream (magic already consumed)."""
-    from array import array as _array
+def read_column_blocks(stream: BinaryIO) -> Iterator[ColumnBatch]:
+    """Yield the :class:`~repro.isa.columns.ColumnBatch` blocks of a trace.
 
-    from .columns import ColumnBatch
-
+    Any input that is not a complete ``RPROTRC3`` stream -- another
+    magic, a truncated block, an unknown opcode or flag bit -- raises
+    :class:`~repro.errors.TraceFormatError`.
+    """
+    magic = stream.read(len(BINARY_MAGIC_V3))
+    if magic != BINARY_MAGIC_V3:
+        raise TraceFormatError(
+            f"bad magic {magic!r}; not a binary trace "
+            f"(expected {BINARY_MAGIC_V3!r})"
+        )
     header_size = _BLOCK_HEADER.size
+    limit = len(OPCODE_LIST)
     while True:
         header = stream.read(header_size)
         if not header:
@@ -427,7 +191,6 @@ def _read_v3_blocks(stream: BinaryIO) -> Iterator["object"]:
         batch.opcode_col = _column_from_le(
             "B", _read_exact(stream, n, "opcode column")
         )
-        limit = len(_OPCODES)
         for code in batch.opcode_col:
             if code >= limit:
                 raise TraceFormatError(f"unknown opcode index {code}")
@@ -435,7 +198,7 @@ def _read_v3_blocks(stream: BinaryIO) -> Iterator["object"]:
             "B", _read_exact(stream, n, "flags column")
         )
         for flag_bits in batch.flags_col:
-            if flag_bits & ~_V3_FLAG_MASK:
+            if flag_bits & ~_FLAG_MASK:
                 raise TraceFormatError(
                     f"unknown event flag bits 0x{flag_bits:02x}"
                 )
@@ -478,48 +241,11 @@ def _read_v3_blocks(stream: BinaryIO) -> Iterator["object"]:
                 if bound < previous:
                     raise TraceFormatError("src offsets must be monotonic")
                 previous = bound
-            batch.src_offsets = _array("Q", offsets)
+            batch.src_offsets = array("Q", offsets)
             batch.srcs_col = _column_from_le(
                 "q", _read_exact(stream, 8 * offsets[-1], "src ids")
             )
         else:
-            batch.src_offsets = _array("Q", bytes(8 * (n + 1)))
-            batch.srcs_col = _array("q")
-        yield batch
-
-
-def read_column_blocks(
-    stream: BinaryIO, block_events: Optional[int] = None
-) -> Iterator["object"]:
-    """Yield :class:`~repro.isa.columns.ColumnBatch` blocks of any version.
-
-    v3 streams deserialize straight into their stored blocks; v1/v2
-    streams are adapted through the record reader, grouped into blocks
-    of ``block_events``.  This is the single entry point the corpus and
-    the columnar simulators read traces through.
-    """
-    from .columns import ColumnBatch, DEFAULT_BATCH_EVENTS
-
-    if block_events is None:
-        block_events = DEFAULT_BATCH_EVENTS
-    magic = stream.read(len(BINARY_MAGIC))
-    if magic == BINARY_MAGIC_V3:
-        yield from _read_v3_blocks(stream)
-        return
-    if magic == BINARY_MAGIC:
-        annotated = False
-    elif magic == BINARY_MAGIC_V2:
-        annotated = True
-    else:
-        raise TraceFormatError(
-            f"bad magic {magic!r}; not a binary trace (expected "
-            f"{BINARY_MAGIC!r}, {BINARY_MAGIC_V2!r} or {BINARY_MAGIC_V3!r})"
-        )
-    batch = ColumnBatch()
-    for event in _read_records(stream, annotated):
-        batch.append(event)
-        if len(batch) >= block_events:
-            yield batch
-            batch = ColumnBatch()
-    if len(batch):
+            batch.src_offsets = array("Q", bytes(8 * (n + 1)))
+            batch.srcs_col = array("q")
         yield batch

@@ -16,21 +16,21 @@ objects exist only as the event view (:meth:`ColumnBatch.to_events`)
 that the scalar reference, the oracle, the hazard model and the reuse
 buffer walk; :meth:`ColumnBatch.append` / :meth:`ColumnBatch.from_events`
 is the one event-to-column converter, for traces that arrive as events
-(the text format, v1/v2 files, generated test cases).
+(the text format, generated test cases).
 
-Encoding rules match the v2 binary format (:mod:`repro.isa.binfmt`):
+The columns are the binary trace format's (:mod:`repro.isa.binfmt`), so
+a batch serializes to blocks verbatim:
 
 * operands are stored as int64 values when ``a``/``b``/``result`` are
   all non-bool ints (``_F_INT``), otherwise as the raw IEEE-754 bit
-  patterns of their float64 coercion -- exactly the distinction the v2
-  writer draws, so a batch serializes to v3 blocks verbatim;
+  patterns of their float64 coercion;
 * optional fields (``address``/``pc``/``dst``) store 0 with their flag
   bit clear when absent, so ``None`` round-trips;
 * the rare event a fixed column cannot hold (an out-of-int64 integer
   operand, or a mixed int/float triple whose float coercion overflows)
   is marked ``_F_WIDE`` and kept verbatim in a side table; such events
-  reconstruct exactly but cannot be serialized (the v2 writer rejects
-  them too).
+  reconstruct exactly but cannot be serialized (the writer rejects
+  them).
 
 Batches reconstruct their events bit-exactly: NaN payloads, ``-0.0``
 and int64 corner values all survive the round trip.
@@ -53,8 +53,8 @@ __all__ = ["ColumnAccumulator", "ColumnBatch", "DEFAULT_BATCH_EVENTS"]
 #: fixed costs amortize, small enough to keep one block resident.
 DEFAULT_BATCH_EVENTS = 65536
 
-# Per-event flag bits (shared with the v3 on-disk block format, where
-# _F_WIDE never appears -- wide events are re-encoded or rejected).
+# Per-event flag bits (shared with the on-disk block format, where
+# _F_WIDE never appears -- the writer rejects wide events).
 _F_INT = 1
 _F_ADDRESS = 2
 _F_PC = 4
@@ -189,6 +189,17 @@ class ColumnBatch:
         batch = cls()
         batch.extend(events)
         return batch
+
+    @classmethod
+    def concat(cls, blocks: Iterable["ColumnBatch"]) -> "ColumnBatch":
+        """Join ``blocks`` into one batch by extending the first in place."""
+        merged: Optional[ColumnBatch] = None
+        for block in blocks:
+            if merged is None:
+                merged = block
+            else:
+                merged.extend_batch(block)
+        return merged if merged is not None else cls()
 
     def extend_batch(self, other: "ColumnBatch") -> None:
         """Append every event of ``other`` (column-level concatenation)."""

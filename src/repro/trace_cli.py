@@ -2,12 +2,12 @@
 
 Subcommands::
 
-    repro-trace record vgauss mandrill out.trc [--scale S] [--v2] [--pc]
-        Record one MM kernel on one catalogue image.  ``.trc`` writes the
-        compact binary format; any other extension writes text.  ``--v2``
-        archives the versioned v2 records (dataflow + PC annotations
-        kept); ``--pc`` additionally stamps events with synthetic call
-        sites (useful for PC-indexed schemes like the Reuse Buffer).
+    repro-trace record vgauss mandrill out.trc [--scale S] [--pc]
+        Record one MM kernel on one catalogue image.  ``.trc``/``.bin``
+        write the binary format (:mod:`repro.isa.binfmt`), which keeps
+        dataflow annotations; any other extension writes the value-only
+        text format.  ``--pc`` stamps events with synthetic call sites
+        (useful for PC-indexed schemes like the Reuse Buffer).
 
     repro-trace stats out.trc
         Instruction frequency breakdown of an archived trace.
@@ -20,6 +20,9 @@ Subcommands::
 
     repro-trace asm saxpy out.trc [--n 64]
         Assemble + execute a bundled program, archiving its trace.
+
+``stats`` and ``simulate`` report a missing or unreadable trace file on
+one stderr line and exit 2.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ from .analysis.tables import format_ratio, format_table
 from .core.bank import MemoTableBank
 from .core.config import MemoTableConfig, TagMode
 from .core.operations import Operation
+from .errors import TraceFormatError
 from .images import catalog_names, generate
-from .isa.binfmt import read_binary_trace, write_binary_trace
+from .isa.binfmt import read_column_blocks, write_column_trace
+from .isa.columns import ColumnBatch
 from .isa.machine import Machine, assemble
 from .isa.programs import PROGRAMS
 from .isa.trace import Trace, read_trace, write_trace
@@ -49,28 +54,34 @@ def _is_binary(path: Path) -> bool:
     return path.suffix in (".trc", ".bin")
 
 
-def _save(trace, path: Path, version: int = 1) -> int:
+def _save(trace: Trace, path: Path) -> int:
     if _is_binary(path):
         with path.open("wb") as stream:
-            return write_binary_trace(trace, stream, version=version)
+            return write_column_trace(trace, stream)
     with path.open("w", encoding="ascii") as stream:
         return write_trace(trace, stream)
 
 
-def _load(path: Path) -> Trace:
-    if _is_binary(path):
-        with path.open("rb") as stream:
-            return Trace(read_binary_trace(stream))
-    with path.open("r", encoding="ascii") as stream:
-        return Trace(read_trace(stream))
+def _load(path: Path) -> Optional[Trace]:
+    """The trace at ``path``, or None after reporting why it cannot be read."""
+    try:
+        if _is_binary(path):
+            with path.open("rb") as stream:
+                return Trace(
+                    columns=ColumnBatch.concat(read_column_blocks(stream))
+                )
+        with path.open("r", encoding="ascii") as stream:
+            return Trace(read_trace(stream))
+    except (TraceFormatError, OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read trace {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_record(args) -> int:
     recorder = OperationRecorder(record_sites=args.pc)
     image = generate(args.image, scale=args.scale)
     run_kernel(args.kernel, recorder, image)
-    version = 2 if (args.v2 or args.pc) else 1
-    written = _save(recorder.trace, Path(args.output), version=version)
+    written = _save(recorder.trace, Path(args.output))
     print(f"recorded {written} events from {args.kernel} on {args.image} "
           f"-> {args.output}")
     return 0
@@ -78,6 +89,8 @@ def _cmd_record(args) -> int:
 
 def _cmd_stats(args) -> int:
     trace = _load(Path(args.trace))
+    if trace is None:
+        return 2
     counts = trace.breakdown()
     total = len(trace)
     rows = [
@@ -91,6 +104,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_simulate(args) -> int:
     trace = _load(Path(args.trace))
+    if trace is None:
+        return 2
     config = MemoTableConfig(
         entries=args.entries,
         associativity=args.ways,
@@ -158,12 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument("output")
     record.add_argument("--scale", type=float, default=0.15)
     record.add_argument(
-        "--v2", action="store_true",
-        help="archive v2 binary records (annotations kept)",
-    )
-    record.add_argument(
         "--pc", action="store_true",
-        help="stamp events with synthetic call-site PCs (implies --v2)",
+        help="stamp events with synthetic call-site PCs",
     )
     record.set_defaults(func=_cmd_record)
 

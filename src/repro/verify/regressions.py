@@ -32,7 +32,8 @@ from ..core.config import (
     TagMode,
     TrivialPolicy,
 )
-from ..isa.binfmt import read_binary_trace, write_binary_trace
+from ..isa.binfmt import read_column_blocks, write_column_trace
+from ..isa.columns import ColumnBatch
 from ..isa.trace import Opcode, TraceEvent
 from .differential import FuzzCase, canonicalize
 
@@ -101,7 +102,7 @@ def write_case(
         candidate = f"{base}-{n}"
     trace_path = directory / f"{candidate}.trc"
     buffer = io.BytesIO()
-    write_binary_trace(case.events, buffer, version=3)
+    write_column_trace(ColumnBatch.from_events(case.events), buffer)
     trace_path.write_bytes(buffer.getvalue())
     sidecar = {
         "name": candidate,
@@ -128,7 +129,8 @@ def load_cases(directory: Path) -> List[RegressionCase]:
         data = json.loads(sidecar_path.read_text())
         trace_path = directory / data["trace"]
         with trace_path.open("rb") as stream:
-            events = canonicalize(read_binary_trace(stream))
+            batch = ColumnBatch.concat(read_column_blocks(stream))
+        events = tuple(batch.to_events())
         cases.append(
             RegressionCase(
                 name=data["name"],

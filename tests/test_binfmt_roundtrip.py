@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from repro.arch.ieee754 import float64_to_bits
 from repro.errors import TraceFormatError
 from repro.isa.binfmt import (
-    BINARY_MAGIC,
-    BINARY_MAGIC_V2,
     BINARY_MAGIC_V3,
-    read_binary_trace,
-    write_binary_trace,
+    _write_block,
+    read_column_blocks,
+    write_column_trace,
 )
+from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
 from repro.isa.trace import TraceEvent
 
@@ -48,18 +48,15 @@ _id = st.integers(min_value=0, max_value=INT64_MAX)
 
 
 @st.composite
-def trace_events(draw, annotated: bool = False):
-    """One arbitrary event of any opcode family."""
+def trace_events(draw):
+    """One arbitrary event of any opcode family, with any annotations."""
     family = draw(st.sampled_from(["float", "int", "memory", "plain"]))
     kwargs = {}
-    if annotated:
-        if draw(st.booleans()):
-            kwargs["pc"] = draw(_id)
-        if draw(st.booleans()):
-            kwargs["dst"] = draw(_id)
-        kwargs["srcs"] = tuple(
-            draw(st.lists(_id, max_size=4))
-        )
+    if draw(st.booleans()):
+        kwargs["pc"] = draw(_id)
+    if draw(st.booleans()):
+        kwargs["dst"] = draw(_id)
+    kwargs["srcs"] = tuple(draw(st.lists(_id, max_size=4)))
     if family == "float":
         opcode = draw(st.sampled_from(_FLOAT_MEMO))
         return TraceEvent(
@@ -77,14 +74,14 @@ def trace_events(draw, annotated: bool = False):
     return TraceEvent(draw(st.sampled_from(_PLAIN)), **kwargs)
 
 
-def _write(events, version):
+def _write(events):
     buffer = io.BytesIO()
-    write_binary_trace(events, buffer, version=version)
+    write_column_trace(ColumnBatch.from_events(events), buffer)
     return buffer.getvalue()
 
 
 def _read(blob):
-    return list(read_binary_trace(io.BytesIO(blob)))
+    return ColumnBatch.concat(read_column_blocks(io.BytesIO(blob))).to_events()
 
 
 def _operand_key(value):
@@ -94,85 +91,48 @@ def _operand_key(value):
     return ("f", float64_to_bits(float(value)))
 
 
-def _v1_key(event):
-    """What v1 promises to keep: opcode + memoized operands + address."""
-    if event.opcode.is_memoizable:
-        operands = tuple(
-            _operand_key(v) for v in (event.a, event.b, event.result)
-        )
-    else:
-        operands = ()
-    address = event.address if event.opcode.is_memory else None
-    return (event.opcode, operands, address)
-
-
-def _v2_key(event):
-    return _v1_key(event) + (event.pc, event.dst, tuple(event.srcs))
+def _key(event):
+    """Everything the format keeps, with operands compared bit-exactly."""
+    operands = tuple(_operand_key(v) for v in (event.a, event.b, event.result))
+    return (
+        event.opcode, operands, event.address, event.pc, event.dst,
+        tuple(event.srcs),
+    )
 
 
 class TestRoundTripProperties:
     @given(st.lists(trace_events(), max_size=40))
     @settings(max_examples=60)
-    def test_v1_preserves_value_stream(self, events):
-        restored = _read(_write(events, version=1))
-        assert len(restored) == len(events)
-        for before, after in zip(events, restored):
-            assert _v1_key(before) == _v1_key(after)
-            # v1 drops annotations by contract.
-            assert after.pc is None and after.dst is None and after.srcs == ()
-
-    @given(st.lists(trace_events(annotated=True), max_size=40))
-    @settings(max_examples=60)
-    def test_v2_is_lossless(self, events):
-        restored = _read(_write(events, version=2))
-        assert len(restored) == len(events)
-        for before, after in zip(events, restored):
-            assert _v2_key(before) == _v2_key(after)
-
-    @given(st.lists(trace_events(annotated=True), max_size=40))
-    @settings(max_examples=60)
     def test_v3_is_lossless(self, events):
-        restored = _read(_write(events, version=3))
+        restored = _read(_write(events))
         assert len(restored) == len(events)
         for before, after in zip(events, restored):
-            assert _v2_key(before) == _v2_key(after)
-
-    @given(st.lists(trace_events(annotated=True), max_size=40))
-    @settings(max_examples=60)
-    def test_v3_agrees_with_v2(self, events):
-        """The columnar format must archive exactly what v2 archives."""
-        via_v2 = _read(_write(events, version=2))
-        via_v3 = _read(_write(events, version=3))
-        assert [_v2_key(e) for e in via_v3] == [_v2_key(e) for e in via_v2]
+            assert _key(before) == _key(after)
 
     @given(_any_float, _any_float, _any_float)
     @settings(max_examples=60)
     def test_float_bits_exact(self, a, b, result):
-        for version in (1, 2, 3):
-            restored = _read(
-                _write([TraceEvent(Opcode.FMUL, a, b, result)], version)
-            )[0]
-            assert float64_to_bits(restored.a) == float64_to_bits(float(a))
-            assert float64_to_bits(restored.b) == float64_to_bits(float(b))
-            assert float64_to_bits(restored.result) == float64_to_bits(
-                float(result)
-            )
+        restored = _read(_write([TraceEvent(Opcode.FMUL, a, b, result)]))[0]
+        assert float64_to_bits(restored.a) == float64_to_bits(float(a))
+        assert float64_to_bits(restored.b) == float64_to_bits(float(b))
+        assert float64_to_bits(restored.result) == float64_to_bits(
+            float(result)
+        )
 
     @given(_int64, _int64, _int64)
     @settings(max_examples=60)
     def test_int64_corners_exact(self, a, b, result):
         event = TraceEvent(Opcode.IMUL, a, b, result)
-        for version in (1, 2, 3):
-            restored = _read(_write([event], version))[0]
-            assert (restored.a, restored.b, restored.result) == (a, b, result)
+        restored = _read(_write([event]))[0]
+        assert (restored.a, restored.b, restored.result) == (a, b, result)
 
 
 class TestMalformedInput:
-    @given(st.lists(trace_events(annotated=True), min_size=1, max_size=12),
-           st.integers(min_value=1, max_value=3), st.data())
+    @given(st.lists(trace_events(), min_size=1, max_size=12),
+           st.data())
     @settings(max_examples=60)
-    def test_truncation_never_fabricates_events(self, events, version, data):
-        blob = _write(events, version)
+    def test_truncation_never_fabricates_events(self, events, data):
+        blob = _write(events)
         cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
         full = _read(blob)
         try:
@@ -181,48 +141,29 @@ class TestMalformedInput:
             return  # rejected: fine
         # accepted: must be a strict prefix of the real stream
         assert len(partial) < len(full)
-        assert [_v2_key(e) for e in partial] == [
-            _v2_key(e) for e in full[: len(partial)]
+        assert [_key(e) for e in partial] == [
+            _key(e) for e in full[: len(partial)]
         ]
 
     @given(st.binary(max_size=64))
     @settings(max_examples=60)
     def test_garbage_rejected(self, blob):
-        if blob.startswith(
-            (BINARY_MAGIC, BINARY_MAGIC_V2, BINARY_MAGIC_V3)
-        ):
+        if blob.startswith(BINARY_MAGIC_V3):
             return
         with pytest.raises(TraceFormatError):
             _read(blob)
 
     def test_unknown_opcode_index_rejected(self):
-        record = struct.pack("<BBqqqq", 255, 0, 0, 0, 0, 0)
+        # One event: header, opcode 255, flags 0, zero a/b/result.
+        block = struct.pack("<IB", 1, 0) + bytes((255, 0)) + bytes(24)
         with pytest.raises(TraceFormatError, match="opcode index"):
-            _read(BINARY_MAGIC + record)
-
-    def test_annotation_flags_invalid_in_v1(self):
-        record = struct.pack("<BBqqqq", 0, 8, 0, 0, 0, 0)  # _FLAG_PC
-        with pytest.raises(TraceFormatError, match="annotation"):
-            _read(BINARY_MAGIC + record)
+            _read(BINARY_MAGIC_V3 + block)
 
     def test_truncated_src_list_rejected(self):
         event = TraceEvent(Opcode.FMUL, 1.0, 2.0, 2.0, srcs=(1, 2, 3))
-        blob = _write([event], version=2)
+        blob = _write([event])
         with pytest.raises(TraceFormatError, match="truncated"):
             _read(blob[:-4])
-
-    def test_oversized_src_list_rejected_at_write(self):
-        event = TraceEvent(
-            Opcode.FMUL, 1.0, 2.0, 2.0, srcs=tuple(range(300))
-        )
-        with pytest.raises(TraceFormatError, match="255"):
-            _write([event], version=2)
-
-    def test_int64_overflow_rejected_at_write(self):
-        event = TraceEvent(Opcode.IMUL, INT64_MAX + 1, 1, INT64_MAX + 1)
-        for version in (1, 2):
-            with pytest.raises(TraceFormatError, match="int64"):
-                _write([event], version)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(TraceFormatError, match="bad magic"):
@@ -233,30 +174,20 @@ class TestDegenerateShapes:
     """Zero-length and single-opcode traces (the fuzzer's size floor)."""
 
     def test_zero_length_trace_round_trips_all_versions(self):
-        for version in (1, 2, 3):
-            blob = _write([], version)
-            assert _read(blob) == []
+        assert _read(_write([])) == []
 
     def test_zero_length_v3_column_blocks(self):
-        from repro.isa.binfmt import read_column_blocks
-        from repro.isa.columns import ColumnBatch
-
-        blob = _write([], version=3)
+        blob = _write([])
         assert blob == BINARY_MAGIC_V3  # no blocks at all, not one empty
         blocks = list(read_column_blocks(io.BytesIO(blob)))
         assert blocks == [] or sum(len(b) for b in blocks) == 0
         batch = ColumnBatch.from_events([])
         buffer = io.BytesIO()
-        from repro.isa.binfmt import write_column_trace
-
         assert write_column_trace(batch, buffer) == 0
         assert _read(buffer.getvalue()) == []
 
     def test_zero_length_v3_block_embedded_mid_stream(self):
         """An empty block between two real ones must decode as a no-op."""
-        from repro.isa.binfmt import _write_block
-        from repro.isa.columns import ColumnBatch
-
         events = [
             TraceEvent(Opcode.FMUL, 1.5, 2.0, 3.0, dst=1, srcs=(0,), pc=4),
             TraceEvent(Opcode.IDIV, 7, 2, 3, dst=2, srcs=(1,)),
@@ -269,9 +200,7 @@ class TestDegenerateShapes:
         _write_block(stream, batch, 1, 1)  # zero events
         _write_block(stream, batch, 1, len(events))
         restored = _read(stream.getvalue())
-        assert [_v2_key(e) for e in restored] == [
-            _v2_key(e) for e in events
-        ]
+        assert [_key(e) for e in restored] == [_key(e) for e in events]
 
     @given(
         st.sampled_from(_FLOAT_MEMO + _INT_MEMO + _PLAIN),
@@ -299,8 +228,6 @@ class TestDegenerateShapes:
             ]
         else:
             events = [TraceEvent(opcode) for _ in range(size)]
-        restored = _read(_write(events, version=3))
+        restored = _read(_write(events))
         assert len(restored) == size
-        assert [_v2_key(e) for e in restored] == [
-            _v2_key(e) for e in events
-        ]
+        assert [_key(e) for e in restored] == [_key(e) for e in events]

@@ -1,6 +1,8 @@
 """Tests for the persistent trace corpus store (repro.corpus.store)."""
 
+import gzip
 import multiprocessing
+import struct
 
 import pytest
 
@@ -155,7 +157,7 @@ class TestIntegrity:
         report = corpus.verify()
         assert all(ok for _, ok, _ in report)
         digest = _key(1).digest
-        target = corpus._find_object(digest)
+        target = corpus._object_path(digest)
         blob = bytearray(target.read_bytes())
         blob[-1] ^= 0xFF
         target.write_bytes(bytes(blob))
@@ -163,6 +165,29 @@ class TestIntegrity:
         assert report[_key(1)][0] is False
         assert "checksum" in report[_key(1)][1]
         assert report[_key(2)][0] is True
+
+    def test_retired_format_object_is_rerecorded(self, tmp_path):
+        """An object in a retired record format (a v2 stream) with an
+        intact manifest checksum is undecodable, dropped and re-recorded."""
+        corpus = TraceCorpus(tmp_path)
+        corpus.put(_key(), _trace())
+        corpus.clear_memory()
+        digest = _key().digest
+        v2_record = struct.pack("<BBqqqq", 0, 0, 0, 0, 0, 0)
+        blob = gzip.compress(b"RPROTRC2" + v2_record, mtime=0)
+        corpus._object_path(digest).write_bytes(blob)
+        corpus._update_manifest(
+            lambda entries: entries[digest].update(
+                checksum=corpus._checksum(blob), size=len(blob)
+            )
+        )
+        [(_, ok, reason)] = corpus.verify()
+        assert not ok and reason == "undecodable object"
+        trace = corpus.get_or_record(_key(), _trace)
+        assert corpus.stats.corrupt_dropped == 1
+        assert corpus.stats.recorded == 1
+        assert trace.events == _trace().events
+        assert [ok for _, ok, _ in corpus.verify()] == [True]
 
     def test_torn_manifest_treated_as_empty(self, tmp_path):
         corpus = TraceCorpus(tmp_path)
@@ -179,7 +204,7 @@ class TestGC:
         for n in range(6):
             corpus.put(_key(n), _trace(n, events=50))
             # Distinct mtimes so LRU order is unambiguous.
-            path = corpus._find_object(_key(n).digest)
+            path = corpus._object_path(_key(n).digest)
             os.utime(path, (1000 + n, 1000 + n))
         per_entry = corpus.total_bytes() // 6
         bound = int(per_entry * 2.5)
@@ -200,7 +225,9 @@ class TestGC:
     def test_gc_sweeps_orphan_objects(self, tmp_path):
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(), _trace())
-        orphan = corpus.objects_dir / ("f" * 32 + ".trc.gz")
+        # Planted where a racing put() writes: the digest's shard path.
+        orphan = corpus._object_path("f" * 32)
+        orphan.parent.mkdir(exist_ok=True)
         orphan.write_bytes(b"junk")
         corpus.gc()  # within the grace window: a racing put() survives
         assert orphan.exists()

@@ -114,7 +114,8 @@ def test_orphan_grace_protects_inflight_puts(tmp_path):
     """A freshly written object with no manifest row must survive gc."""
     corpus = TraceCorpus(tmp_path)
     # Simulate put()'s window: object on disk, manifest row not yet landed.
-    inflight = corpus.objects_dir / ("a" * 32 + ".trc.gz")
+    inflight = corpus._object_path("a" * 32)
+    inflight.parent.mkdir(exist_ok=True)
     inflight.write_bytes(b"not yet in manifest")
     corpus.gc()
     assert inflight.exists(), "orphan sweep destroyed an in-flight put"

@@ -1,15 +1,9 @@
-"""Sharded object layout: fan-out, flat-layout migration, maintenance.
+"""Sharded object layout: fan-out and shard-aware maintenance.
 
-The store writes ``objects/<dd>/<digest>.trc.gz`` (two-hex-digit prefix
-shards) but keeps the legacy flat ``objects/<digest>.trc.gz`` readable
-forever: reads promote flat objects into their shard, and every
-maintenance path (verify/gc/ls/total_bytes) traverses both layouts
-counting each digest exactly once -- shard copy wins -- so a corpus
-caught mid-migration can never be double-counted or orphaned.
+The store writes every object to ``objects/<dd>/<digest>.trc.gz``
+(two-hex-digit prefix shards), its one path per digest, and every
+maintenance path (verify/gc/ls/total_bytes) walks the shards.
 """
-
-import os
-import shutil
 
 from repro.corpus.store import _SHARD_WIDTH, TraceCorpus, TraceKey
 from repro.isa.opcodes import Opcode
@@ -37,101 +31,30 @@ def _populate(tmp_path, count=3) -> TraceCorpus:
     return corpus
 
 
-def _demote_to_flat(corpus: TraceCorpus, digest: str) -> None:
-    """Simulate a pre-shard store: move one object to the flat layout."""
-    os.replace(corpus._find_object(digest), corpus._flat_path(digest))
-
-
 class TestShardedWrites:
     def test_put_writes_into_prefix_shard(self, tmp_path):
         corpus = _populate(tmp_path)
         for n in range(3):
             digest = _key(n).digest
-            path = corpus._find_object(digest)
+            path = corpus._object_path(digest)
+            assert path.exists()
             assert path.parent == corpus.objects_dir / digest[:_SHARD_WIDTH]
             assert path.name == f"{digest}.trc.gz"
 
-    def test_put_removes_stale_flat_twin(self, tmp_path):
-        corpus = _populate(tmp_path, count=1)
-        digest = _key(0).digest
-        _demote_to_flat(corpus, digest)
-        corpus.clear_memory()
-        corpus.put(_key(0), _trace(0))
-        assert not corpus._flat_path(digest).exists()
-        assert corpus._find_object(digest).parent.name == digest[:_SHARD_WIDTH]
-
-
-class TestFlatMigration:
-    def test_flat_object_still_readable(self, tmp_path):
-        corpus = _populate(tmp_path, count=1)
-        _demote_to_flat(corpus, _key(0).digest)
-        reopened = TraceCorpus(tmp_path)
-        trace = reopened.get(_key(0))
-        assert trace is not None
-        assert trace.events == _trace(0).events
-
-    def test_read_promotes_flat_object_into_shard(self, tmp_path):
-        corpus = _populate(tmp_path, count=1)
-        digest = _key(0).digest
-        _demote_to_flat(corpus, digest)
-        reopened = TraceCorpus(tmp_path)
-        assert reopened.get(_key(0)) is not None
-        promoted = reopened._find_object(digest)
-        assert promoted.parent.name == digest[:_SHARD_WIDTH]
-        assert not reopened._flat_path(digest).exists()
-
-    def test_mixed_layout_counts_each_digest_once(self, tmp_path):
-        corpus = _populate(tmp_path)
-        _demote_to_flat(corpus, _key(0).digest)
-        reopened = TraceCorpus(tmp_path)
-        assert len(reopened._iter_objects()) == 3
-        assert len(reopened.entries()) == 3
-        report = reopened.verify()
-        assert len(report) == 3
-        assert all(ok for _, ok, _ in report)
-
-    def test_duplicate_twin_never_double_counted(self, tmp_path):
-        """An object present in BOTH layouts (interrupted migration)."""
-        corpus = _populate(tmp_path)
-        digest = _key(0).digest
-        shutil.copy(corpus._find_object(digest), corpus._flat_path(digest))
-        reopened = TraceCorpus(tmp_path)
-        # The shard copy wins; the twin adds nothing to any count.
-        assert len(reopened._iter_objects()) == 3
-        clean_total = sum(
-            path.stat().st_size
-            for path in reopened._iter_objects().values()
-        )
-        assert reopened.total_bytes() == clean_total
-        assert len(reopened.verify()) == 3
-
 
 class TestShardAwareGC:
-    def test_gc_removes_flat_twin_not_the_entry(self, tmp_path):
-        corpus = _populate(tmp_path)
-        digest = _key(0).digest
-        shutil.copy(corpus._find_object(digest), corpus._flat_path(digest))
-        evicted = corpus.gc()
-        assert evicted == []
-        assert not corpus._flat_path(digest).exists()
-        assert corpus.get(_key(0)) is not None  # entry survives intact
-
     def test_gc_sweeps_orphans_in_both_layouts(self, tmp_path):
         corpus = _populate(tmp_path, count=1)
-        flat_orphan = corpus.objects_dir / ("e" * 32 + ".trc.gz")
-        flat_orphan.write_bytes(b"junk")
         shard_dir = corpus.objects_dir / "ff"
         shard_dir.mkdir(exist_ok=True)
         shard_orphan = shard_dir / ("f" * 32 + ".trc.gz")
         shard_orphan.write_bytes(b"junk")
         corpus.gc(orphan_grace=0.0)
-        assert not flat_orphan.exists()
         assert not shard_orphan.exists()
         assert len(corpus) == 1
 
     def test_gc_eviction_spans_layouts(self, tmp_path):
         corpus = _populate(tmp_path)
-        _demote_to_flat(corpus, _key(0).digest)
         evicted = corpus.gc(max_bytes=1)
         assert len(evicted) == 3
         assert corpus._iter_objects() == {}

@@ -1,8 +1,31 @@
 """Tests for the repro-trace command line tool."""
 
+import io
+import struct
+
 import pytest
 
-from repro.trace_cli import main
+from repro.isa.binfmt import write_column_trace
+from repro.isa.opcodes import Opcode
+from repro.isa.trace import Trace, TraceEvent
+from repro.trace_cli import _load, main
+
+
+def _v3_bytes() -> bytes:
+    buffer = io.BytesIO()
+    write_column_trace(Trace([TraceEvent(Opcode.FMUL, 1.5, 2.0, 3.0)]), buffer)
+    return buffer.getvalue()
+
+
+#: name -> (file name, contents or None for a missing file)
+_BAD_INPUTS = {
+    "missing": ("absent.trc", None),
+    "not-a-trace": ("junk.trc", b"hello, not a trace at all"),
+    "truncated": ("cut.trc", _v3_bytes()[:-5]),
+    "retired-v1": ("old.trc", b"RPROTRC1" + struct.pack("<BBqqqq", *[0] * 6)),
+    "malformed-text": ("bad.trace", b"fmul 3ff0000000000000\n"),
+    "binary-as-text": ("bin.trace", _v3_bytes()),
+}
 
 
 class TestRecordAndInspect:
@@ -29,6 +52,33 @@ class TestRecordAndInspect:
         ) == 0
         text = target.read_text()
         assert "fdiv" in text  # greppable text format
+
+    def test_record_writes_v3_and_keeps_pcs(self, tmp_path, capsys):
+        target = tmp_path / "k.trc"
+        assert main(
+            ["record", "vgauss", "chroms", str(target), "--scale", "0.05",
+             "--pc"]
+        ) == 0
+        assert target.read_bytes().startswith(b"RPROTRC3")
+        trace = _load(target)
+        assert len(trace) > 0
+        assert any(event.pc is not None for event in trace.events)
+
+    @pytest.mark.parametrize("command", ["stats", "simulate"])
+    @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+    def test_unreadable_trace_is_a_clean_error(
+        self, tmp_path, capsys, command, case
+    ):
+        name, contents = _BAD_INPUTS[case]
+        target = tmp_path / name
+        if contents is not None:
+            target.write_bytes(contents)
+        assert main([command, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(target) in captured.err
+        assert "Traceback" not in captured.err
 
     def test_simulate_options(self, tmp_path, capsys):
         target = tmp_path / "k.trc"

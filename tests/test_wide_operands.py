@@ -19,6 +19,7 @@ from repro.errors import TraceFormatError
 from repro.isa.binfmt import write_column_trace
 from repro.isa.machine import Machine, assemble
 from repro.isa.opcodes import Opcode
+from repro.isa.trace import Trace, TraceEvent
 from repro.simulator.shade import ShadeSimulator
 from repro.workloads.recorder import OperationRecorder
 
@@ -51,6 +52,11 @@ def _machine_trace():
     machine = Machine(assemble(_OVERFLOWING_PROGRAM))
     machine.run()
     return machine.trace
+
+
+def _mixed_trace():
+    # An int operand too large for float64 beside float ones.
+    return Trace([TraceEvent(Opcode.FMUL, 10**400, 1.0, 1.0)])
 
 
 def _int_triples(trace):
@@ -97,7 +103,7 @@ def test_scalar_and_fused_count_wide_events_alike(make):
     assert stats["fused"][Operation.INT_MUL].operations > 0
 
 
-@pytest.mark.parametrize("make", [_recorded_trace, _machine_trace])
+@pytest.mark.parametrize("make", [_recorded_trace, _machine_trace, _mixed_trace])
 def test_v3_writer_rejects_wide_operands(make):
     with pytest.raises(TraceFormatError, match="int64"):
         write_column_trace(make(), io.BytesIO())
