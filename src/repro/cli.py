@@ -39,6 +39,7 @@ import json
 import sys
 from typing import List, Optional
 
+from . import cliargs
 from .experiments import experiment_names, run_experiments
 from .experiments.plots import render_plot
 from .experiments.reference import compare_to_paper
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=cliargs.scale,
         default=None,
         help="workload scale factor (bigger = slower, closer to paper sizes)",
     )

@@ -1,0 +1,28 @@
+"""Argument types shared by the command-line entry points.
+
+A bad value fails at parse time -- argparse prints the usage line and
+the reason, and exits 2 -- before any work starts, instead of surfacing
+as a traceback mid-run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+
+__all__ = ["scale"]
+
+
+def scale(text: str) -> float:
+    """A workload scale factor: a finite number greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r}: not a number"
+        ) from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r}: must be a finite number > 0"
+        )
+    return value

@@ -34,8 +34,9 @@ fork/spawn worker pools inherit it.  Unknown names raise
 This module is also the sanctioned facade over the kernel: lint rule
 REPRO009 forbids importing :mod:`repro.core.kernel` from outside
 ``repro.core``, so the kernel helpers front-ends legitimately need
-(:func:`probe_one`, :func:`values_match`, :func:`replay_infinite`,
-the fault-injection seam) are re-exported here.
+(:func:`probe_one`, :func:`probe_outcomes` and its outcome codes,
+:func:`values_match`, :func:`replay_infinite`, the fault-injection
+seam) are re-exported here.
 """
 
 from __future__ import annotations
@@ -51,9 +52,13 @@ from ..errors import ReproError
 from . import kernel
 from .kernel import (  # noqa: F401  (facade re-exports; see REPRO009)
     KERNEL_FAULTS,
+    OUTCOME_BYPASS,
+    OUTCOME_HIT,
+    OUTCOME_MISS,
     KernelReport,
     as_batch,
     probe_one,
+    probe_outcomes,
     replay_infinite,
     values_match,
 )
@@ -78,8 +83,12 @@ __all__ = [
     # kernel facade
     "KERNEL_FAULTS",
     "KernelReport",
+    "OUTCOME_BYPASS",
+    "OUTCOME_HIT",
+    "OUTCOME_MISS",
     "as_batch",
     "probe_one",
+    "probe_outcomes",
     "replay_infinite",
     "trivial_mask",
     "set_indices",

@@ -10,12 +10,13 @@ implementation, in two forms:
 * :func:`probe_batch` -- the **fused** path.  A columnar
   :class:`~repro.isa.columns.ColumnBatch` is partitioned by opcode with
   numpy; per partition, ``np.unique`` maps every event to a dense
-  **pair id** (one integer per distinct operand pair, the pLUTo "table
-  as precomputed lookup structure" move), so set index, commutative
-  twin and computed value are resolved once per id and the probe loop
-  runs over small integer lists -- replicating
-  :class:`~repro.core.memo_table.MemoTable` semantics (clock, recency,
-  replacement, every counter) exactly.
+  **pair id** (one integer per distinct tag pair, the pLUTo "table as
+  precomputed lookup structure" move), so set index and commutative
+  twin are resolved once per id and the probe loop runs over small
+  integer lists -- replicating :class:`~repro.core.memo_table.MemoTable`
+  semantics (clock, recency, replacement, every counter) exactly, under
+  every trivial-operation policy (Table 9) and both tag modes
+  (Table 10).
 * :func:`run_events_scalar` -- the **scalar reference** path: the
   classic event-at-a-time loop over ``unit.execute``.  CI asserts the
   two produce bit-identical :class:`~repro.core.stats.MemoStats` on
@@ -24,7 +25,9 @@ implementation, in two forms:
 Which form runs is decided by the execution-backend registry
 (:mod:`repro.core.backend`, as ``fused`` and ``scalar``); ``repro
 <experiment> --backend NAME`` or the ``REPRO_BACKEND`` environment
-variable picks one at runtime.
+variable picks one at runtime.  Models that need each event's outcome
+(the hazard-aware pipeline) get it from :func:`probe_outcomes`, the
+fused pass with a per-event outcome column.
 
 Batching by opcode is sound because each operation class owns a private
 MEMO-TABLE: per-table outcomes depend only on that operation's
@@ -55,9 +58,13 @@ from .replacement import LRUPolicy
 __all__ = [
     "KERNEL_FAULTS",
     "KernelReport",
+    "OUTCOME_BYPASS",
+    "OUTCOME_HIT",
+    "OUTCOME_MISS",
     "run_events_scalar",
     "probe_batch",
     "probe_one",
+    "probe_outcomes",
     "replay_infinite",
     "as_batch",
     "values_match",
@@ -72,6 +79,14 @@ _F_DST = 8
 _F_WIDE = 16
 
 _MANT_MASK = (1 << 52) - 1
+
+#: Per-event outcome codes (:func:`probe_batch`'s ``outcomes`` output):
+#: a table miss, a hit (INTEGRATED's trivial "hits" included), and a
+#: trivial operation that took the unit's early-out path without
+#: touching the table (EXCLUDE).
+OUTCOME_MISS = 0
+OUTCOME_HIT = 1
+OUTCOME_BYPASS = 2
 
 
 # -- fault injection seam (mutation smoke) ----------------------------------
@@ -142,9 +157,9 @@ class KernelReport:
 def probe_one(unit, a, b=0.0):
     """Scalar probe of one unit (= ``unit.execute``).
 
-    Exists so models that need per-event outcomes (the hazard-aware
-    pipeline resolves stalls event by event) still route their probes
-    through the kernel module."""
+    Exists so event-walking references that need per-event outcomes
+    (the hazard model's event loop, the differential harness) still
+    route their probes through the kernel module."""
     return unit.execute(a, b)
 
 
@@ -202,6 +217,7 @@ def probe_batch(
     validate: bool = False,
     _np_a=None,
     _np_b=None,
+    outcomes=None,
 ) -> Tuple[int, int, int]:
     """Present a same-operation operand batch to one memoized unit.
 
@@ -210,13 +226,21 @@ def probe_batch(
     This is the one place that picks a partition's loop:
 
     * finite :class:`~repro.core.memo_table.MemoTable` under any
-      replacement policy -- the pair-id loop (:func:`_probe_fused`);
-    * :class:`~repro.core.memo_table.InfiniteMemoTable` -- the tag dict
-      loop (:func:`_probe_infinite`);
-    * anything else -- validation runs, mantissa tags,
-      CACHE_ALL/INTEGRATED policies, custom tables, mixed int/float
-      partitions -- loops ``unit.execute`` and is therefore correct by
-      construction.
+      replacement policy, trivial-operation policy and tag mode -- the
+      pair-id loop (:func:`_probe_fused`);
+    * :class:`~repro.core.memo_table.InfiniteMemoTable` under EXCLUDE
+      with FULL tags -- the tag dict loop (:func:`_probe_infinite`);
+    * anything else -- validation runs, custom table classes, mixed
+      int/float and wide partitions, infinite tables under other
+      policies or tag modes -- loops ``unit.execute`` and is therefore
+      correct by construction.
+
+    ``outcomes``, when given, is a writable integer array of
+    ``len(a_values)`` that receives one code per event, in partition
+    order: :data:`OUTCOME_HIT`, :data:`OUTCOME_MISS` or
+    :data:`OUTCOME_BYPASS` (``Execution.hit`` and ``Execution.trivial``
+    folded together).  Every tier fills it; a call without it does no
+    extra work.
 
     With metrics enabled (:func:`repro.obs.enabled`), each partition is
     additionally timed as a ``kernel.partition.<OP>`` span and its
@@ -226,14 +250,15 @@ def probe_batch(
     """
     if not obs.enabled():
         return _probe_batch(
-            unit, a_values, b_values, results, validate, _np_a, _np_b
+            unit, a_values, b_values, results, validate, _np_a, _np_b,
+            outcomes,
         )
     stats = unit.stats
     before = stats.counters()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     out = _probe_batch(
-        unit, a_values, b_values, results, validate, _np_a, _np_b
+        unit, a_values, b_values, results, validate, _np_a, _np_b, outcomes
     )
     reg = obs.registry()
     name = unit.operation.name
@@ -258,6 +283,7 @@ def _probe_batch(
     validate: bool = False,
     _np_a=None,
     _np_b=None,
+    outcomes=None,
 ) -> Tuple[int, int, int]:
     """The uninstrumented :func:`probe_batch` body (tier dispatch)."""
     n = len(a_values)
@@ -265,11 +291,13 @@ def _probe_batch(
         return 0, 0, 0
     table = unit.table
     table_type = type(table)
-    if (
-        not validate
-        and unit.trivial_policy is TrivialPolicy.EXCLUDE
-        and (table_type is MemoTable or table_type is InfiniteMemoTable)
-        and table.config.tag_mode is TagMode.FULL
+    if not validate and (
+        table_type is MemoTable
+        or (
+            table_type is InfiniteMemoTable
+            and unit.trivial_policy is TrivialPolicy.EXCLUDE
+            and table.config.tag_mode is TagMode.FULL
+        )
     ):
         int_kind = table.config.operand_kind is OperandKind.INT
         if _np_a is None:
@@ -277,25 +305,26 @@ def _probe_batch(
         if _np_a is not None and int_kind == (_np_a.dtype.kind == "i"):
             if table_type is MemoTable:
                 return _probe_fused(
-                    unit, table, a_values, b_values, _np_a, _np_b
+                    unit, table, a_values, b_values, _np_a, _np_b, outcomes
                 )
             return _probe_infinite(
-                unit, table, a_values, b_values, _np_a, _np_b
+                unit, table, a_values, b_values, _np_a, _np_b, outcomes
             )
     execute = unit.execute
+    check = validate and results is not None
     base = memo = mismatches = 0
-    if validate and results is not None:
-        for a, b, traced in zip(a_values, b_values, results):
-            outcome = execute(a, b)
-            base += outcome.base_cycles
-            memo += outcome.cycles
-            if not values_match(outcome.value, traced):
-                mismatches += 1
-    else:
-        for a, b in zip(a_values, b_values):
-            outcome = execute(a, b)
-            base += outcome.base_cycles
-            memo += outcome.cycles
+    for i, (a, b) in enumerate(zip(a_values, b_values)):
+        outcome = execute(a, b)
+        base += outcome.base_cycles
+        memo += outcome.cycles
+        if check and not values_match(outcome.value, results[i]):
+            mismatches += 1
+        if outcomes is not None:
+            outcomes[i] = (
+                OUTCOME_HIT if outcome.hit
+                else OUTCOME_BYPASS if outcome.trivial
+                else OUTCOME_MISS
+            )
     return base, memo, mismatches
 
 
@@ -325,22 +354,30 @@ def _charge(unit, table, n, n_trivial, lookups, hits, commutative_hits,
     """Bulk cycle accounting and counter updates for one partition.
 
     Hits cost ``latency`` on the base machine and ``hit_latency`` on
-    the memoized one; misses cost ``latency`` on both; trivial
-    operations cost the short early-out path on both (EXCLUDE
-    short-circuits the table entirely)."""
+    the memoized one; misses cost ``latency`` on both.  The ``n -
+    lookups`` trivial operations that never reached the table cost the
+    short early-out path on the base machine; on the memoized one they
+    cost the same under EXCLUDE and count as one-cycle hits under
+    INTEGRATED (``unit.execute``'s accounting).  Under CACHE_ALL every
+    operation is a lookup."""
     latency = unit.latency
-    trivial_total = n_trivial * min(unit.trivial_latency, latency)
-    base = trivial_total + lookups * latency
-    memo = (
-        trivial_total + hits * unit.hit_latency + (lookups - hits) * latency
-    )
+    hit_latency = unit.hit_latency
+    bypassed = n - lookups
+    early_out = bypassed * min(unit.trivial_latency, latency)
+    base = early_out + lookups * latency
+    memo = hits * hit_latency + (lookups - hits) * latency
+    unit_stats = unit.stats
+    if unit.trivial_policy is TrivialPolicy.INTEGRATED:
+        memo += bypassed * hit_latency
+        unit_stats.trivial_hits += bypassed
+    else:
+        memo += early_out
     table_stats = table.stats
     table_stats.lookups += lookups
     table_stats.hits += hits
     table_stats.commutative_hits += commutative_hits
     table_stats.insertions += insertions
     table_stats.evictions += evictions
-    unit_stats = unit.stats
     unit_stats.operations += n
     unit_stats.trivial += n_trivial
     unit_stats.cycles_base += base
@@ -348,21 +385,26 @@ def _charge(unit, table, n, n_trivial, lookups, hits, commutative_hits,
     return base, memo, 0
 
 
-def _pair_ids(np_a, np_b, int_kind: bool):
-    """Dense ids over distinct operand-bit pairs.
+def _fill_outcomes(outcomes, bypass_mask, missed) -> None:
+    """Write a fast loop's outcome codes: every event a hit, except the
+    bypassed ones (``bypass_mask``, or None) and the ``missed`` event
+    positions the loop recorded on its miss path."""
+    outcomes[:] = OUTCOME_HIT
+    if bypass_mask is not None:
+        outcomes[bypass_mask] = OUTCOME_BYPASS
+    if len(missed):
+        outcomes[missed] = OUTCOME_MISS
 
-    Returns ``(key_a, key_b, first, inv, u)``: per-id tag-half arrays
-    (bit patterns, identical to the scalar table's FULL tags), the
-    first event index carrying each id, the per-event id array, and
-    the id count.  Each operand column is deduplicated separately and
-    the pair id is built from the two (small) column ids -- three
+
+def _pair_ids(keys_a, keys_b):
+    """Dense ids over distinct ``(key_a, key_b)`` pairs.
+
+    Returns ``(key_a, key_b, first, inv, u)``: per-id key halves, the
+    first position carrying each id, the per-position id array, and
+    the id count.  Each key column is deduplicated separately and the
+    pair id is built from the two (small) column ids -- three
     primitive-int sorts, markedly faster than one lexicographic sort
     of packed 128-bit keys."""
-    if int_kind:
-        keys_a, keys_b = np_a, np_b
-    else:
-        keys_a = np_a.view(np.uint64)
-        keys_b = np_b.view(np.uint64)
     vals_a, inv_a = np.unique(keys_a, return_inverse=True)
     vals_b, inv_b = np.unique(keys_b, return_inverse=True)
     nb = len(vals_b)
@@ -384,42 +426,69 @@ def _pair_ids(np_a, np_b, int_kind: bool):
 _UNSET = object()
 
 
-def _probe_fused(unit, table, a_values, b_values, np_a, np_b):
-    """The pair-id loop (EXCLUDE policy, FULL tags, finite MemoTable).
+def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
+    """The pair-id loop (finite MemoTable; every trivial policy and tag
+    mode).
 
     1. ``np.unique`` over the partition's operand bit patterns maps
-       every event to a dense pair id; set index, commutative twin and
-       representative operands are precomputed per id, and the
-       computed value is cached per id on first miss.
+       every event to a dense **full id**; representative operands are
+       precomputed per full id, and the computed value is cached per
+       full id on first miss.  The table's **pair ids** are the full
+       ids under FULL tags, and under MANTISSA tags the ids of the
+       distinct 52-bit mantissa pairs, deduplicated once more over the
+       full ids.  Set index and commutative twin are precomputed per
+       pair id.
     2. The table's ways are mirrored into flat parallel integer lists
        (slot = set * associativity + way: pair id, last-used clock,
-       inserted clock) plus one id -> slot dict, so a probe is a
-       single hash lookup and a hit a single list store -- no entry
-       allocation while the loop runs.  LRU victim selection is
-       inlined; FIFO and RANDOM call ``policy.victim`` on the slot
-       lists of the full set.
+       inserted clock, full id of the inserting event) plus one
+       pair id -> slot dict, so a probe is a single hash lookup and a
+       hit a single list store -- no entry allocation while the loop
+       runs.  LRU victim selection is inlined; FIFO and RANDOM call
+       ``policy.victim`` on the slot lists of the full set.
     3. One materialization pass writes the surviving ways back as real
        :class:`~repro.core.memo_table._Entry` objects and advances the
        table clock.
 
-    Bit-exactness: FULL tags are the exact operand bit patterns, so
-    events sharing a pair id are indistinguishable to the table and to
-    the (deterministic) compute function; replaying clock, recency and
+    Trivial operations never reach the loop under EXCLUDE (the unit's
+    early-out) and INTEGRATED (a one-cycle hit in front of the table);
+    under CACHE_ALL they probe like any other operation.  :func:`_charge`
+    does the per-policy accounting.
+
+    Bit-exactness: the tag is all the table compares, so events sharing
+    a pair id are indistinguishable to it; replaying clock, recency and
     victim semantics per event over pair ids therefore reproduces the
     scalar table state and statistics exactly -- tags, values,
     operands, recency, insertion clocks and way order.  A miss always
-    inserts a fresh entry: the exact tag was just probed absent, and
-    reversed commutative hits never reach insert.
+    inserts a fresh entry (the exact tag was just probed absent, and
+    reversed commutative hits never reach insert) whose operands and
+    value are the inserting event's: events sharing a full id are
+    bit-identical, while under MANTISSA tags events sharing a pair id
+    may differ in sign and exponent.  Hits need no value.
     """
     config = table.config
     fault = _active_fault
+    n = len(np_a)
     trivial_arr = _trivial_mask(unit.operation, np_a, np_b)
     if fault == "dropped_trivial_mask":
-        trivial_arr = np.zeros(len(np_a), dtype=bool)
+        trivial_arr = np.zeros(n, dtype=bool)
     n_trivial = int(trivial_arr.sum())
     int_kind = config.operand_kind is OperandKind.INT
+    full_tags = int_kind or config.tag_mode is TagMode.FULL
 
-    key_a, key_b, first_np, inv_np, u = _pair_ids(np_a, np_b, int_kind)
+    if int_kind:
+        full_a, full_b, first_np, inv_full, u_full = _pair_ids(np_a, np_b)
+    else:
+        full_a, full_b, first_np, inv_full, u_full = _pair_ids(
+            np_a.view(np.uint64), np_b.view(np.uint64)
+        )
+    if full_tags:
+        key_a, key_b, inv_np, u = full_a, full_b, inv_full, u_full
+    else:
+        mantissa = np.uint64(_MANT_MASK)
+        key_a, key_b, _, pair_of_full, u = _pair_ids(
+            full_a & mantissa, full_b & mantissa
+        )
+        inv_np = pair_of_full[inv_full]
     first = first_np.tolist()
     tags_a = key_a.tolist()
     tags_b = key_b.tolist()
@@ -443,6 +512,7 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b):
     uid_flat = [-1] * size
     used_flat = [0] * size
     ins_flat = [0] * size
+    full_flat = [0] * size
     ent_flat: List[Optional[_Entry]] = [None] * size
     fill = [0] * n_sets
     where: dict = {}
@@ -480,21 +550,29 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b):
     a_list = a_values if isinstance(a_values, list) else list(a_values)
     b_list = b_values if isinstance(b_values, list) else list(b_values)
     compute_op = compute_function(unit.operation)
-    value_lut: List[object] = [_UNSET] * u
+    value_lut: List[object] = [_UNSET] * u_full
     policy = table._policy
     inline_lru = type(policy) is LRUPolicy
     victim_of = policy.victim
     off_by_one = fault == "lru_victim_off_by_one"
     stale_tag = fault == "stale_tag_on_abort"
 
-    # Trivial events only count cycles; the probe loop walks the pair
-    # ids of the non-trivial positions directly (order within the
-    # opcode is preserved, and every per-id fact is precomputed).
-    if n_trivial:
-        kept = inv_np[~trivial_arr].tolist()
+    # The probe loop walks the pair ids of the probing positions
+    # directly (order within the opcode is preserved, and every per-id
+    # fact is precomputed); the miss path also reads the step's full id.
+    kept_np = None
+    if n_trivial and unit.trivial_policy is not TrivialPolicy.CACHE_ALL:
+        kept_np = np.flatnonzero(~trivial_arr)
+    kept = (inv_np if kept_np is None else inv_np[kept_np]).tolist()
+    if full_tags:
+        kept_full = kept
     else:
-        kept = inv_np.tolist()
+        kept_full = (
+            inv_full if kept_np is None else inv_full[kept_np]
+        ).tolist()
 
+    record = outcomes is not None
+    missed: List[int] = []
     clock = table._clock
     lookups = hits = commutative_hits = insertions = evictions = 0
     where_get = where.get
@@ -512,29 +590,32 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b):
             used_flat[pos] = clock
             hits += 1
             continue
-        if stale_tag and lookups > 1:
+        step = lookups - 1
+        if record:
+            missed.append(step)
+        if stale_tag and step:
             # Planted fault: the insert latches the previous probe's id.
             # When that id is resident, the insert updates its way in
             # place, as MemoTable.insert does for a present tag.
-            k = kept[lookups - 2]
+            step -= 1
+            k = kept[step]
             pos = where_get(k)
             if pos is not None:
                 clock += 1
                 used_flat[pos] = clock
                 continue
-        value = value_lut[k]
-        if value is _UNSET:
-            j = first[k]
-            value = compute_op(a_list[j], b_list[j])
-            value_lut[k] = value
+        f = kept_full[step]
+        if value_lut[f] is _UNSET:
+            j = first[f]
+            value_lut[f] = compute_op(a_list[j], b_list[j])
         clock += 1
         insertions += 1
         s = set_lut[k]
         base = s * assoc
-        f = fill[s]
-        if f < assoc:
-            pos = base + f
-            fill[s] = f + 1
+        fs = fill[s]
+        if fs < assoc:
+            pos = base + fs
+            fill[s] = fs + 1
         else:
             end = base + assoc
             if inline_lru:
@@ -550,30 +631,41 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b):
         uid_flat[pos] = k
         used_flat[pos] = clock
         ins_flat[pos] = clock
+        full_flat[pos] = f
         ent_flat[pos] = None
         where[k] = pos
     table._clock = clock
+    if record:
+        _fill_outcomes(
+            outcomes,
+            trivial_arr
+            if kept_np is not None
+            and unit.trivial_policy is TrivialPolicy.EXCLUDE
+            else None,
+            missed if kept_np is None else kept_np[missed],
+        )
 
     # Materialize: fresh inserts (slot entry is None) become real
-    # entries -- always a batch id, so tag/operands/value come from the
-    # id caches -- and surviving entries get their recency written
-    # back.  Slot order is insertion order, matching the scalar table's
-    # way order exactly.
+    # entries -- always a batch id, so the tag comes from the pair id
+    # and operands and value from the inserting event's full id -- and
+    # surviving entries get their recency written back.  Slot order is
+    # insertion order, matching the scalar table's way order exactly.
     if lookups:
         for s in range(n_sets):
-            f = fill[s]
-            if not f:
+            fs = fill[s]
+            if not fs:
                 continue
             base = s * assoc
             new_ways: List[_Entry] = []
-            for pos in range(base, base + f):
+            for pos in range(base, base + fs):
                 entry = ent_flat[pos]
                 if entry is None:
                     k = uid_flat[pos]
-                    j = first[k]
+                    f = full_flat[pos]
+                    j = first[f]
                     entry = _Entry(
                         (tags_a[k], tags_b[k]),
-                        value_lut[k],
+                        value_lut[f],
                         (a_list[j], b_list[j]),
                         used_flat[pos],
                     )
@@ -584,12 +676,13 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b):
             sets_[s] = new_ways
 
     return _charge(
-        unit, table, len(a_list), n_trivial, lookups, hits,
+        unit, table, n, n_trivial, lookups, hits,
         commutative_hits, insertions, evictions,
     )
 
 
-def _probe_infinite(unit, table, a_values, b_values, np_a, np_b):
+def _probe_infinite(unit, table, a_values, b_values, np_a, np_b,
+                    outcomes=None):
     """The tag dict loop (EXCLUDE policy, FULL tags, InfiniteMemoTable):
     every distinct pair stays resident, so a probe is one dict lookup
     and a miss one dict store."""
@@ -612,6 +705,8 @@ def _probe_infinite(unit, table, a_values, b_values, np_a, np_b):
         iter_idx = np.nonzero(~trivial_arr)[0].tolist()
     else:
         iter_idx = range(n)
+    record = outcomes is not None
+    missed: List[int] = []
     lookups = hits = commutative_hits = insertions = 0
     entries = table._entries
     get = entries.get
@@ -626,10 +721,14 @@ def _probe_infinite(unit, table, a_values, b_values, np_a, np_b):
         if found is not None:
             hits += 1
             continue
+        if record:
+            missed.append(i)
         a, b = a_list[i], b_list[i]
         value = compute_op(a, b)
         insertions += 1
         entries[tag] = (value, (a, b))
+    if record:
+        _fill_outcomes(outcomes, trivial_arr if n_trivial else None, missed)
     return _charge(
         unit, table, n, n_trivial, lookups, hits, commutative_hits,
         insertions, 0,
@@ -746,11 +845,13 @@ def _run_batch(
     validate: bool,
     start: int,
     stop: int,
+    outcomes=None,
 ) -> KernelReport:
     """Opcode-partitioned execution of ``batch[start:stop]``: each
     memoizable opcode's events go to :func:`probe_batch` as one
     partition; memory, FADD and IALU-class cycles are charged in
-    bulk."""
+    bulk.  ``outcomes`` (length ``stop - start``) receives each
+    probed event's outcome code at its trace position."""
     views = batch.views()
     opcode_codes = views.opcode[start:stop]
     count_list = np.bincount(opcode_codes, minlength=len(OPCODE_LIST)).tolist()
@@ -781,10 +882,14 @@ def _run_batch(
         a_values, b_values, results, np_a, np_b = _decode_partition(
             batch, views, idx, validate
         )
+        part = None if outcomes is None else np.empty(len(idx), np.uint8)
         base, memo, bad = probe_batch(
             unit, a_values, b_values,
             results=results, validate=validate, _np_a=np_a, _np_b=np_b,
+            outcomes=part,
         )
+        if part is not None:
+            outcomes[relative] = part
         mismatches += bad
         if cycle_mode:
             base_total += base
@@ -842,6 +947,21 @@ def _run_batch(
         memo_cycles=memo_total,
         cycles_by_opcode=cycles_by_opcode,
     )
+
+
+def probe_outcomes(batch: ColumnBatch, units) -> np.ndarray:
+    """Probe every memoized opcode partition of ``batch`` through its
+    unit in ``units`` and return one outcome code per event (uint8;
+    :data:`OUTCOME_MISS` for events no unit serves).
+
+    Statistics land on the units exactly as a statistics-only dispatch
+    would put them; since each unit sees its own subsequence in trace
+    order, every event's outcome equals what ``unit.execute`` returns
+    for it in an event-at-a-time walk.  This is how the hazard-aware
+    pipeline model gets per-event outcomes without walking events."""
+    outcomes = np.zeros(len(batch), dtype=np.uint8)
+    _run_batch(batch, units, None, None, 3, False, 0, len(batch), outcomes)
+    return outcomes
 
 
 # -- infinite-table replay (reuse upper bound) ------------------------------

@@ -23,6 +23,7 @@ import argparse
 import time
 from typing import List, Optional
 
+from .. import cliargs
 from ..analysis.tables import format_table
 from .engine import prefetch_traces, trace_plan
 from .store import TraceCorpus, default_corpus_dir
@@ -149,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments", nargs="*",
         help="experiment ids (default: every registered experiment)",
     )
-    record.add_argument("--scale", type=float, default=None)
+    record.add_argument("--scale", type=cliargs.scale, default=None)
     record.add_argument("--jobs", type=int, default=1)
     _add_dir(record)
     record.set_defaults(func=_cmd_record)

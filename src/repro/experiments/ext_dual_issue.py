@@ -13,16 +13,20 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..core.config import MemoTableConfig
 from ..core.memo_table import MemoTable
 from ..core.multiported import DualIssueModel
 from ..core.operations import Operation
-from ..isa.opcodes import Opcode
+from ..isa.opcodes import OPCODE_INDEX, Opcode
 from ..workloads.khoros import SPEEDUP_APPS
 from .base import ExperimentResult, ratio_cell
 from .common import DEFAULT_IMAGE_SET, record_mm_trace
 
 __all__ = ["run"]
+
+_FDIV_CODE = OPCODE_INDEX[Opcode.FDIV]
 
 
 def run(
@@ -51,12 +55,9 @@ def run(
         speedups = []
         conflicts = 0
         for image in images:
-            trace = record_mm_trace(app, image, scale=scale)
-            operands = [
-                (event.a, event.b)
-                for event in trace
-                if event.opcode is Opcode.FDIV
-            ]
+            batch = record_mm_trace(app, image, scale=scale).columns()
+            fdiv = np.flatnonzero(batch.views().opcode == _FDIV_CODE)
+            operands = [batch.operand_triple(i)[:2] for i in fdiv.tolist()]
             if len(operands) < 2:
                 continue
             model = DualIssueModel(

@@ -28,6 +28,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
+from .. import cliargs
 from .client import ServeClient, ServeError
 from .queue import default_queue_dir
 
@@ -196,7 +197,7 @@ def main_submit(argv: Optional[List[str]] = None) -> int:
         "experiment", nargs="?", default=None,
         help="experiment id (table7, figure3, ...) for an experiment job",
     )
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=cliargs.scale, default=None,
                         help="experiment workload scale")
     parser.add_argument("--program", default=None,
                         help="bundled ISA program for a program job")

@@ -20,18 +20,33 @@ This model executes a dependency-annotated trace (the recorder attaches
 * optionally, a MEMO-TABLE bank -- hits complete in one cycle and
   *release the iterative unit immediately* (the unit "is aborted and
   signals it is free", section 2.2).
+
+A columnar trace runs as one pass over its
+:class:`~repro.isa.columns.ColumnBatch`: the bank probes every opcode
+partition at once through the kernel (:func:`repro.core.backend.probe_outcomes`
+hands back each event's hit, miss or bypass -- each unit sees its own
+subsequence in trace order, so the outcomes are exact), the cache
+hierarchy is walked once over the load/store column, numpy resolves
+each source operand to the latest earlier event writing it, and one
+sequential loop over int lists schedules issue.  The event-walking loop
+is the reference: it runs under the ``scalar`` backend and for plain
+event iterables, as the scalar probe loop does, and tests require equal
+reports from both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..arch.latency import ProcessorModel
 from ..core import backend as execution
 from ..core.bank import MemoTableBank
 from ..core.operations import Operation
-from ..isa.opcodes import Opcode
+from ..isa.columns import _F_DST, ColumnBatch
+from ..isa.opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode, operation_to_opcode
 from ..isa.trace import TraceEvent
 from .cache import MemoryHierarchy, default_hierarchy
 
@@ -119,6 +134,18 @@ class HazardModel:
         return 1
 
     def run(self, events: Iterable[TraceEvent]) -> HazardReport:
+        """Execute ``events`` (a Trace, a ColumnBatch or any event
+        iterable) and report its timing.  Columnar traces take the
+        columnar pass unless the ``scalar`` backend is selected."""
+        batch: Optional[ColumnBatch] = None
+        if execution.resolve().name != "scalar":
+            batch = execution.as_batch(events)
+        if batch is None:
+            return self._run_events(events)
+        return self._run_columns(batch)
+
+    def _run_events(self, events: Iterable[TraceEvent]) -> HazardReport:
+        """The event-walking reference: one event, one probe at a time."""
         report = HazardReport(
             machine=self.machine.name, issue_width=self.issue_width
         )
@@ -135,10 +162,9 @@ class HazardModel:
 
             # Resolve the execution latency (memoized or not) first; the
             # lookup happens in parallel with issue, so a hit is known
-            # when the operation would enter the unit.  Stall resolution
-            # needs each event's outcome before the next issues, so this
-            # model probes one event at a time (execution.probe_one), not in
-            # opcode batches.
+            # when the operation would enter the unit.  This reference
+            # probes one event at a time (execution.probe_one); the
+            # columnar pass gets the same outcomes in opcode batches.
             hit = False
             if operation is not None and bank is not None and bank.supports(
                 operation
@@ -198,6 +224,174 @@ class HazardModel:
                 op: unit.hit_ratio for op, unit in bank.units.items()
             }
         return report
+
+    def _latency_columns(self, batch: ColumnBatch) -> Tuple[list, list]:
+        """Per event: its execution latency on the modelled machine, and the
+        opcode index of the iterative unit it occupies (-1 for none).
+
+        Memo units' events cost what ``unit.execute`` charges them: a
+        hit ``hit_latency`` (and it leaves the unit free), an EXCLUDE
+        trivial operation the early-out, anything else ``latency``.
+        Loads and stores walk the hierarchy in trace order."""
+        codes = batch.views().opcode
+        latency_of = np.ones(len(OPCODE_LIST), dtype=np.int64)
+        unit_of = np.full(len(OPCODE_LIST), -1, dtype=np.int64)
+        present = np.flatnonzero(np.bincount(codes, minlength=len(OPCODE_LIST)))
+        for code in present.tolist():
+            opcode = OPCODE_LIST[code]
+            operation = opcode.operation
+            if operation is not None:
+                latency_of[code] = self.machine.latency(operation)
+                if operation in NON_PIPELINED:
+                    unit_of[code] = code
+            elif opcode is Opcode.FADD:
+                latency_of[code] = self.fp_add_latency
+        latency = latency_of[codes]
+        unit = unit_of[codes]
+
+        memory = np.flatnonzero(
+            (codes == OPCODE_INDEX[Opcode.LOAD])
+            | (codes == OPCODE_INDEX[Opcode.STORE])
+        )
+        if len(memory):
+            access = self.hierarchy.access
+            # An absent address is stored as 0, as ``event.address or 0``.
+            latency[memory] = [
+                access(address)
+                for address in batch.views().address[memory].tolist()
+            ]
+
+        bank = self.bank
+        if bank is not None:
+            outcomes = execution.probe_outcomes(batch, bank.units)
+            for operation, memo_unit in bank.units.items():
+                rows = np.flatnonzero(
+                    codes == OPCODE_INDEX[operation_to_opcode(operation)]
+                )
+                if not len(rows):
+                    continue
+                got = outcomes[rows]
+                latency[rows] = np.where(
+                    got == execution.OUTCOME_HIT,
+                    memo_unit.hit_latency,
+                    np.where(
+                        got == execution.OUTCOME_BYPASS,
+                        min(memo_unit.trivial_latency, memo_unit.latency),
+                        memo_unit.latency,
+                    ),
+                )
+            unit[outcomes == execution.OUTCOME_HIT] = -1
+        return latency.tolist(), unit.tolist()
+
+    def _run_columns(self, batch: ColumnBatch) -> HazardReport:
+        """The columnar pass: the same report as :meth:`_run_events` on
+        the same trace."""
+        n = len(batch)
+        report = HazardReport(
+            machine=self.machine.name,
+            issue_width=self.issue_width,
+            instructions=n,
+            issue_slots_used=n,
+        )
+        latency, unit = self._latency_columns(batch)
+        first_src, second_src, extra_srcs = _producers(batch)
+
+        width = self.issue_width
+        # completion[p] for producer p; index -1 (no producer) stays 0.
+        completion = [0] * (n + 1)
+        unit_free = [0] * len(OPCODE_LIST)
+        cycle = 0            # cycle of the previous issue (in-order floor)
+        slots_left = width
+        last_completion = raw_total = structural_total = 0
+        for i, lat, p, q, u in zip(
+            range(n), latency, first_src, second_src, unit
+        ):
+            earliest = cycle if slots_left else cycle + 1
+            if p < -1:
+                ready = max(completion[r] for r in extra_srcs[-2 - p])
+            else:
+                ready = completion[p]
+                other = completion[q]
+                if other > ready:
+                    ready = other
+            if ready > earliest:
+                raw_total += ready - earliest
+                issue_at = ready
+            else:
+                issue_at = earliest
+            if u >= 0:
+                free_at = unit_free[u]
+                if free_at > issue_at:
+                    structural_total += free_at - issue_at
+                    issue_at = free_at
+                done = issue_at + lat
+                unit_free[u] = done
+            else:
+                done = issue_at + lat
+            if issue_at > cycle:
+                slots_left = width
+            slots_left -= 1
+            cycle = issue_at
+            completion[i] = done
+            if done > last_completion:
+                last_completion = done
+
+        report.total_cycles = last_completion
+        report.raw_stall_cycles = raw_total
+        report.structural_stall_cycles = structural_total
+        if self.bank is not None:
+            report.hit_ratios = {
+                op: memo_unit.hit_ratio
+                for op, memo_unit in self.bank.units.items()
+            }
+        return report
+
+
+def _producers(batch: ColumnBatch) -> Tuple[list, list, List[list]]:
+    """Resolve every source operand to its producer: the latest earlier
+    event whose ``dst`` is that value id (-1 if none, so the value is
+    ready at cycle 0).  An event's own ``dst`` never feeds its sources.
+
+    Returns per-event first and second producer columns.  An event with
+    more than two sources has first producer ``-2 - k`` instead, where
+    ``extra[k]`` lists all of its producers."""
+    n = len(batch)
+    views = batch.views()
+    offsets = np.frombuffer(batch.src_offsets, dtype=np.uint64).astype(np.int64)
+    srcs = np.frombuffer(batch.srcs_col, dtype=np.int64)
+    first = np.full(n, -1, dtype=np.int64)
+    second = np.full(n, -1, dtype=np.int64)
+    extra: List[list] = []
+    writers = np.flatnonzero(views.flags & _F_DST)
+    if not len(srcs) or not len(writers):
+        return first.tolist(), second.tolist(), extra
+    counts = np.diff(offsets)
+    readers = np.repeat(np.arange(n, dtype=np.int64), counts)
+    # Dense ids over every value id, then one sorted key per write:
+    # (value id, position).  A source's producer is the greatest key
+    # below (its value id, its own position).
+    _, dense = np.unique(
+        np.concatenate((views.dst[writers], srcs)), return_inverse=True
+    )
+    dense = dense.ravel().astype(np.int64, copy=False)
+    stride = n + 1
+    written = dense[: len(writers)] * stride + writers
+    written.sort()
+    wanted = dense[len(writers):]
+    below = np.searchsorted(written, wanted * stride + readers) - 1
+    key = written[np.maximum(below, 0)]
+    producer = np.where(
+        (below >= 0) & (key // stride == wanted), key % stride, -1
+    )
+    starts = offsets[:-1]
+    some = counts >= 1
+    first[some] = producer[starts[some]]
+    pair = counts >= 2
+    second[pair] = producer[starts[pair] + 1]
+    for i in np.flatnonzero(counts > 2).tolist():
+        first[i] = -2 - len(extra)
+        extra.append(producer[offsets[i]:offsets[i + 1]].tolist())
+    return first.tolist(), second.tolist(), extra
 
 
 def hazard_speedup(

@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from . import cliargs
 from .analysis.tables import format_ratio, format_table
 from .core.bank import MemoTableBank
 from .core.config import MemoTableConfig, TagMode
@@ -171,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument("kernel", choices=list(kernel_names()))
     record.add_argument("image", choices=list(catalog_names()))
     record.add_argument("output")
-    record.add_argument("--scale", type=float, default=0.15)
+    record.add_argument("--scale", type=cliargs.scale, default=0.15)
     record.add_argument(
         "--pc", action="store_true",
         help="stamp events with synthetic call-site PCs",

@@ -104,6 +104,29 @@ def _table_entries(bank):
     return contents
 
 
+@pytest.fixture
+def fused_served(monkeypatch):
+    """The operations whose partitions the pair-id loop served, one
+    entry per partition (the scalar backend never reaches it)."""
+    served = []
+    original = kernel._probe_fused
+
+    def counting(unit, *args, **kwargs):
+        served.append(unit.operation)
+        return original(unit, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_probe_fused", counting)
+    return served
+
+
+def _probed(bank):
+    """Operations that saw at least one event, one entry each."""
+    return sorted(
+        (op for op, unit in bank.units.items() if unit.stats.operations),
+        key=lambda op: op.name,
+    )
+
+
 @pytest.fixture(scope="module")
 def traces():
     """One trace per bundled program, executed once and shared."""
@@ -183,6 +206,33 @@ class TestProgramParity:
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
         assert _table_entries(b_bank) == _table_entries(s_bank)
 
+    @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize(
+        "policy, tag_mode",
+        [
+            (TrivialPolicy.INTEGRATED, TagMode.FULL),
+            (TrivialPolicy.CACHE_ALL, TagMode.FULL),
+            (TrivialPolicy.EXCLUDE, TagMode.MANTISSA),
+        ],
+        ids=["integrated", "cache-all", "mantissa"],
+    )
+    def test_table9_table10_configs_take_the_pair_id_loop(
+        self, traces, name, backend, policy, tag_mode, fused_served
+    ):
+        config = MemoTableConfig(tag_mode=tag_mode)
+        report, scalar, b_bank, s_bank = _run_both(
+            traces[name],
+            lambda: MemoTableBank.paper_baseline(
+                config=config, operations=ALL_OPERATIONS,
+                trivial_policy=policy,
+            ),
+            backend=backend,
+        )
+        assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
+        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert sorted(fused_served, key=lambda op: op.name) == _probed(b_bank)
+
 
 def _edge_trace():
     """Synthetic columnar trace hammering trivial-operand and NaN edge
@@ -225,7 +275,7 @@ class TestEdgeValueParity:
         [TrivialPolicy.EXCLUDE, TrivialPolicy.INTEGRATED,
          TrivialPolicy.CACHE_ALL],
     )
-    def test_trivial_policies(self, policy, backend):
+    def test_trivial_policies(self, policy, backend, fused_served):
         events = _edge_trace()
         report, scalar, b_bank, s_bank = _run_both(
             events,
@@ -236,9 +286,10 @@ class TestEdgeValueParity:
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
         assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert sorted(fused_served, key=lambda op: op.name) == _probed(b_bank)
 
     @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
-    def test_mantissa_tag_mode(self, backend):
+    def test_mantissa_tag_mode(self, backend, fused_served):
         events = _edge_trace()
         config = MemoTableConfig(tag_mode=TagMode.MANTISSA)
         report, scalar, b_bank, s_bank = _run_both(
@@ -249,6 +300,51 @@ class TestEdgeValueParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
+        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert sorted(fused_served, key=lambda op: op.name) == _probed(b_bank)
+
+    @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
+    @pytest.mark.parametrize(
+        "entries, ways", [(2, 1), (2, 2)], ids=["direct", "two-way"]
+    )
+    def test_mantissa_reinsert_takes_the_inserting_operands(
+        self, entries, ways, backend, fused_served
+    ):
+        # (1.5, 3.0), (-6.0, 0.75) and (0.375, -12.0) share one mantissa
+        # pair but differ in sign and exponent.  The others evict it in
+        # between, so each re-insert must store its own operands and
+        # value, not those of the pair's first occurrence.
+        pairs = [
+            (1.5, 3.0), (1.25, 1.125), (1.375, 1.0625),
+            (-6.0, 0.75), (1.5, 3.0), (1.25, 1.125), (1.375, 1.0625),
+            (1.75, 1.875), (0.375, -12.0), (-6.0, 0.75),
+        ]
+        events = ColumnBatch.from_events(
+            [TraceEvent(Opcode.FDIV, a, b, a / b) for a, b in pairs]
+        )
+        config = MemoTableConfig(
+            entries=entries, associativity=ways, tag_mode=TagMode.MANTISSA
+        )
+        report, scalar, b_bank, s_bank = _run_both(
+            events,
+            lambda: MemoTableBank.paper_baseline(
+                config=config, operations=(Operation.FP_DIV,)
+            ),
+            backend=backend,
+        )
+        assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
+        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert b_bank.units[Operation.FP_DIV].table.stats.evictions > 0
+        stored = {
+            entry.operands
+            for ways_ in b_bank.units[Operation.FP_DIV].table._sets
+            for entry in ways_
+        }
+        # The last insert of the shared pair was (0.375, -12.0); the
+        # final (-6.0, 0.75) hits it.
+        assert (0.375, -12.0) in stored
+        assert (1.5, 3.0) not in stored
+        assert fused_served == [Operation.FP_DIV]
 
     @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
     def test_tiny_geometry_evictions(self, backend):

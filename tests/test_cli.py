@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.trace_cli import main as trace_main
 
 
 class TestCLI:
@@ -39,3 +40,24 @@ class TestCLI:
         payload = json.loads(target.read_text())
         assert len(payload["rows"]) == 6
         assert "div_to_mul_ratio" in payload["extras"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        (main, ["figure4"]),
+        (main, ["submit", "figure4"]),
+        (main, ["corpus", "record", "figure4"]),
+        (trace_main, ["record", "vgauss", "mandrill", "out.trc"]),
+    ],
+    ids=["repro", "submit", "corpus-record", "repro-trace-record"],
+)
+def test_bad_scale_is_a_usage_error(entry, argv, value, capsys):
+    # Rejected while parsing: nothing runs, nothing is contacted.
+    with pytest.raises(SystemExit) as exc:
+        entry(argv + [f"--scale={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --scale" in err
+    assert "Traceback" not in err

@@ -1,12 +1,14 @@
 """Parity: hazard model's per-event probes vs. every batch backend.
 
 The hazard-aware pipeline model must resolve each event's hit/miss
-before the next issues, so it probes through ``kernel.probe_one`` one
-event at a time.  The fused backend reorders work into per-opcode
-columns and dense pair ids.  Every backend must leave a bank in the
-identical state -- same statistics, same table contents -- for the
-same trace, or the hazard model's hit ratios (and therefore its stall
-accounting) silently drift from the headline results.
+before the next issues.  Given a plain event list, as here, it runs its
+event-walking reference, which probes through ``kernel.probe_one`` one
+event at a time (``tests/test_hazard_columns.py`` covers its columnar
+pass).  The fused backend reorders work into per-opcode columns and
+dense pair ids.  Every backend must leave a bank in the identical state
+-- same statistics, same table contents -- for the same trace, or the
+hazard model's hit ratios (and therefore its stall accounting) silently
+drift from the headline results.
 """
 
 import pytest
