@@ -1,10 +1,9 @@
 """Trace corpus: cold-record vs warm-replay cost for an MM kernel set.
 
 Recording dominates experiment runtime; the corpus amortises it to one
-run.  This benchmark times the same trace set three ways — cold
-(record + archive), warm (replay from the on-disk store) and hot
-(in-process LRU) — and asserts the replayed traces are identical to
-the recorded ones.
+run.  This benchmark times the same trace set two ways — cold
+(record + archive) and warm (replay from the on-disk store) — and
+asserts the replayed traces are identical to the recorded ones.
 """
 
 import tempfile
@@ -43,7 +42,7 @@ def test_corpus_cold_record(benchmark):
 def test_corpus_warm_replay(benchmark):
     with tempfile.TemporaryDirectory() as root:
         cold = _record_all(TraceCorpus(root))
-        corpus = TraceCorpus(root)  # fresh handle: empty memory tier
+        corpus = TraceCorpus(root)  # fresh handle, fresh counters
         warm = run_once(benchmark, lambda: _record_all(corpus))
         benchmark.extra_info["traces"] = len(warm)
         benchmark.extra_info["disk_hits"] = corpus.stats.disk_hits
@@ -53,12 +52,3 @@ def test_corpus_warm_replay(benchmark):
         assert corpus.stats.disk_hits == len(warm)
         assert [t.events for t in warm] == [t.events for t in cold]
 
-
-def test_corpus_hot_memory_tier(benchmark):
-    with tempfile.TemporaryDirectory() as root:
-        corpus = TraceCorpus(root)
-        first = _record_all(corpus)
-        hot = run_once(benchmark, lambda: _record_all(corpus))
-        assert corpus.stats.recorded == len(first)
-        assert corpus.stats.memory_hits >= len(hot)
-        assert [t is f for t, f in zip(hot, first)] == [True] * len(first)

@@ -13,7 +13,9 @@ when a strict majority -- and at least two -- of its sites are guarded,
 so helpers that lock *internally* (majority of sites unguarded) and
 1-vs-1 ambiguous helpers never produce noise.  This is exactly the
 shape of the PR 4 store bug: ``_write_manifest`` guarded everywhere
-except one forgotten site.
+except one forgotten site.  The corpus store keeps no manifest any
+more, so that bug now lives only as the CONC001 regression fixture
+``tests/fixtures/concurrency/fixture_store_race.py``.
 
 **CONC002 (lock-order)** extracts a token per acquisition (see
 :func:`..index.lock_token`), computes each function's may-acquire set

@@ -625,7 +625,7 @@ class MutableDefaultRule(LintRule):
 class NonAtomicWriteRule(LintRule):
     """Durable state files are published via tmp write + ``os.replace``.
 
-    The corpus manifest, job records and result documents are read by
+    Corpus objects, job records and result documents are read by
     concurrent processes; an in-place ``open(path, "w")`` exposes a
     torn file to every reader between truncate and close (the exact
     shape of the PR 4 manifest race).  Writers must stage into a

@@ -253,8 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 f"[{len(names)} experiment(s) in {batch.elapsed:.1f}s with "
                 f"{batch.jobs} jobs; corpus: {batch.recorded} recorded, "
-                f"{stats.get('disk_hits', 0)} disk hits, "
-                f"{stats.get('memory_hits', 0)} memory hits]"
+                f"{stats.get('disk_hits', 0)} disk hits]"
             )
             if batch.durations:
                 print(

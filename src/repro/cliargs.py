@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 
-__all__ = ["scale"]
+__all__ = ["scale", "size_mib"]
 
 
 def scale(text: str) -> float:
@@ -24,5 +24,21 @@ def scale(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
             f"invalid scale {text!r}: must be a finite number > 0"
+        )
+    return value
+
+
+def size_mib(text: str) -> float:
+    """A size bound in MiB: a finite number >= 0 whose byte count is
+    finite too."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid size {text!r}: not a number"
+        ) from None
+    if not (value >= 0 and math.isfinite(value * (1 << 20))):
+        raise argparse.ArgumentTypeError(
+            f"invalid size {text!r}: must be a finite number >= 0"
         )
     return value

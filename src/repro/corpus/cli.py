@@ -7,14 +7,19 @@
         will replay, fanning misses out across a worker pool.
 
     repro corpus ls        List stored traces (LRU order, oldest first).
-    repro corpus verify    Re-hash and re-parse every object; exit 1 on damage.
-    repro corpus gc        Evict least-recently-used traces to a size bound.
+    repro corpus verify    Check every object's header and payload; exit 1
+                           on damage.
+    repro corpus gc        Remove unreadable objects and stale tmp files;
+                           with --max-mb, evict least-recently-used traces
+                           to that bound.
 
 All subcommands take ``--dir PATH`` (default: ``$REPRO_CORPUS_DIR`` or
 ``~/.cache/repro/corpus``).  The store shards objects into two-hex-digit
 prefix subdirectories (``objects/ab/<digest>.trc.gz``), one path per
-digest.  ``verify`` reports an object in a retired trace format as
-undecodable; the next experiment run re-records it.
+digest, and each object carries a header naming its trace, so the
+objects are the whole store.  ``ls`` skips an object whose header cannot
+be read (one in a retired layout, or damaged), ``verify`` names it by
+digest, and ``gc`` removes it; the next experiment run re-records it.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def _cmd_record(args) -> int:
     print(
         f"{len(plan)} traces planned for {len(names)} experiment(s): "
         f"{stats.recorded} recorded, "
-        f"{stats.disk_hits + stats.memory_hits} already cached "
+        f"{stats.disk_hits} already cached "
         f"[{elapsed:.1f}s, jobs={args.jobs}]"
     )
     print(f"corpus {corpus.root}: {len(corpus)} traces, "
@@ -111,12 +116,12 @@ def _cmd_ls(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    corpus = _corpus(args)
-    report = corpus.verify()
-    bad = [(entry, reason) for entry, ok, reason in report if not ok]
-    for entry, ok, reason in report:
-        marker = "ok  " if ok else "BAD "
-        print(f"{marker} {entry.key.digest[:12]}  {entry.key.describe():40} {reason}")
+    report = _corpus(args).verify()
+    bad = [digest for digest, _, problem in report if problem]
+    for digest, entry, problem in report:
+        marker = "BAD " if problem else "ok  "
+        what = entry.key.describe() if entry is not None else "?"
+        print(f"{marker} {digest[:12]}  {what:40} {problem or 'ok'}")
     print(f"{len(report) - len(bad)}/{len(report)} entries verified clean")
     return 1 if bad else 0
 
@@ -163,10 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dir(verify)
     verify.set_defaults(func=_cmd_verify)
 
-    gc = commands.add_parser("gc", help="evict LRU traces to a size bound")
+    gc = commands.add_parser(
+        "gc", help="remove unreadable objects; evict LRU traces to a bound"
+    )
     gc.add_argument(
-        "--max-mb", type=float, default=None,
-        help="size bound in MiB (default: sweep orphans only)",
+        "--max-mb", type=cliargs.size_mib, default=None,
+        help="size bound in MiB (default: no bound, only sweep "
+        "unreadable objects and stale tmp files)",
     )
     _add_dir(gc)
     gc.set_defaults(func=_cmd_gc)

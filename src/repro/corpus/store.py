@@ -11,9 +11,9 @@ of a gzip read.
 
 Layout of a corpus directory::
 
-    <root>/manifest.json          key metadata + integrity checksums
-    <root>/objects/<dd>/<digest>.trc.gz   gzip'd binary trace, sharded by
-                                  the first two digest hex chars
+    <root>/objects/<dd>/<digest>.trc.gz   one self-describing object per
+                                  trace, sharded by the first two digest
+                                  hex chars
     <root>/locks/                 cooperative lock files
 
 Objects are **sharded by content hash** into a 256-way prefix fan-out
@@ -22,26 +22,40 @@ when the experiment service floods the store with thousands of traces,
 and gives a natural unit for placing shards on separate disks/hosts.
 Each digest has exactly one object path.
 
+An object is a small header in front of the gzip'd ``RPROTRC3``
+payload (all integers little-endian)::
+
+    b"RPROOBJ1"                      magic
+    <u16 n><n bytes utf-8>  x 3      suite, name, variant
+    <f64 scale> <u64 events>
+    <32 bytes>                       sha256 of the payload
+    <payload>                        to the end of the file
+
+Every header byte is checked: the key against the digest in the
+object's path, the checksum against the payload and the event count
+against the decoded trace.  Nothing is kept beside the objects, so
+listing, verifying and collecting walk the shards.
+
 Properties:
 
 * **content-addressed** -- the object name is a SHA-256 digest of the
   key fields and the recorder version, so a recorder change can never
   silently serve stale traces;
-* **verified** -- every load re-hashes the compressed object against the
-  manifest checksum and decodes it as an ``RPROTRC3`` stream; a
-  truncated or flipped file, or one in any other format, is dropped and
-  the caller transparently re-records;
+* **verified** -- every load checks the whole header and decodes the
+  payload as an ``RPROTRC3`` stream; a truncated or flipped file, one
+  without a header, or one in any other format, is dropped and the
+  caller transparently re-records;
 * **bounded** -- :meth:`TraceCorpus.gc` evicts least-recently-used
   objects (recency = object mtime, touched on every hit) until the
   store fits ``max_bytes``;
-* **concurrent** -- writers serialize per entry through ``O_EXCL`` lock
-  files (with stale-lock breaking), objects land via atomic rename, and
-  the manifest is read-merge-written under its own lock, so a worker
-  pool records each missing trace exactly once and never clobbers the
-  manifest;
-* **two-tier** -- a small in-process LRU of deserialized traces sits in
-  front of the disk store, so replay loops inside one experiment stay
-  as fast as the old per-process dict cache.
+* **concurrent** -- a :meth:`~TraceCorpus.put` is one tmp write plus an
+  atomic rename, so readers see a whole object or none, and
+  :meth:`~TraceCorpus.get_or_record` serializes recording per entry
+  through ``O_EXCL`` lock files (with stale-lock breaking), so a worker
+  pool records each missing trace exactly once.
+
+The store keeps no traces in memory: :mod:`repro.experiments.common`
+holds the one in-process LRU, in front of the store.
 """
 
 from __future__ import annotations
@@ -49,16 +63,18 @@ from __future__ import annotations
 import gzip
 import hashlib
 import io
-import json
 import os
+import struct
 import time
-from collections import OrderedDict
+import zlib
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    BinaryIO, Callable, Dict, List, NamedTuple, Optional, Tuple, Union,
+)
 
-from ..errors import CorpusError, CorpusLockError, TraceFormatError
-from ..fsutil import FileLock, atomic_write_json, mtime, mtime_age, touch
+from ..errors import CorpusLockError, TraceFormatError
+from ..fsutil import FileLock, mtime_age, touch
 from ..isa.binfmt import read_column_blocks, write_column_trace
 from ..isa.columns import ColumnBatch
 from ..isa.trace import Trace
@@ -79,12 +95,19 @@ __all__ = [
 #: transparently re-recorded rather than silently replayed.
 RECORDER_VERSION = 1
 
-_MANIFEST_FORMAT = 1
 _GZIP_LEVEL = 3
 
 #: Hex chars of the digest used as the shard directory name (2 -> 256
 #: subdirectories under ``objects/``).
 _SHARD_WIDTH = 2
+
+#: Seconds after which a lock file or a ``.tmp-*`` object file is taken
+#: to belong to a process that died.
+_STALE_AFTER = 600.0
+
+_MAGIC = b"RPROOBJ1"
+_LENGTH = struct.Struct("<H")
+_TAIL = struct.Struct("<dQ32s")  # scale, events, payload sha256
 
 
 class TraceKey(NamedTuple):
@@ -115,16 +138,15 @@ class TraceKey(NamedTuple):
 
 @dataclass
 class CorpusEntry:
-    """Manifest record for one stored trace."""
+    """One stored trace, as its object's header describes it."""
 
     suite: str
     name: str
     variant: str
     scale: float
-    checksum: str  # sha256 of the compressed object file
+    checksum: str  # sha256 of the gzip payload
     events: int
-    size: int  # compressed bytes on disk
-    created: float
+    size: int  # bytes on disk, header included
 
     @property
     def key(self) -> TraceKey:
@@ -136,7 +158,6 @@ class CorpusStats:
     """Per-process counters (the acceptance check for warm runs:
     ``recorded == 0`` means every trace came from the store)."""
 
-    memory_hits: int = 0
     disk_hits: int = 0
     misses: int = 0
     recorded: int = 0
@@ -161,6 +182,48 @@ class CorpusStats:
         }
 
 
+def _encode_header(key: TraceKey, events: int, checksum: bytes) -> bytes:
+    """The header of ``key``'s object (layout in the module docstring)."""
+    parts = [_MAGIC]
+    for text in (key.suite, key.name, key.variant):
+        raw = text.encode("utf-8")
+        parts += (_LENGTH.pack(len(raw)), raw)
+    parts.append(_TAIL.pack(float(key.scale), events, checksum))
+    return b"".join(parts)
+
+
+def _read_header(
+    stream: BinaryIO, digest: str, size: int
+) -> Optional[CorpusEntry]:
+    """The entry an object's header describes, leaving ``stream`` at the
+    payload; None when the header is absent, cut short, undecodable or
+    names a key whose digest is not ``digest``."""
+    if stream.read(len(_MAGIC)) != _MAGIC:
+        return None
+    try:
+        fields = []
+        for _ in range(3):
+            (length,) = _LENGTH.unpack(stream.read(_LENGTH.size))
+            raw = stream.read(length)
+            if len(raw) != length:
+                return None
+            fields.append(raw.decode("utf-8"))
+        scale, events, checksum = _TAIL.unpack(stream.read(_TAIL.size))
+    except (struct.error, UnicodeDecodeError):
+        return None
+    entry = CorpusEntry(*fields, scale, checksum.hex(), events, size)
+    if entry.key.digest != digest:
+        return None
+    return entry
+
+
+def _remove(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass  # another process removed it first
+
+
 def default_corpus_dir() -> Path:
     """``$REPRO_CORPUS_DIR`` or ``~/.cache/repro/corpus``."""
     env = os.environ.get("REPRO_CORPUS_DIR")
@@ -176,20 +239,16 @@ class TraceCorpus:
         self,
         root: Union[str, Path],
         max_bytes: Optional[int] = None,
-        memory_entries: int = 64,
         lock_timeout: float = 120.0,
     ) -> None:
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.locks_dir = self.root / "locks"
-        self.manifest_path = self.root / "manifest.json"
         for directory in (self.root, self.objects_dir, self.locks_dir):
             directory.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
-        self.memory_entries = memory_entries
         self.lock_timeout = lock_timeout
         self.stats = CorpusStats()
-        self._memory: "OrderedDict[str, Trace]" = OrderedDict()
 
     # -- serialization -----------------------------------------------------
 
@@ -216,78 +275,41 @@ class TraceCorpus:
             payload = io.BytesIO(zipped.read())
         return Trace(columns=ColumnBatch.concat(read_column_blocks(payload)))
 
-    @staticmethod
-    def _checksum(blob: bytes) -> str:
-        return hashlib.sha256(blob).hexdigest()
-
-    # -- manifest ----------------------------------------------------------
-
-    def _read_manifest(self) -> Dict[str, dict]:
+    def _load(
+        self, digest: str, blob: bytes
+    ) -> Tuple[Optional[CorpusEntry], Optional[Trace], Optional[str]]:
+        """Check ``blob`` as the object of ``digest``: (entry, trace,
+        None) when it is sound, else (entry, None, what is wrong), with
+        entry None when the header cannot be read."""
+        stream = io.BytesIO(blob)
+        entry = _read_header(stream, digest, len(blob))
+        if entry is None:
+            return None, None, "unreadable header"
+        payload = blob[stream.tell():]
+        if hashlib.sha256(payload).hexdigest() != entry.checksum:
+            return entry, None, "checksum mismatch"
         try:
-            with self.manifest_path.open("r", encoding="utf-8") as stream:
-                document = json.load(stream)
-        except FileNotFoundError:
-            return {}
-        except (json.JSONDecodeError, OSError):
-            # A torn manifest orphans its objects; they are re-recorded
-            # (and the orphans collected by gc), never half-trusted.
-            return {}
-        if document.get("format") != _MANIFEST_FORMAT:
-            return {}
-        return document.get("entries", {})
+            trace = self._deserialize(payload)
+        except (TraceFormatError, OSError, EOFError, zlib.error):
+            return entry, None, "undecodable object"
+        if len(trace) != entry.events:
+            return entry, None, f"{len(trace)} events, header says {entry.events}"
+        return entry, trace, None
 
-    def _write_manifest(self, entries: Dict[str, dict]) -> None:
-        document = {
-            "format": _MANIFEST_FORMAT,
-            "recorder_version": RECORDER_VERSION,
-            "entries": entries,
-        }
-        atomic_write_json(self.manifest_path, document)
-
-    def _update_manifest(
-        self, mutate: Callable[[Dict[str, dict]], None]
-    ) -> Dict[str, dict]:
-        """Read-merge-write the manifest under the manifest lock."""
-        with self._lock("manifest"):
-            entries = self._read_manifest()
-            mutate(entries)
-            self._write_manifest(entries)
-        return entries
+    # -- layout ------------------------------------------------------------
 
     def _lock(self, name: str) -> FileLock:
         return FileLock(
             self.locks_dir / f"{name}.lock",
             timeout=self.lock_timeout,
-            stale_after=600.0,
+            stale_after=_STALE_AFTER,
             error=CorpusLockError,
             poll=0.02,
         )
 
-    def entries(self) -> List[CorpusEntry]:
-        """Manifest contents, most recently used last."""
-        loaded = []
-        for digest, data in self._read_manifest().items():
-            try:
-                entry = CorpusEntry(**data)
-            except TypeError:
-                continue
-            loaded.append((self._mtime(digest), entry))
-        loaded.sort(key=lambda pair: pair[0])
-        return [entry for _, entry in loaded]
-
-    def _mtime(self, digest: str) -> float:
-        stamp = mtime(self._object_path(digest))
-        return 0.0 if stamp is None else stamp
-
     def _object_path(self, digest: str) -> Path:
         """The one on-disk location of a digest's object."""
         return self.objects_dir / digest[:_SHARD_WIDTH] / f"{digest}.trc.gz"
-
-    def _unlink_object(self, digest: str) -> None:
-        try:
-            self._object_path(digest).unlink()
-        except OSError:
-            pass
 
     def _iter_objects(self) -> Dict[str, Path]:
         """Every stored object: digest -> path."""
@@ -297,6 +319,25 @@ class TraceCorpus:
                 f"{'[0-9a-f]' * _SHARD_WIDTH}/*.trc.gz"
             )
         }
+
+    def _scan(self) -> List[Tuple[Path, Optional[CorpusEntry]]]:
+        """Every object with the entry its header describes (None when
+        the header cannot be read), least recently used first."""
+        found = []
+        for digest, path in self._iter_objects().items():
+            try:
+                with path.open("rb") as stream:
+                    stat = os.fstat(stream.fileno())
+                    entry = _read_header(stream, digest, stat.st_size)
+            except OSError:
+                continue  # removed by another process since the glob
+            found.append((stat.st_mtime, digest, path, entry))
+        found.sort(key=lambda row: row[:2])
+        return [(path, entry) for _, _, path, entry in found]
+
+    def entries(self) -> List[CorpusEntry]:
+        """Every object whose header reads, most recently used last."""
+        return [entry for _, entry in self._scan() if entry is not None]
 
     def total_bytes(self) -> int:
         total = 0
@@ -308,105 +349,59 @@ class TraceCorpus:
         return total
 
     def __len__(self) -> int:
-        return len(self._read_manifest())
+        return len(self.entries())
 
-    # -- the two cache tiers ----------------------------------------------
-
-    def _memory_get(self, digest: str) -> Optional[Trace]:
-        trace = self._memory.get(digest)
-        if trace is not None:
-            self._memory.move_to_end(digest)
-        return trace
-
-    def _memory_put(self, digest: str, trace: Trace) -> None:
-        self._memory[digest] = trace
-        self._memory.move_to_end(digest)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
-    def _drop(self, digest: str) -> None:
-        """Remove a corrupt/evicted entry (object file + manifest row)."""
-        self._memory.pop(digest, None)
-        self._unlink_object(digest)
-        self._update_manifest(lambda entries: entries.pop(digest, None))
+    # -- load and store ----------------------------------------------------
 
     def get(self, key: TraceKey) -> Optional[Trace]:
-        """Load ``key`` from memory or disk; None on miss.
+        """Load ``key`` from disk; None on miss.
 
-        A checksum mismatch or undecodable object counts as a miss: the
-        entry is dropped so the caller re-records a clean one.
+        A damaged object (see :meth:`_load`) counts as a miss: it is
+        removed so the caller re-records a clean one.
         """
         digest = key.digest
-        trace = self._memory_get(digest)
-        if trace is not None:
-            self.stats.memory_hits += 1
-            return trace
-        entry = self._read_manifest().get(digest)
-        if entry is None:
-            self.stats.misses += 1
-            return None
         path = self._object_path(digest)
         try:
             blob = path.read_bytes()
         except OSError:
             self.stats.misses += 1
-            self._update_manifest(lambda entries: entries.pop(digest, None))
             return None
-        if self._checksum(blob) != entry.get("checksum"):
+        _, trace, _ = self._load(digest, blob)
+        if trace is None:
             self.stats.corrupt_dropped += 1
             self.stats.misses += 1
-            self._drop(digest)
-            return None
-        try:
-            trace = self._deserialize(blob)
-        except (TraceFormatError, OSError, EOFError):
-            self.stats.corrupt_dropped += 1
-            self.stats.misses += 1
-            self._drop(digest)
+            _remove(path)
             return None
         self.stats.disk_hits += 1
         self.stats.bytes_read += len(blob)
         # LRU recency for gc; a concurrent eviction is fine -- the blob
         # in hand is still good.
         touch(path)
-        self._memory_put(digest, trace)
         return trace
 
     def put(self, key: TraceKey, trace: Trace) -> CorpusEntry:
-        """Store ``trace`` under ``key`` (atomic, checksum recorded)."""
+        """Store ``trace`` under ``key``: one tmp write, one atomic rename."""
         digest = key.digest
-        blob = self._serialize(trace)
+        payload = self._serialize(trace)
+        checksum = hashlib.sha256(payload)
+        blob = _encode_header(key, len(trace), checksum.digest()) + payload
         path = self._object_path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".tmp-{digest}-{os.getpid()}"
         tmp.write_bytes(blob)
         os.replace(tmp, path)
-        entry = CorpusEntry(
-            suite=key.suite,
-            name=key.name,
-            variant=key.variant,
-            scale=float(key.scale),
-            checksum=self._checksum(blob),
-            events=len(trace),
-            size=len(blob),
-            created=time.time(),
-        )
-        self._update_manifest(
-            lambda entries: entries.__setitem__(digest, asdict(entry))
-        )
         self.stats.bytes_written += len(blob)
-        self._memory_put(digest, trace)
         if self.max_bytes is not None:
             self.gc()
-        return entry
+        return CorpusEntry(
+            key.suite, key.name, key.variant, float(key.scale),
+            checksum.hexdigest(), len(trace), len(blob),
+        )
 
     def get_or_record(
         self, key: TraceKey, record: Callable[[], Trace]
     ) -> Trace:
-        """Two-tier lookup, recording (exactly once) on miss.
+        """Load ``key``, recording (exactly once) on miss.
 
         The per-entry lock means that when a worker pool floods the
         store with the same missing key, one worker records while the
@@ -426,90 +421,59 @@ class TraceCorpus:
 
     # -- maintenance -------------------------------------------------------
 
-    def verify(self) -> List[Tuple[CorpusEntry, bool, str]]:
-        """Re-hash and re-parse every entry; (entry, ok, reason) rows."""
+    def verify(self) -> List[Tuple[str, Optional[CorpusEntry], Optional[str]]]:
+        """Check every object in full, in digest order.
+
+        Rows are ``(digest, entry, problem)``: ``problem`` is None for a
+        sound object, and ``entry`` None when its header cannot be read.
+        """
         report = []
-        for entry in self.entries():
+        for digest, path in sorted(self._iter_objects().items()):
             try:
-                blob = self._object_path(entry.key.digest).read_bytes()
+                blob = path.read_bytes()
             except OSError:
-                report.append((entry, False, "object file missing"))
-                continue
-            if self._checksum(blob) != entry.checksum:
-                report.append((entry, False, "checksum mismatch"))
-                continue
-            try:
-                events = len(self._deserialize(blob))
-            except (TraceFormatError, OSError, EOFError):
-                report.append((entry, False, "undecodable object"))
-                continue
-            if events != entry.events:
-                report.append(
-                    (entry, False, f"{events} events, manifest says {entry.events}")
-                )
-                continue
-            report.append((entry, True, "ok"))
+                continue  # removed by another process since the glob
+            entry, _, problem = self._load(digest, blob)
+            report.append((digest, entry, problem))
         return report
 
-    def gc(
-        self,
-        max_bytes: Optional[int] = None,
-        orphan_grace: float = 60.0,
-    ) -> List[CorpusEntry]:
-        """Evict least-recently-used entries until the store fits.
+    def gc(self, max_bytes: Optional[int] = None) -> List[CorpusEntry]:
+        """Sweep what cannot be served, then evict least-recently-used
+        entries until the store fits ``max_bytes`` (default: the store's
+        own bound; with neither, only sweep).  Returns the evicted
+        entries.
 
-        Also sweeps orphans: objects with no manifest row and manifest
-        rows with no object.  Returns the evicted entries.
-
-        ``orphan_grace`` protects objects younger than that many seconds
-        from the orphan sweep: a concurrent :meth:`put` writes its
-        object *before* its manifest row lands, so a zero-grace sweep
-        could destroy a trace mid-store (the same race git's
-        ``gc --prune=<age>`` exists for).
+        The sweep removes objects whose header cannot be read and
+        ``.tmp-*`` files older than the stale age, left by a ``put``
+        that died before its rename.  Only complete files ever reach an
+        object path, so the sweep needs no grace window.
         """
         bound = self.max_bytes if max_bytes is None else max_bytes
         evicted: List[CorpusEntry] = []
         now = time.time()
         with self._lock("gc"):
-            entries = self._read_manifest()
-            known = set(entries)
-            for digest, path in self._iter_objects().items():
-                if digest in known:
-                    continue
-                age = mtime_age(path, now)
-                if age is not None and age < orphan_grace:
-                    continue  # likely a put() awaiting its manifest row
-                try:
-                    path.unlink()
-                except OSError:
-                    pass  # another process already removed it
-            removed = {
-                digest
-                for digest in entries
-                if not self._object_path(digest).exists()
-            }
+            doomed = []
+            pattern = f"{'[0-9a-f]' * _SHARD_WIDTH}/.tmp-*"
+            for tmp in self.objects_dir.glob(pattern):
+                age = mtime_age(tmp, now)
+                if age is not None and age > _STALE_AFTER:
+                    doomed.append(tmp)
+            live = []
+            for path, entry in self._scan():
+                if entry is None:
+                    doomed.append(path)
+                else:
+                    live.append((path, entry))
             if bound is not None:
-                survivors = [d for d in entries if d not in removed]
-                survivors.sort(key=self._mtime)
-                sizes = {}
-                for digest in survivors:
-                    try:
-                        sizes[digest] = self._object_path(digest).stat().st_size
-                    except OSError:
-                        sizes[digest] = 0
-                total = sum(sizes.values())
-                for digest in survivors:
+                total = sum(entry.size for _, entry in live)
+                for path, entry in live:
                     if total <= bound:
                         break
-                    total -= sizes[digest]
-                    self._unlink_object(digest)
-                    self._memory.pop(digest, None)
-                    removed.add(digest)
-                    evicted.append(CorpusEntry(**entries[digest]))
-            if removed:
-                self._update_manifest(
-                    lambda rows: [rows.pop(digest, None) for digest in removed]
-                )
+                    total -= entry.size
+                    doomed.append(path)
+                    evicted.append(entry)
+            for path in doomed:
+                _remove(path)
         self.stats.evicted += len(evicted)
         return evicted
 

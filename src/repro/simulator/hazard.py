@@ -100,7 +100,12 @@ class HazardReport:
 
 
 class HazardModel:
-    """In-order, multi-issue, hazard-tracking trace executor."""
+    """In-order, multi-issue, hazard-tracking trace executor.
+
+    A ``bank``'s unit latencies must be the machine's (build it with
+    ``latencies=machine.latencies()``): the model checks them and never
+    rewrites the bank it is given.
+    """
 
     def __init__(
         self,
@@ -119,7 +124,12 @@ class HazardModel:
         self.fp_add_latency = fp_add_latency
         if bank is not None:
             for op, unit in bank.units.items():
-                unit.latency = machine.latency(op)
+                if unit.latency != machine.latency(op):
+                    raise ValueError(
+                        f"{op.name} unit has latency {unit.latency} but "
+                        f"{machine.name} takes {machine.latency(op)}; build "
+                        f"the bank with latencies=machine.latencies()"
+                    )
 
     def _latency(self, event: TraceEvent) -> int:
         """Latency of one event on this machine (no memoization)."""

@@ -1,23 +1,15 @@
 """``repro.simulator.sampling`` -- the sampling layer.
 
-Two estimators over one idea: simulate a carefully chosen fraction of
-the trace and report whole-trace MEMO-TABLE statistics with a bounded
-error.
-
-:mod:`.systematic`
-    SMARTS-style periodic windows -- every ``interval`` events, a
-    warm-up slice then a measured window (:func:`estimate_hit_ratios`).
+Simulate a carefully chosen fraction of the trace and report
+whole-trace MEMO-TABLE statistics with a bounded error, by SimPoint-style
+phase-aware sampling:
 
 :mod:`.features` / :mod:`.phases` / :mod:`.estimator`
-    SimPoint-style phase-aware sampling -- per-interval feature
-    vectors (opcode mix, operand-bit entropy, pc-region signature),
-    seeded k-means phase clustering, and a weighted estimate from one
-    representative interval per phase whose warm-up error is bounded
-    against the oracle's infinite-table replay
+    per-interval feature vectors (opcode mix, operand-bit entropy,
+    pc-region signature), seeded k-means phase clustering, and a
+    weighted estimate from one representative interval per phase whose
+    warm-up error is bounded against the oracle's infinite-table replay
     (:func:`estimate_phases`).
-
-The old module path (``repro.simulator.sampling``) keeps working: the
-systematic API is re-exported here unchanged.
 """
 
 from .estimator import (
@@ -39,12 +31,8 @@ from .phases import (
     representative_intervals,
     sample_intervals,
 )
-from .systematic import SampledEstimate, SamplingPlan, estimate_hit_ratios
 
 __all__ = [
-    "SamplingPlan",
-    "SampledEstimate",
-    "estimate_hit_ratios",
     "FeatureConfig",
     "IntervalFeatures",
     "interval_features",

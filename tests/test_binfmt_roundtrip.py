@@ -145,6 +145,24 @@ class TestMalformedInput:
             _key(e) for e in full[: len(partial)]
         ]
 
+    @given(st.lists(trace_events(), min_size=1, max_size=12),
+           st.data())
+    @settings(max_examples=100)
+    def test_damaged_stream_decodes_or_raises_format_error(self, events, data):
+        """A truncated or bit-flipped stream either decodes or raises
+        TraceFormatError -- never another exception."""
+        blob = bytearray(_write(events))
+        if data.draw(st.booleans(), label="truncate"):
+            del blob[data.draw(st.integers(0, len(blob) - 1), label="cut"):]
+        else:
+            for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                index = data.draw(st.integers(0, len(blob) - 1))
+                blob[index] ^= 1 << data.draw(st.integers(0, 7))
+        try:
+            ColumnBatch.concat(read_column_blocks(io.BytesIO(bytes(blob))))
+        except TraceFormatError:
+            pass
+
     @given(st.binary(max_size=64))
     @settings(max_examples=60)
     def test_garbage_rejected(self, blob):

@@ -61,3 +61,19 @@ def test_bad_scale_is_a_usage_error(entry, argv, value, capsys):
     err = capsys.readouterr().err
     assert "argument --scale" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc", "1e303"])
+def test_bad_gc_bound_is_a_usage_error(value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "gc", "--dir", str(tmp_path), f"--max-mb={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "argument --max-mb" in err
+    assert "Traceback" not in err
+
+
+def test_zero_gc_bound_accepted(tmp_path, capsys):
+    assert main(["corpus", "gc", "--dir", str(tmp_path), "--max-mb=0"]) == 0
+    assert "(bound 0B)" in capsys.readouterr().out

@@ -1,15 +1,18 @@
 """Tests for the persistent trace corpus store (repro.corpus.store)."""
 
 import gzip
+import hashlib
 import multiprocessing
 import struct
 
 import pytest
 
+from repro.corpus.cli import main as corpus_main
 from repro.corpus.store import (
     CorpusStats,
     TraceCorpus,
     TraceKey,
+    _encode_header,
     active_corpus,
     set_active_corpus,
 )
@@ -65,27 +68,10 @@ class TestStoreRoundTrip:
         corpus = TraceCorpus(tmp_path)
         original = _trace()
         corpus.put(_key(), original)
-        corpus.clear_memory()  # force the disk tier
         loaded = corpus.get(_key())
         assert loaded.events == original.events
         assert loaded.events[3].pc is not None
         assert loaded.events[3].srcs == (3,)
-
-    def test_memory_tier_returns_same_object(self, tmp_path):
-        corpus = TraceCorpus(tmp_path)
-        corpus.put(_key(), _trace())
-        first = corpus.get(_key())
-        second = corpus.get(_key())
-        assert first is second
-        assert corpus.stats.memory_hits >= 1
-
-    def test_memory_tier_is_bounded(self, tmp_path):
-        corpus = TraceCorpus(tmp_path, memory_entries=2)
-        for n in range(3):
-            corpus.put(_key(n), _trace(n))
-        assert len(corpus._memory) == 2
-        # Evicted from memory but still served from disk.
-        assert corpus.get(_key(0)).events == _trace(0).events
 
     def test_get_missing_is_none(self, tmp_path):
         corpus = TraceCorpus(tmp_path)
@@ -93,6 +79,7 @@ class TestStoreRoundTrip:
         assert corpus.stats.misses == 1
 
     def test_manifest_round_trip(self, tmp_path):
+        """A reopened store lists its entries from the object headers."""
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(1), _trace(1))
         corpus.put(_key(2), _trace(2, events=7))
@@ -119,7 +106,6 @@ class TestIntegrity:
     def test_corrupted_entry_detected_and_rerecorded(self, tmp_path):
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(), _trace())
-        corpus.clear_memory()
         path = self._object_path(corpus)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
@@ -137,7 +123,6 @@ class TestIntegrity:
     def test_truncated_entry_detected(self, tmp_path):
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(), _trace())
-        corpus.clear_memory()
         path = self._object_path(corpus)
         path.write_bytes(path.read_bytes()[:-10])
         assert corpus.get(_key()) is None
@@ -146,7 +131,6 @@ class TestIntegrity:
     def test_missing_object_is_miss(self, tmp_path):
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(), _trace())
-        corpus.clear_memory()
         self._object_path(corpus).unlink()
         assert corpus.get(_key()) is None
 
@@ -154,47 +138,128 @@ class TestIntegrity:
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(1), _trace(1))
         corpus.put(_key(2), _trace(2))
-        report = corpus.verify()
-        assert all(ok for _, ok, _ in report)
-        digest = _key(1).digest
-        target = corpus._object_path(digest)
+        assert [problem for *_, problem in corpus.verify()] == [None, None]
+        target = corpus._object_path(_key(1).digest)
         blob = bytearray(target.read_bytes())
         blob[-1] ^= 0xFF
         target.write_bytes(bytes(blob))
-        report = {e.key: (ok, reason) for e, ok, reason in corpus.verify()}
-        assert report[_key(1)][0] is False
-        assert "checksum" in report[_key(1)][1]
-        assert report[_key(2)][0] is True
+        report = {entry.key: problem for _, entry, problem in corpus.verify()}
+        assert report[_key(1)] == "checksum mismatch"
+        assert report[_key(2)] is None
 
     def test_retired_format_object_is_rerecorded(self, tmp_path):
-        """An object in a retired record format (a v2 stream) with an
-        intact manifest checksum is undecodable, dropped and re-recorded."""
+        """An object whose payload is a retired record format (a v2
+        stream) behind a valid header and checksum is undecodable,
+        dropped and re-recorded."""
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(), _trace())
-        corpus.clear_memory()
-        digest = _key().digest
         v2_record = struct.pack("<BBqqqq", 0, 0, 0, 0, 0, 0)
-        blob = gzip.compress(b"RPROTRC2" + v2_record, mtime=0)
-        corpus._object_path(digest).write_bytes(blob)
-        corpus._update_manifest(
-            lambda entries: entries[digest].update(
-                checksum=corpus._checksum(blob), size=len(blob)
-            )
+        payload = gzip.compress(b"RPROTRC2" + v2_record, mtime=0)
+        header = _encode_header(
+            _key(), len(_trace()), hashlib.sha256(payload).digest()
         )
-        [(_, ok, reason)] = corpus.verify()
-        assert not ok and reason == "undecodable object"
+        corpus._object_path(_key().digest).write_bytes(header + payload)
+        [(_, entry, problem)] = corpus.verify()
+        assert entry.key == _key() and problem == "undecodable object"
         trace = corpus.get_or_record(_key(), _trace)
         assert corpus.stats.corrupt_dropped == 1
         assert corpus.stats.recorded == 1
         assert trace.events == _trace().events
-        assert [ok for _, ok, _ in corpus.verify()] == [True]
+        assert [problem for *_, problem in corpus.verify()] == [None]
 
-    def test_torn_manifest_treated_as_empty(self, tmp_path):
+    def test_event_count_is_checked_against_the_payload(self, tmp_path):
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(), _trace())
-        corpus.manifest_path.write_text("{not json")
-        corpus.clear_memory()
-        assert corpus.get(_key()) is None  # unreachable, will re-record
+        payload = TraceCorpus._serialize(_trace())
+        header = _encode_header(
+            _key(), len(_trace()) + 1, hashlib.sha256(payload).digest()
+        )
+        corpus._object_path(_key().digest).write_bytes(header + payload)
+        [(_, _, problem)] = corpus.verify()
+        assert problem == "20 events, header says 21"
+        assert corpus.get(_key()) is None
+        assert corpus.stats.corrupt_dropped == 1
+
+
+class TestSelfDescribingObjects:
+    def test_object_is_header_then_the_gzip_payload(self, tmp_path):
+        corpus = TraceCorpus(tmp_path)
+        entry = corpus.put(_key(), _trace())
+        blob = corpus._object_path(_key().digest).read_bytes()
+        payload = TraceCorpus._serialize(_trace())
+        header = _encode_header(
+            _key(), len(_trace()), hashlib.sha256(payload).digest()
+        )
+        assert blob == header + payload
+        assert entry.size == len(blob) == corpus.stats.bytes_written
+        assert entry.checksum == hashlib.sha256(payload).hexdigest()
+        assert corpus.entries() == [entry]
+
+    def test_object_copied_alone_is_listed_and_served(self, tmp_path, capsys):
+        TraceCorpus(tmp_path / "a").put(_key(), _trace())
+        source = TraceCorpus(tmp_path / "a")._object_path(_key().digest)
+        target = TraceCorpus(tmp_path / "b")._object_path(_key().digest)
+        target.parent.mkdir()
+        target.write_bytes(source.read_bytes())
+        assert corpus_main(["ls", "--dir", str(tmp_path / "b")]) == 0
+        out = capsys.readouterr().out
+        assert "1 traces" in out and "kernel0" in out and " 20 " in out
+        corpus = TraceCorpus(tmp_path / "b")
+        trace = corpus.get_or_record(_key(), _trace)
+        assert trace.events == _trace().events
+        assert corpus.stats.recorded == 0 and corpus.stats.disk_hits == 1
+
+    def test_header_naming_another_key_is_unreadable(self, tmp_path):
+        corpus = TraceCorpus(tmp_path)
+        corpus.put(_key(1), _trace())
+        misplaced = corpus._object_path(_key(2).digest)
+        misplaced.parent.mkdir(exist_ok=True)
+        misplaced.write_bytes(corpus._object_path(_key(1).digest).read_bytes())
+        assert [entry.key for entry in corpus.entries()] == [_key(1)]
+        assert corpus.get(_key(2)) is None
+        assert corpus.stats.corrupt_dropped == 1
+
+
+class TestParentLayout:
+    """A directory the manifest-based store wrote: a ``manifest.json``
+    and objects that are bare gzip payloads without a header."""
+
+    def _parent_layout(self, root):
+        corpus = TraceCorpus(root)
+        for n in range(3):
+            path = corpus._object_path(_key(n).digest)
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(TraceCorpus._serialize(_trace(n)))
+        (root / "manifest.json").write_text(
+            '{"entries": {}, "format": 1, "recorder_version": 1}\n'
+        )
+        return corpus
+
+    def test_cli_lists_flags_and_collects_headerless_objects(
+        self, tmp_path, capsys
+    ):
+        self._parent_layout(tmp_path)
+        digests = [_key(n).digest for n in range(3)]
+        assert corpus_main(["ls", "--dir", str(tmp_path)]) == 0
+        assert "0 traces" in capsys.readouterr().out
+        assert corpus_main(["verify", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        for digest in digests:
+            assert f"BAD  {digest[:12]}" in out
+        assert out.count("unreadable header") == 3
+        assert "0/3 entries verified clean" in out
+        assert corpus_main(["gc", "--dir", str(tmp_path)]) == 0
+        assert TraceCorpus(tmp_path)._iter_objects() == {}
+        assert (tmp_path / "manifest.json").exists()  # ignored, not read
+
+    def test_replay_rerecords_headerless_objects(self, tmp_path):
+        corpus = self._parent_layout(tmp_path)
+        for n in range(3):
+            trace = corpus.get_or_record(_key(n), lambda n=n: _trace(n))
+            assert trace.events == _trace(n).events
+        assert corpus.stats.corrupt_dropped == 3
+        assert corpus.stats.recorded == 3
+        assert [problem for *_, problem in corpus.verify()] == [None] * 3
 
 
 class TestGC:
@@ -223,22 +288,23 @@ class TestGC:
         assert len(corpus) == 0
 
     def test_gc_sweeps_orphan_objects(self, tmp_path):
+        """An object whose header cannot be read goes at once: a put
+        only ever renames a complete file into place."""
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(), _trace())
-        # Planted where a racing put() writes: the digest's shard path.
-        orphan = corpus._object_path("f" * 32)
-        orphan.parent.mkdir(exist_ok=True)
-        orphan.write_bytes(b"junk")
-        corpus.gc()  # within the grace window: a racing put() survives
-        assert orphan.exists()
-        corpus.gc(orphan_grace=0.0)
-        assert not orphan.exists()
+        junk = corpus._object_path("f" * 32)
+        junk.parent.mkdir(exist_ok=True)
+        junk.write_bytes(b"junk")
+        assert corpus.gc() == []  # swept, not evicted
+        assert not junk.exists()
         assert len(corpus) == 1  # real entry untouched
 
     def test_gc_drops_manifest_rows_without_objects(self, tmp_path):
+        """With no index beside the objects, a removed object leaves no
+        entry behind."""
         corpus = TraceCorpus(tmp_path)
         corpus.put(_key(), _trace())
-        corpus._unlink_object(_key().digest)
+        corpus._object_path(_key().digest).unlink()
         corpus.gc()
         assert len(corpus) == 0
 
@@ -254,7 +320,6 @@ class TestGetOrRecord:
 
         corpus.get_or_record(_key(), record)
         corpus.get_or_record(_key(), record)
-        corpus.clear_memory()
         corpus.get_or_record(_key(), record)
         assert calls == [1]
         assert corpus.stats.recorded == 1
@@ -289,13 +354,13 @@ class TestConcurrency:
         assert len(TraceCorpus(tmp_path)) == 1
 
     def test_concurrent_writers_do_not_clobber_manifest(self, tmp_path):
+        """Lock-free puts of distinct keys from four processes all land."""
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(4) as pool:
             pool.map(_worker_own_key, [(str(tmp_path), n) for n in range(8)])
         corpus = TraceCorpus(tmp_path)
         assert len(corpus) == 8
-        assert all(ok for _, ok, _ in corpus.verify())
-        corpus.clear_memory()
+        assert all(problem is None for *_, problem in corpus.verify())
         for n in range(8):
             assert corpus.get(_key(n)).events == _trace(n).events
 

@@ -44,13 +44,15 @@ class TestShardedWrites:
 
 class TestShardAwareGC:
     def test_gc_sweeps_orphans_in_both_layouts(self, tmp_path):
+        """gc walks every shard and removes an unreadable object from
+        any of them, without a grace window."""
         corpus = _populate(tmp_path, count=1)
         shard_dir = corpus.objects_dir / "ff"
         shard_dir.mkdir(exist_ok=True)
-        shard_orphan = shard_dir / ("f" * 32 + ".trc.gz")
-        shard_orphan.write_bytes(b"junk")
-        corpus.gc(orphan_grace=0.0)
-        assert not shard_orphan.exists()
+        shard_junk = shard_dir / ("f" * 32 + ".trc.gz")
+        shard_junk.write_bytes(b"junk")
+        corpus.gc()
+        assert not shard_junk.exists()
         assert len(corpus) == 1
 
     def test_gc_eviction_spans_layouts(self, tmp_path):
@@ -62,7 +64,7 @@ class TestShardAwareGC:
 
     def test_gc_drops_rows_whose_object_is_gone_in_any_layout(self, tmp_path):
         corpus = _populate(tmp_path, count=2)
-        corpus._unlink_object(_key(0).digest)
+        corpus._object_path(_key(0).digest).unlink()
         corpus.gc()
         remaining = {entry.key for entry in corpus.entries()}
         assert remaining == {_key(1)}

@@ -21,6 +21,15 @@ def _ialu(dst=None, srcs=()):
 
 
 class TestBasics:
+    def test_bank_latencies_checked_not_overwritten(self):
+        bank = MemoTableBank.paper_baseline(
+            operations=(Operation.FP_DIV,), latencies=FAST_DESIGN.latencies()
+        )
+        with pytest.raises(ValueError, match=r"FP_DIV .* 13 .* takes 39"):
+            HazardModel(SLOW_DESIGN, bank=bank)
+        assert bank.units[Operation.FP_DIV].latency == 13
+        HazardModel(FAST_DESIGN, bank=bank)  # matching latencies are fine
+
     def test_issue_width_validated(self):
         with pytest.raises(ValueError):
             HazardModel(FAST_DESIGN, issue_width=0)
