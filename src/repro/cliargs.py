@@ -10,7 +10,22 @@ from __future__ import annotations
 import argparse
 import math
 
-__all__ = ["scale", "size_mib"]
+__all__ = ["positive_int", "scale", "size_mib"]
+
+
+def positive_int(text: str) -> int:
+    """A count or problem size: an integer greater than zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: not an integer"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: must be an integer >= 1"
+        )
+    return value
 
 
 def scale(text: str) -> float:

@@ -17,6 +17,11 @@ implementation, in two forms:
   semantics (clock, recency, replacement, every counter) exactly, under
   every trivial-operation policy (Table 9) and both tag modes
   (Table 10).
+  A partition probed into a never-probed LRU or FIFO table is
+  remembered on its batch (:class:`_ProbeMemo`): the next dispatch of
+  the same partition into an equally configured fresh table -- another
+  experiment, another machine's latencies, the hazard pass -- rebuilds
+  the final table and charges the counts without running the loop.
 * :func:`run_events_scalar` -- the **scalar reference** path: the
   classic event-at-a-time loop over ``unit.execute``.  CI asserts the
   two produce bit-identical :class:`~repro.core.stats.MemoStats` on
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +58,7 @@ from ..isa.opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode
 from .config import OperandKind, TagMode, TrivialPolicy
 from .memo_table import InfiniteMemoTable, MemoTable, _Entry
 from .operations import Operation, compute_function
-from .replacement import LRUPolicy
+from .replacement import FIFOPolicy, LRUPolicy
 
 __all__ = [
     "KERNEL_FAULTS",
@@ -218,6 +223,7 @@ def probe_batch(
     _np_a=None,
     _np_b=None,
     outcomes=None,
+    _memo=None,
 ) -> Tuple[int, int, int]:
     """Present a same-operation operand batch to one memoized unit.
 
@@ -227,7 +233,8 @@ def probe_batch(
 
     * finite :class:`~repro.core.memo_table.MemoTable` under any
       replacement policy, trivial-operation policy and tag mode -- the
-      pair-id loop (:func:`_probe_fused`);
+      pair-id loop (:func:`_probe_fused`), or its stored result
+      (:func:`_replay_fused`) when ``_memo`` holds one for this unit;
     * :class:`~repro.core.memo_table.InfiniteMemoTable` under EXCLUDE
       with FULL tags -- the tag dict loop (:func:`_probe_infinite`);
     * anything else -- validation runs, custom table classes, mixed
@@ -242,6 +249,14 @@ def probe_batch(
     folded together).  Every tier fills it; a call without it does no
     extra work.
 
+    ``_memo`` is ``(memo, partition)``: the probe memo of the batch the
+    operands come from (a dict) and a key naming them within it
+    (opcode, start, stop).  When :func:`_memo_key` says a stored run
+    can stand in for the loop, a hit replays it and a miss stores the
+    loop's run.  The lookup sits inside the instrumented path, so a
+    replayed partition reports the same spans and counters as a probed
+    one.
+
     With metrics enabled (:func:`repro.obs.enabled`), each partition is
     additionally timed as a ``kernel.partition.<OP>`` span and its
     probe/insert/evict counter deltas stream into the registry --
@@ -251,14 +266,15 @@ def probe_batch(
     if not obs.enabled():
         return _probe_batch(
             unit, a_values, b_values, results, validate, _np_a, _np_b,
-            outcomes,
+            outcomes, _memo,
         )
     stats = unit.stats
     before = stats.counters()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     out = _probe_batch(
-        unit, a_values, b_values, results, validate, _np_a, _np_b, outcomes
+        unit, a_values, b_values, results, validate, _np_a, _np_b, outcomes,
+        _memo,
     )
     reg = obs.registry()
     name = unit.operation.name
@@ -284,6 +300,7 @@ def _probe_batch(
     _np_a=None,
     _np_b=None,
     outcomes=None,
+    _memo=None,
 ) -> Tuple[int, int, int]:
     """The uninstrumented :func:`probe_batch` body (tier dispatch)."""
     n = len(a_values)
@@ -303,13 +320,29 @@ def _probe_batch(
         if _np_a is None:
             _np_a, _np_b = _coerce_operands(a_values, b_values, int_kind)
         if _np_a is not None and int_kind == (_np_a.dtype.kind == "i"):
-            if table_type is MemoTable:
-                return _probe_fused(
+            if table_type is not MemoTable:
+                counts = _probe_infinite(
                     unit, table, a_values, b_values, _np_a, _np_b, outcomes
                 )
-            return _probe_infinite(
-                unit, table, a_values, b_values, _np_a, _np_b, outcomes
-            )
+                return _charge(unit, table, *counts)
+            key = None if _memo is None else _memo_key(unit, table, _memo[1])
+            if key is None:
+                counts = _probe_fused(
+                    unit, table, a_values, b_values, _np_a, _np_b, outcomes
+                )
+                return _charge(unit, table, *counts)
+            runs = _memo[0]
+            stored = runs.get(key)
+            if stored is None:
+                stored = _ProbeMemo.run(
+                    unit, table, a_values, b_values, _np_a, _np_b
+                )
+                runs[key] = stored
+            else:
+                _replay_fused(unit, table, stored)
+            if outcomes is not None:
+                outcomes[:] = stored.outcomes
+            return _charge(unit, table, *stored.counts)
     execute = unit.execute
     check = validate and results is not None
     base = memo = mismatches = 0
@@ -351,7 +384,8 @@ def _coerce_operands(a_values, b_values, int_kind):
 
 def _charge(unit, table, n, n_trivial, lookups, hits, commutative_hits,
             insertions, evictions) -> Tuple[int, int, int]:
-    """Bulk cycle accounting and counter updates for one partition.
+    """Bulk cycle accounting and counter updates for one partition,
+    from the seven counts a fast loop (or a replayed one) returns.
 
     Hits cost ``latency`` on the base machine and ``hit_latency`` on
     the memoized one; misses cost ``latency`` on both.  The ``n -
@@ -425,6 +459,96 @@ def _pair_ids(keys_a, keys_b):
 #: (0, 0.0), so unfilled slots need an impossible marker.
 _UNSET = object()
 
+#: Replacement policies whose victims depend only on the table's own
+#: clocks.  RANDOM is left out: its seeded generator advances with
+#: every eviction, so two equally configured tables differ in state.
+_MEMO_POLICIES = (LRUPolicy, FIFOPolicy)
+
+#: One final way per row, in set then way order: set index, both tag
+#: halves, both stored operands, last-used and inserted clocks.
+_FLOAT_WAYS = np.dtype([
+    ("set", np.int64), ("tag_a", np.uint64), ("tag_b", np.uint64),
+    ("a", np.float64), ("b", np.float64),
+    ("last_used", np.int64), ("inserted", np.int64),
+])
+_INT_WAYS = np.dtype([
+    ("set", np.int64), ("tag_a", np.int64), ("tag_b", np.int64),
+    ("a", np.int64), ("b", np.int64),
+    ("last_used", np.int64), ("inserted", np.int64),
+])
+
+
+def _memo_key(unit, table, partition):
+    """The probe-memo key for serving ``partition`` (opcode, start,
+    stop) with ``unit``, or None when no stored run may stand in for
+    the pair-id loop.
+
+    A stored run fits any table that starts where it started: a
+    :class:`~repro.core.memo_table.MemoTable` that has never been
+    probed (``flush`` keeps the clock, so a flushed table does not
+    qualify) under a policy in :data:`_MEMO_POLICIES`, with no kernel
+    fault armed.  Such a run depends on the operand stream, the unit's
+    operation and trivial policy and the table's configuration -- never
+    on latencies, which only :func:`_charge` reads."""
+    if (
+        table._clock
+        or type(table._policy) not in _MEMO_POLICIES
+        or _active_fault is not None
+    ):
+        return None
+    return partition + (unit.operation, unit.trivial_policy, table.config)
+
+
+class _ProbeMemo(NamedTuple):
+    """One pair-id loop run on a never-probed table, kept for replay.
+
+    ``counts`` are the seven :func:`_charge` arguments after the table,
+    ``clock`` the final table clock, ``ways`` the final entries (one
+    :data:`_FLOAT_WAYS` or :data:`_INT_WAYS` row each; values are not
+    kept, since every entry of a table that started empty holds its own
+    operands' computed value) and ``outcomes`` the per-event outcome
+    column."""
+
+    counts: Tuple[int, ...]
+    clock: int
+    ways: np.ndarray
+    outcomes: np.ndarray
+
+    @classmethod
+    def run(cls, unit, table, a_values, b_values, np_a, np_b) -> "_ProbeMemo":
+        """Run the pair-id loop into ``table`` and keep what it left."""
+        outcomes = np.empty(len(np_a), np.uint8)
+        counts = _probe_fused(
+            unit, table, a_values, b_values, np_a, np_b, outcomes
+        )
+        dtype = (
+            _INT_WAYS if table.config.operand_kind is OperandKind.INT
+            else _FLOAT_WAYS
+        )
+        ways = np.array(
+            [
+                (s, *entry.tag, *entry.operands, entry.last_used,
+                 entry.inserted)
+                for s, set_ways in enumerate(table._sets)
+                for entry in set_ways
+            ],
+            dtype=dtype,
+        )
+        return cls(counts, table._clock, ways, outcomes)
+
+
+def _replay_fused(unit, table, stored: _ProbeMemo) -> None:
+    """Put a never-probed ``table`` into the state ``stored``'s run left
+    its table in: the same ways in the same order, each value computed
+    from its stored operands, and the same clock."""
+    compute_op = compute_function(unit.operation)
+    sets_ = table._sets
+    for s, tag_a, tag_b, a, b, last_used, inserted in stored.ways.tolist():
+        entry = _Entry((tag_a, tag_b), compute_op(a, b), (a, b), last_used)
+        entry.inserted = inserted
+        sets_[s].append(entry)
+    table._clock = stored.clock
+
 
 def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
     """The pair-id loop (finite MemoTable; every trivial policy and tag
@@ -451,8 +575,9 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
 
     Trivial operations never reach the loop under EXCLUDE (the unit's
     early-out) and INTEGRATED (a one-cycle hit in front of the table);
-    under CACHE_ALL they probe like any other operation.  :func:`_charge`
-    does the per-policy accounting.
+    under CACHE_ALL they probe like any other operation.  Returns the
+    seven counts :func:`_charge` takes; the caller does the per-policy
+    accounting.
 
     Bit-exactness: the tag is all the table compares, so events sharing
     a pair id are indistinguishable to it; replaying clock, recency and
@@ -675,10 +800,7 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
                 new_ways.append(entry)
             sets_[s] = new_ways
 
-    return _charge(
-        unit, table, n, n_trivial, lookups, hits,
-        commutative_hits, insertions, evictions,
-    )
+    return n, n_trivial, lookups, hits, commutative_hits, insertions, evictions
 
 
 def _probe_infinite(unit, table, a_values, b_values, np_a, np_b,
@@ -729,10 +851,7 @@ def _probe_infinite(unit, table, a_values, b_values, np_a, np_b,
         entries[tag] = (value, (a, b))
     if record:
         _fill_outcomes(outcomes, trivial_arr if n_trivial else None, missed)
-    return _charge(
-        unit, table, n, n_trivial, lookups, hits, commutative_hits,
-        insertions, 0,
-    )
+    return n, n_trivial, lookups, hits, commutative_hits, insertions, 0
 
 
 # -- whole-trace execution --------------------------------------------------
@@ -849,9 +968,10 @@ def _run_batch(
 ) -> KernelReport:
     """Opcode-partitioned execution of ``batch[start:stop]``: each
     memoizable opcode's events go to :func:`probe_batch` as one
-    partition; memory, FADD and IALU-class cycles are charged in
-    bulk.  ``outcomes`` (length ``stop - start``) receives each
-    probed event's outcome code at its trace position."""
+    partition, with the batch's probe memo; memory, FADD and
+    IALU-class cycles are charged in bulk.  ``outcomes`` (length
+    ``stop - start``) receives each probed event's outcome code at its
+    trace position."""
     views = batch.views()
     opcode_codes = views.opcode[start:stop]
     count_list = np.bincount(opcode_codes, minlength=len(OPCODE_LIST)).tolist()
@@ -886,7 +1006,7 @@ def _run_batch(
         base, memo, bad = probe_batch(
             unit, a_values, b_values,
             results=results, validate=validate, _np_a=np_a, _np_b=np_b,
-            outcomes=part,
+            outcomes=part, _memo=(views.probes, (opcode, start, stop)),
         )
         if part is not None:
             outcomes[relative] = part

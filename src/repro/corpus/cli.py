@@ -6,12 +6,13 @@
         Pre-record every trace the named experiments (default: all)
         will replay, fanning misses out across a worker pool.
 
-    repro corpus ls        List stored traces (LRU order, oldest first).
+    repro corpus ls        List stored traces (LRU order, oldest first)
+                           and count the unreadable objects left out.
     repro corpus verify    Check every object's header and payload; exit 1
                            on damage.
-    repro corpus gc        Remove unreadable objects and stale tmp files;
-                           with --max-mb, evict least-recently-used traces
-                           to that bound.
+    repro corpus gc        Remove unreadable objects and stale tmp files,
+                           naming each; with --max-mb, evict
+                           least-recently-used traces to that bound.
 
 All subcommands take ``--dir PATH`` (default: ``$REPRO_CORPUS_DIR`` or
 ``~/.cache/repro/corpus``).  The store shards objects into two-hex-digit
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from pathlib import Path
 from typing import List, Optional
 
 from .. import cliargs
@@ -56,6 +58,22 @@ def _fmt_size(size: int) -> str:
     return f"{size}B"
 
 
+def _summary(corpus: TraceCorpus, entries) -> str:
+    """``N traces, SIZE`` over the readable ``entries`` alone, plus how
+    many unreadable objects were left out of both."""
+    text = (
+        f"{corpus.root}: {len(entries)} traces, "
+        f"{_fmt_size(sum(entry.size for entry in entries))}"
+    )
+    skipped = len(corpus.unreadable())
+    if skipped:
+        text += (
+            f"; {skipped} unreadable object(s) skipped "
+            "(`repro corpus gc` removes them)"
+        )
+    return text
+
+
 def _cmd_record(args) -> int:
     from ..experiments import experiment_names
 
@@ -82,8 +100,7 @@ def _cmd_record(args) -> int:
         f"{stats.disk_hits} already cached "
         f"[{elapsed:.1f}s, jobs={args.jobs}]"
     )
-    print(f"corpus {corpus.root}: {len(corpus)} traces, "
-          f"{_fmt_size(corpus.total_bytes())}")
+    print(f"corpus {_summary(corpus, corpus.entries())}")
     return 0
 
 
@@ -106,10 +123,7 @@ def _cmd_ls(args) -> int:
         format_table(
             ["digest", "suite", "app", "input", "scale", "events", "size"],
             rows,
-            title=(
-                f"{corpus.root}: {len(entries)} traces, "
-                f"{_fmt_size(corpus.total_bytes())}"
-            ),
+            title=_summary(corpus, entries),
         )
     )
     return 0
@@ -130,12 +144,20 @@ def _cmd_gc(args) -> int:
     corpus = _corpus(args)
     before = corpus.total_bytes()
     max_bytes = int(args.max_mb * (1 << 20)) if args.max_mb is not None else None
-    evicted = corpus.gc(max_bytes)
+    swept: List[Path] = []
+    evicted = corpus.gc(max_bytes, swept=swept)
+    tmp_files = [path for path in swept if path.name.startswith(".tmp-")]
+    unreadable = [path for path in swept if not path.name.startswith(".tmp-")]
+    for path in unreadable:
+        print(f"removed unreadable object {path.name[:12]}")
+    for path in tmp_files:
+        print(f"removed stale tmp file {path.name}")
     for entry in evicted:
         print(f"evicted {entry.key.describe()} ({_fmt_size(entry.size)})")
     print(
-        f"{len(evicted)} evicted; {_fmt_size(before)} -> "
-        f"{_fmt_size(corpus.total_bytes())}"
+        f"{len(evicted)} evicted, {len(unreadable)} unreadable object(s) "
+        f"and {len(tmp_files)} stale tmp file(s) removed; "
+        f"{_fmt_size(before)} -> {_fmt_size(corpus.total_bytes())}"
         + (f" (bound {_fmt_size(max_bytes)})" if max_bytes is not None else "")
     )
     return 0

@@ -339,6 +339,12 @@ class TraceCorpus:
         """Every object whose header reads, most recently used last."""
         return [entry for _, entry in self._scan() if entry is not None]
 
+    def unreadable(self) -> List[Path]:
+        """Every object whose header cannot be read, least recently
+        used first: :meth:`entries` leaves it out, :meth:`verify`
+        flags it and :meth:`gc` removes it."""
+        return [path for path, entry in self._scan() if entry is None]
+
     def total_bytes(self) -> int:
         total = 0
         for path in self._iter_objects().values():
@@ -437,7 +443,11 @@ class TraceCorpus:
             report.append((digest, entry, problem))
         return report
 
-    def gc(self, max_bytes: Optional[int] = None) -> List[CorpusEntry]:
+    def gc(
+        self,
+        max_bytes: Optional[int] = None,
+        swept: Optional[List[Path]] = None,
+    ) -> List[CorpusEntry]:
         """Sweep what cannot be served, then evict least-recently-used
         entries until the store fits ``max_bytes`` (default: the store's
         own bound; with neither, only sweep).  Returns the evicted
@@ -446,24 +456,26 @@ class TraceCorpus:
         The sweep removes objects whose header cannot be read and
         ``.tmp-*`` files older than the stale age, left by a ``put``
         that died before its rename.  Only complete files ever reach an
-        object path, so the sweep needs no grace window.
+        object path, so the sweep needs no grace window.  ``swept``,
+        when given, receives the path of every file the sweep removed.
         """
         bound = self.max_bytes if max_bytes is None else max_bytes
         evicted: List[CorpusEntry] = []
         now = time.time()
         with self._lock("gc"):
-            doomed = []
+            sweep = []
             pattern = f"{'[0-9a-f]' * _SHARD_WIDTH}/.tmp-*"
             for tmp in self.objects_dir.glob(pattern):
                 age = mtime_age(tmp, now)
                 if age is not None and age > _STALE_AFTER:
-                    doomed.append(tmp)
+                    sweep.append(tmp)
             live = []
             for path, entry in self._scan():
                 if entry is None:
-                    doomed.append(path)
+                    sweep.append(path)
                 else:
                     live.append((path, entry))
+            doomed = list(sweep)
             if bound is not None:
                 total = sum(entry.size for _, entry in live)
                 for path, entry in live:
@@ -475,6 +487,8 @@ class TraceCorpus:
             for path in doomed:
                 _remove(path)
         self.stats.evicted += len(evicted)
+        if swept is not None:
+            swept.extend(sweep)
         return evicted
 
 

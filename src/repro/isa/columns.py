@@ -76,11 +76,13 @@ def _signed(bits: int) -> int:
 
 
 class _Views:
-    """Cached numpy views over a batch's columns (zero-copy)."""
+    """Cached numpy views over a batch's columns (zero-copy), and the
+    state the probe kernel derives from them: ``probes``, the batch's
+    probe memo (:mod:`repro.core.kernel` owns its keys and entries)."""
 
     __slots__ = (
         "length", "opcode", "flags", "a_i", "b_i", "r_i",
-        "a_f", "b_f", "r_f", "address", "pc", "dst",
+        "a_f", "b_f", "r_f", "address", "pc", "dst", "probes",
     )
 
     def __init__(self, batch: "ColumnBatch") -> None:
@@ -98,10 +100,18 @@ class _Views:
         self.address = np.frombuffer(batch.address_col, dtype=np.int64)
         self.pc = np.frombuffer(batch.pc_col, dtype=np.int64)
         self.dst = np.frombuffer(batch.dst_col, dtype=np.int64)
+        self.probes: dict = {}
 
 
 class ColumnBatch:
-    """A trace slice as parallel columns (see module docstring)."""
+    """A trace slice as parallel columns (see module docstring).
+
+    A batch may grow (``append``, ``extend_batch``), but its columns
+    are immutable once probed: nothing rewrites an existing event.  The
+    cached views and the probe memo the kernel keeps with them
+    (:meth:`views`) are derived from the columns; they are rebuilt, and
+    the memo dropped, when the batch grows, and an in-place write would
+    leave them stale."""
 
     __slots__ = (
         "opcode_col", "flags_col", "a_col", "b_col", "result_col",
@@ -223,8 +233,9 @@ class ColumnBatch:
     # -- numpy views -------------------------------------------------------
 
     def views(self) -> _Views:
-        """Zero-copy numpy views; rebuilt whenever the batch has grown
-        (``array`` reallocation invalidates older buffers)."""
+        """Zero-copy numpy views and the probe memo; rebuilt (the memo
+        emptied) whenever the batch has grown (``array`` reallocation
+        invalidates older buffers)."""
         if self._views is None or self._views.length != len(self):
             self._views = _Views(self)
         return self._views

@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .. import cliargs
+from ..errors import ReproError
 from . import (
     MetricsRegistry,
     render_table,
@@ -53,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="load a previously written --metrics-out JSON document",
     )
     parser.add_argument(
-        "-n", type=int, default=48,
+        "-n", type=cliargs.positive_int, default=48,
         help="problem size for --program (default 48)",
     )
     parser.add_argument(
@@ -122,9 +124,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         try:
             snapshot = _run_program(args.program, args.n)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 1
+        except ReproError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
 
     status = 0
     if args.validate:

@@ -21,6 +21,8 @@ import json
 import sys
 from typing import List, Optional
 
+from ... import cliargs
+
 __all__ = ["main_sample"]
 
 
@@ -43,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--n",
-        type=int,
+        type=cliargs.positive_int,
         default=65536,
         help="workload size handed to the program (default 65536)",
     )

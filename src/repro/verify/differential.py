@@ -9,11 +9,14 @@ One fuzz case is a (trace, table configuration, trivial policy) triple.
 * the pair-id columnar kernel (the ``fused`` execution backend over a
   :class:`~repro.isa.columns.ColumnBatch`, pinned explicitly through
   the registry so a process-wide ``REPRO_BACKEND`` can never alias two
-  parties onto the same code path)
+  parties onto the same code path), run twice: once into a fresh bank,
+  which runs the loop, and once more into another fresh bank, which
+  the kernel's probe memo serves from the first run (the replay leg)
 
 -- and demands bit-exact agreement on every unit/table counter, the
-final table contents (tags, values, stored operands, recency), and the
-per-event delivered values (oracle vs. scalar).  It additionally checks
+final table contents (tags, values, stored operands, recency), the
+table clocks (fused legs vs. scalar), and the per-event delivered
+values (oracle vs. scalar).  It additionally checks
 two sound cross-invariants: the fused report's opcode accounting
 matches the column breakdown, and no finite full-tag table ever hits
 more often than the infinite-table replay upper bound
@@ -168,6 +171,19 @@ def _bank_contents(bank: MemoTableBank):
     return contents
 
 
+def _bank_clocks(bank: MemoTableBank):
+    """Each finite table's clock and its ways' insertion clocks (the
+    state FIFO victims and later probes read, beyond the contents)."""
+    return {
+        op: (
+            unit.table._clock,
+            [[e.inserted for e in ways] for ways in unit.table._sets],
+        )
+        for op, unit in bank.units.items()
+        if hasattr(unit.table, "_sets")
+    }
+
+
 def _oracle_contents(oracle: OracleBank):
     contents = {}
     for op, unit in oracle.units.items():
@@ -222,7 +238,8 @@ def _features(case: FuzzCase, oracle: OracleBank) -> frozenset:
 
 
 def run_case(case: FuzzCase) -> CaseResult:
-    """Execute one case three ways and cross-check everything.
+    """Execute one case three ways (the fused one twice) and
+    cross-check everything.
 
     A crash in any path is itself a divergence (reported, not raised),
     so the campaign survives it and the shrinker can minimize it.
@@ -267,13 +284,23 @@ def run_case(case: FuzzCase) -> CaseResult:
 
     # Path 3: fused kernel over the columnar view (pinned by name so
     # the environment cannot redirect this leg onto another backend).
+    # The same batch then goes into a second fresh bank: the kernel's
+    # probe memo serves every partition the first leg ran through the
+    # pair-id loop, so the replay leg checks the stored runs.
+    fused = execution.get("fused")
     fused_bank = make_bank(case)
+    replay_bank = make_bank(case)
     try:
-        report = execution.get("fused").probe_batch(
+        report = fused.probe_batch(
             batch, fused_bank.units, execution.KernelConfig()
         )
     except Exception as exc:
         diverge(f"crash: fused kernel raised {exc!r}")
+        return result
+    try:
+        fused.probe_batch(batch, replay_bank.units, execution.KernelConfig())
+    except Exception as exc:
+        diverge(f"crash: fused replay raised {exc!r}")
         return result
 
     # -- comparisons ------------------------------------------------------
@@ -281,10 +308,16 @@ def run_case(case: FuzzCase) -> CaseResult:
     oracle_fp = oracle.fingerprint()
     scalar_fp = _bank_fingerprint(scalar_bank)
     fused_fp = _bank_fingerprint(fused_bank)
+    replay_fp = _bank_fingerprint(replay_bank)
     if fused_fp != scalar_fp:
         diverge(
             "stats: fused != scalar for unit "
             f"{_first_diff(fused_fp, scalar_fp)}"
+        )
+    if replay_fp != scalar_fp:
+        diverge(
+            "stats: fused replay != scalar for unit "
+            f"{_first_diff(replay_fp, scalar_fp)}"
         )
     if oracle_fp != scalar_fp:
         diverge(
@@ -295,11 +328,25 @@ def run_case(case: FuzzCase) -> CaseResult:
     scalar_contents = _bank_contents(scalar_bank)
     fused_contents = _bank_contents(fused_bank)
     oracle_contents = _oracle_contents(oracle)
+    replay_contents = _bank_contents(replay_bank)
     if fused_contents != scalar_contents:
         diverge(
             "table contents: fused != scalar for unit "
             f"{_first_diff(fused_contents, scalar_contents)}"
         )
+    if replay_contents != scalar_contents:
+        diverge(
+            "table contents: fused replay != scalar for unit "
+            f"{_first_diff(replay_contents, scalar_contents)}"
+        )
+    scalar_clocks = _bank_clocks(scalar_bank)
+    for leg, bank in (("fused", fused_bank), ("fused replay", replay_bank)):
+        clocks = _bank_clocks(bank)
+        if clocks != scalar_clocks:
+            diverge(
+                f"table clocks: {leg} != scalar for unit "
+                f"{_first_diff(clocks, scalar_clocks)}"
+            )
     if oracle_contents != scalar_contents:
         diverge(
             "table contents: oracle != scalar for unit "

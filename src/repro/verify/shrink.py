@@ -72,8 +72,8 @@ def divergence_signature(divergences: Iterable[str]) -> FrozenSet[str]:
     """The *kinds* of divergence in a report, as a comparable set.
 
     Non-crash lines contribute their report kind (``stats``,
-    ``table contents``, ``delivered value``, ``report``, ``reuse
-    bound``); crash lines contribute ``crash:<path>:<ExcClass>`` so a
+    ``table contents``, ``table clocks``, ``delivered value``,
+    ``report``, ``reuse bound``); crash lines contribute ``crash:<path>:<ExcClass>`` so a
     ``ZeroDivisionError`` from the oracle is never confused with, say, a
     ``ValueError`` out of the fused kernel.
     """

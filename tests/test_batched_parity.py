@@ -20,8 +20,9 @@ import struct
 
 import pytest
 
+from repro import obs
 from repro.analysis.static.memo import reference_machine
-from repro.arch.latency import FAST_DESIGN
+from repro.arch.latency import FAST_DESIGN, SLOW_DESIGN
 from repro.core import backend as execution
 from repro.core import kernel
 from repro.core.bank import MemoTableBank
@@ -31,14 +32,17 @@ from repro.core.config import (
     TagMode,
     TrivialPolicy,
 )
+from repro.core.memo_table import MemoTable
 from repro.core.operations import Operation
 from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
 from repro.isa.programs import PROGRAMS
 from repro.isa.trace import Trace, TraceEvent
 from repro.simulator.cache import MemoryHierarchy
+from repro.simulator.hazard import HazardModel
 from repro.simulator.pipeline import CycleModel
 from repro.simulator.shade import ShadeSimulator
+from repro.verify import faults
 
 ALL_OPERATIONS = tuple(Operation)
 
@@ -82,7 +86,8 @@ def _bank_fingerprint(bank):
 
 
 def _table_entries(bank):
-    """Full table contents, bit-exact -- tags, values, stored operands."""
+    """Full table contents, bit-exact -- tags, values, stored operands,
+    recency and insertion clocks, in way order."""
     contents = {}
     for op, unit in bank.units.items():
         table = unit.table
@@ -90,7 +95,7 @@ def _table_entries(bank):
             contents[op] = [
                 [
                     (e.tag, _bits(e.value), tuple(map(_bits, e.operands)),
-                     e.last_used)
+                     e.last_used, e.inserted)
                     for e in ways
                 ]
                 for ways in table._sets
@@ -103,19 +108,51 @@ def _table_entries(bank):
     return contents
 
 
+def _table_clocks(bank):
+    return {
+        op: unit.table._clock
+        for op, unit in bank.units.items()
+        if hasattr(unit.table, "_clock")
+    }
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each kernel function in ``names`` (all take the unit first)
+    so every call appends the unit's operation to the returned list."""
+    calls = []
+    for name in names:
+        original = getattr(kernel, name)
+
+        def counting(unit, *args, _original=original, **kwargs):
+            calls.append(unit.operation)
+            return _original(unit, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, name, counting)
+    return calls
+
+
 @pytest.fixture
 def fused_served(monkeypatch):
     """The operations whose partitions the pair-id loop served, one
-    entry per partition (the scalar backend never reaches it)."""
-    served = []
-    original = kernel._probe_fused
+    entry per partition (the scalar backend never reaches it).  A
+    replay from the probe memo counts as the loop's service: the memo
+    only ever stores the loop's runs.  (An INT unit under a MANTISSA
+    config tags full values, so it replays a partition that an earlier
+    test on the shared ``traces`` already probed.)"""
+    return _count_calls(monkeypatch, ("_probe_fused", "_replay_fused"))
 
-    def counting(unit, *args, **kwargs):
-        served.append(unit.operation)
-        return original(unit, *args, **kwargs)
 
-    monkeypatch.setattr(kernel, "_probe_fused", counting)
-    return served
+@pytest.fixture
+def loop_runs(monkeypatch):
+    """The operations the pair-id loop itself ran for, one entry per
+    partition (memo replays not counted)."""
+    return _count_calls(monkeypatch, ("_probe_fused",))
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The operations whose partitions a probe-memo replay served."""
+    return _count_calls(monkeypatch, ("_replay_fused",))
 
 
 def _probed(bank):
@@ -460,3 +497,220 @@ class TestReplayInfiniteParity:
         assert kernel.replay_infinite(events) == (
             kernel._replay_infinite_scalar(events)
         )
+
+
+def _fresh(events):
+    """A copy of ``events``' columns that no dispatch has seen, so its
+    probe memo starts empty."""
+    batch = ColumnBatch()
+    batch.extend_batch(execution.as_batch(events))
+    return batch
+
+
+def _assert_same_state(bank, reference):
+    assert _bank_fingerprint(bank) == _bank_fingerprint(reference)
+    assert _table_entries(bank) == _table_entries(reference)
+    assert _table_clocks(bank) == _table_clocks(reference)
+
+
+class _SubclassTable(MemoTable):
+    """A custom table class: the kernel serves it through
+    ``unit.execute``, never the pair-id loop or its memo."""
+
+
+class TestProbeMemo:
+    """A partition dispatched again into an equally configured,
+    never-probed table replays the pair-id loop's stored run instead of
+    running the loop, and leaves exactly what the scalar reference
+    leaves; every other table runs its own loop."""
+
+    @pytest.mark.parametrize(
+        "tag_mode", [TagMode.FULL, TagMode.MANTISSA], ids=["full", "mantissa"]
+    )
+    @pytest.mark.parametrize(
+        "policy",
+        [TrivialPolicy.EXCLUDE, TrivialPolicy.INTEGRATED,
+         TrivialPolicy.CACHE_ALL],
+        ids=["exclude", "integrated", "cache-all"],
+    )
+    @pytest.mark.parametrize(
+        "replacement", [ReplacementKind.LRU, ReplacementKind.FIFO],
+        ids=["lru", "fifo"],
+    )
+    def test_replay_equals_probe(
+        self, traces, replacement, policy, tag_mode, loop_runs, replays
+    ):
+        config = MemoTableConfig(
+            entries=8, associativity=2, replacement=replacement,
+            tag_mode=tag_mode,
+        )
+
+        def make_bank():
+            return MemoTableBank.paper_baseline(
+                config=config, operations=ALL_OPERATIONS,
+                trivial_policy=policy,
+            )
+
+        inputs = [traces[name] for name in sorted(PROGRAMS)]
+        inputs.append(_edge_trace())
+        for events in inputs:
+            execution.dispatch(events, make_bank().units, backend="fused")
+            del loop_runs[:], replays[:]
+            bank = make_bank()
+            execution.dispatch(events, bank.units, backend="fused")
+            assert loop_runs == []
+            assert sorted(replays, key=lambda op: op.name) == _probed(bank)
+            reference = make_bank()
+            execution.dispatch(events, reference.units, backend="scalar")
+            _assert_same_state(bank, reference)
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_one_probe_serves_two_machines(self, traces, name, loop_runs):
+        # A machine's latencies change only the cycle charge, so the
+        # SLOW run replays the FAST run's probes and still charges its
+        # own latencies -- in the cycle model and in the hazard pass.
+        batch = _fresh(traces[name])
+        events = batch.to_events()
+        for machine in (FAST_DESIGN, SLOW_DESIGN):
+            del loop_runs[:]
+            reports = []
+            for chosen, trace in (("fused", batch), ("scalar", events)):
+                bank = MemoTableBank.paper_baseline(
+                    operations=ALL_OPERATIONS,
+                    latencies=machine.latencies(),
+                )
+                reports.append(CycleModel(
+                    machine, bank=bank, hierarchy=MemoryHierarchy(),
+                    backend=chosen,
+                ).run(trace))
+            report, scalar_report = reports
+            assert report.base_cycles == scalar_report.base_cycles
+            assert report.memo_cycles == scalar_report.memo_cycles
+            assert report.cycles_by_opcode == scalar_report.cycles_by_opcode
+            if machine is SLOW_DESIGN:
+                assert loop_runs == []
+        for machine in (FAST_DESIGN, SLOW_DESIGN):
+            del loop_runs[:]
+            hazard = []
+            for trace in (batch, events):  # columnar pass, event reference
+                bank = MemoTableBank.paper_baseline(
+                    operations=ALL_OPERATIONS,
+                    latencies=machine.latencies(),
+                )
+                with execution.use_backend("fused"):
+                    hazard.append(HazardModel(machine, bank=bank).run(trace))
+            assert hazard[0] == hazard[1]
+            assert loop_runs == []
+
+    @pytest.mark.parametrize(
+        "case",
+        ["probed", "flushed", "random", "validate", "fault", "infinite",
+         "subclass"],
+    )
+    def test_never_served(self, traces, case, loop_runs, replays):
+        # A plain dispatch first stores this batch's run for the config
+        # (RANDOM excepted); the dispatch under test must not replay it.
+        config = MemoTableConfig(
+            entries=8, associativity=2,
+            replacement=(
+                ReplacementKind.RANDOM if case == "random"
+                else ReplacementKind.LRU
+            ),
+            seed=7,
+        )
+
+        def plain_bank():
+            return MemoTableBank.paper_baseline(
+                config=config, operations=ALL_OPERATIONS
+            )
+
+        def case_bank():
+            if case == "infinite":
+                return MemoTableBank.infinite(operations=ALL_OPERATIONS)
+            bank = plain_bank()
+            if case == "subclass":
+                for unit in bank.units.values():
+                    unit.table = _SubclassTable(unit.table.config)
+                    unit.stats.table = unit.table.stats
+            return bank
+
+        def run(bank, backend="fused", validate=False):
+            execution.dispatch(
+                batch, bank.units, backend=backend, validate=validate
+            )
+
+        batch = _fresh(traces["memo_showcase"])
+        if case == "fault":
+            with faults.inject("lru_victim_off_by_one"):
+                faulty = plain_bank()
+                run(faulty)
+            # A faulty run is never stored ...
+            del loop_runs[:]
+            clean, reference = plain_bank(), plain_bank()
+            run(clean)
+            run(reference, "scalar")
+            assert loop_runs
+            _assert_same_state(clean, reference)
+            # ... and an armed fault never replays a clean one.
+            del loop_runs[:]
+            with faults.inject("lru_victim_off_by_one"):
+                again = plain_bank()
+                run(again)
+            assert loop_runs
+            assert _bank_fingerprint(again) == _bank_fingerprint(faulty)
+            assert replays == []
+            return
+        first, reference = plain_bank(), case_bank()
+        run(first)
+        if case in ("probed", "flushed"):
+            second = first
+            run(reference, "scalar")
+            if case == "flushed":
+                second.flush()
+                reference.flush()
+        else:
+            second = case_bank()
+        del loop_runs[:]
+        run(second, validate=case == "validate")
+        run(reference, "scalar", validate=case == "validate")
+        assert replays == []
+        if case in ("probed", "flushed", "random"):
+            assert sorted(loop_runs, key=lambda op: op.name) == (
+                _probed(second)
+            )
+        else:
+            assert loop_runs == []
+        _assert_same_state(second, reference)
+
+    def test_replay_records_the_same_metrics(self, traces, loop_runs):
+        batch = _fresh(traces["memo_showcase"])
+        snapshots = []
+        obs.set_enabled(True)
+        try:
+            for _ in range(2):
+                del loop_runs[:]
+                registry = obs.MetricsRegistry()
+                with obs.use_registry(registry):
+                    ShadeSimulator(
+                        bank=MemoTableBank.paper_baseline(
+                            operations=ALL_OPERATIONS
+                        ),
+                        backend="fused",
+                    ).run(batch)
+                    CycleModel(
+                        FAST_DESIGN,
+                        bank=MemoTableBank.paper_baseline(
+                            operations=ALL_OPERATIONS,
+                            latencies=FAST_DESIGN.latencies(),
+                        ),
+                        backend="fused",
+                    ).run(batch)
+                snapshots.append((registry.as_dict(), list(loop_runs)))
+        finally:
+            obs.set_enabled(None)
+        (first, first_loops), (replayed, replayed_loops) = snapshots
+        assert first_loops and not replayed_loops
+        assert replayed["counters"] == first["counters"]
+        assert {
+            name: span["count"] for name, span in replayed["spans"].items()
+        } == {name: span["count"] for name, span in first["spans"].items()}

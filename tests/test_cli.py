@@ -77,3 +77,28 @@ def test_bad_gc_bound_is_a_usage_error(value, tmp_path, capsys):
 def test_zero_gc_bound_accepted(tmp_path, capsys):
     assert main(["corpus", "gc", "--dir", str(tmp_path), "--max-mb=0"]) == 0
     assert "(bound 0B)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["stats", "--program", "saxpy", "-n"], "argument -n"),
+        (["sample", "--program", "saxpy", "--n"], "argument --n"),
+    ],
+    ids=["stats", "sample"],
+)
+def test_bad_problem_size_is_a_usage_error(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert option in err
+    assert "Traceback" not in err
+
+
+def test_stats_unknown_program_is_one_line(capsys):
+    assert main(["stats", "--program", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown program 'nope'" in err

@@ -3,11 +3,12 @@
 import gzip
 import hashlib
 import multiprocessing
+import os
 import struct
 
 import pytest
 
-from repro.corpus.cli import main as corpus_main
+from repro.corpus.cli import _fmt_size, main as corpus_main
 from repro.corpus.store import (
     CorpusStats,
     TraceCorpus,
@@ -251,6 +252,37 @@ class TestParentLayout:
         assert corpus_main(["gc", "--dir", str(tmp_path)]) == 0
         assert TraceCorpus(tmp_path)._iter_objects() == {}
         assert (tmp_path / "manifest.json").exists()  # ignored, not read
+
+    def test_cli_names_and_counts_what_it_skips_and_sweeps(
+        self, tmp_path, capsys
+    ):
+        corpus = self._parent_layout(tmp_path)
+        corpus.put(_key(7), _trace(7))
+        listed = _fmt_size(corpus.entries()[0].size)
+        stale = corpus._object_path(_key(7).digest).with_name(".tmp-dead-1")
+        stale.write_bytes(b"half a put")
+        os.utime(stale, (0, 0))
+        digests = [_key(n).digest for n in range(3)]
+
+        assert corpus_main(["ls", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        # Sized by the one listed object, not by every file on disk.
+        assert f"1 traces, {listed}; 3 unreadable object(s) skipped" in out
+
+        assert corpus_main(["gc", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        for digest in digests:
+            assert f"removed unreadable object {digest[:12]}" in out
+        assert "removed stale tmp file .tmp-dead-1" in out
+        assert (
+            "0 evicted, 3 unreadable object(s) and 1 stale tmp file(s) "
+            "removed" in out
+        )
+        assert not stale.exists()
+        assert [entry.key for entry in corpus.entries()] == [_key(7)]
+
+        assert corpus_main(["ls", "--dir", str(tmp_path)]) == 0
+        assert "skipped" not in capsys.readouterr().out
 
     def test_replay_rerecords_headerless_objects(self, tmp_path):
         corpus = self._parent_layout(tmp_path)
