@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 
-__all__ = ["positive_int", "scale", "size_mib"]
+__all__ = ["positive_int", "scale", "seconds", "size_mib"]
 
 
 def positive_int(text: str) -> int:
@@ -28,19 +28,28 @@ def positive_int(text: str) -> int:
     return value
 
 
-def scale(text: str) -> float:
-    """A workload scale factor: a finite number greater than zero."""
+def _positive_number(text: str, what: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid scale {text!r}: not a number"
+            f"invalid {what} {text!r}: not a number"
         ) from None
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
-            f"invalid scale {text!r}: must be a finite number > 0"
+            f"invalid {what} {text!r}: must be a finite number > 0"
         )
     return value
+
+
+def scale(text: str) -> float:
+    """A workload scale factor: a finite number greater than zero."""
+    return _positive_number(text, "scale")
+
+
+def seconds(text: str) -> float:
+    """A duration in seconds: a finite number greater than zero."""
+    return _positive_number(text, "duration")
 
 
 def size_mib(text: str) -> float:

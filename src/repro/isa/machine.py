@@ -3,20 +3,35 @@
 The paper's measurement substrate is Shade executing SPARC binaries.
 The instrumented-Python workloads reproduce its *value streams*; this
 module closes the remaining gap for users who want to study real
-(if small) programs: an assembler for a SPARC-like textual ISA and an
-interpreter that executes programs while appending each instruction to
+(if small) programs: an assembler for a SPARC-like textual ISA and a
+machine that executes programs while appending each instruction to
 the same columnar trace the workload recorder builds
 (:class:`~repro.isa.columns.ColumnAccumulator`) -- with genuine program
 counters (for the Reuse Buffer comparison) and genuine register
 dataflow (for the hazard pipeline).
 
+Each instruction is decoded once per :class:`Machine`.  Decoding turns
+an :class:`Instruction` into an *op*: a closure bound to that machine's
+register lists, memory dict, condition codes and accumulator appenders,
+with its register indices, immediates, memory base and offset,
+successor indices, result function and traced opcode resolved up front.
+:meth:`Machine.run` is then the step-budget check plus
+``index = ops[index]()``.  Decoding never raises.  An instruction that
+does not decode becomes an op raising its :class:`MachineError` when it
+executes, and only then; operands are checked in the order execution
+reads them, so the first bad one is reported.  A branch to an unknown
+label raises only when taken, after its BRANCH event is appended.  The
+ops hold no reference to their machine, so a finished machine is freed
+by reference counting.
+
 Syntax (one instruction per line, ``!`` or ``#`` comments)::
 
     ! integer:   %r0..%r31  (r0 reads as zero), floats: %f0..%f31
-    set     1024, %r1        ! r1 <- immediate
+    set     1024, %r1        ! r1 <- immediate (or register)
     fset    2.5, %f1         ! f1 <- float immediate
     add     %r1, 8, %r2      ! also sub/and/or/xor/sll/srl
     smul    %r1, %r2, %r3    ! integer multiply     (traced IMUL)
+    sdiv    %r1, %r2, %r3    ! integer divide       (traced IDIV)
     ld      [%r1 + 8], %f2   ! load double          (traced LOAD)
     st      %f2, [%r1 + 16]  ! store double         (traced STORE)
     fadd    %f1, %f2, %f3    ! also fsub            (traced FADD)
@@ -38,10 +53,12 @@ seeds input arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.operations import ieee_div, ieee_log, ieee_recip, ieee_sqrt, int_div
 from ..errors import TraceFormatError
@@ -54,8 +71,7 @@ __all__ = ["Program", "Instruction", "assemble", "Machine", "MachineError"]
 #: Address of the first instruction (text segment base).
 TEXT_BASE = 0x10000
 
-_INT_OPS = {"add", "sub", "and", "or", "xor", "sll", "srl"}
-_BRANCHES = {"ba", "be", "bne", "bl", "ble", "bg", "bge"}
+
 def _ieee_sin(a: float) -> float:
     """sin with IEEE default results (NaN for non-finite inputs)."""
     return math.sin(a) if math.isfinite(a) else math.nan
@@ -72,19 +88,43 @@ _IALU = OPCODE_INDEX[Opcode.IALU]
 _BRANCH = OPCODE_INDEX[Opcode.BRANCH]
 _LOAD = OPCODE_INDEX[Opcode.LOAD]
 _STORE = OPCODE_INDEX[Opcode.STORE]
-_IMUL = OPCODE_INDEX[Opcode.IMUL]
-_IDIV = OPCODE_INDEX[Opcode.IDIV]
-_FADD = OPCODE_INDEX[Opcode.FADD]
-_FMUL = OPCODE_INDEX[Opcode.FMUL]
-_FDIV = OPCODE_INDEX[Opcode.FDIV]
 
-#: Unary FP mnemonics -> (compute, traced opcode code).
-_FP_UNARY = {
+#: Three-operand mnemonics -> (result, traced opcode code, float?).
+#: IALU instructions are traced without their operands.
+_BINARY: Dict[str, Tuple[Callable, int, bool]] = {
+    "add": (operator.add, _IALU, False),
+    "sub": (operator.sub, _IALU, False),
+    "and": (operator.and_, _IALU, False),
+    "or": (operator.or_, _IALU, False),
+    "xor": (operator.xor, _IALU, False),
+    "sll": (lambda a, b: a << (b & 63), _IALU, False),
+    "srl": (lambda a, b: (a % (1 << 64)) >> (b & 63), _IALU, False),
+    "smul": (operator.mul, OPCODE_INDEX[Opcode.IMUL], False),
+    "sdiv": (int_div, OPCODE_INDEX[Opcode.IDIV], False),
+    "fadd": (operator.add, OPCODE_INDEX[Opcode.FADD], True),
+    "fsub": (operator.sub, OPCODE_INDEX[Opcode.FADD], True),
+    "fmul": (operator.mul, OPCODE_INDEX[Opcode.FMUL], True),
+    "fdiv": (ieee_div, OPCODE_INDEX[Opcode.FDIV], True),
+}
+
+#: Unary FP mnemonics -> (result, traced opcode code).
+_FP_UNARY: Dict[str, Tuple[Callable[[float], float], int]] = {
     "fsqrt": (ieee_sqrt, OPCODE_INDEX[Opcode.FSQRT]),
     "frecip": (ieee_recip, OPCODE_INDEX[Opcode.FRECIP]),
     "flog": (ieee_log, OPCODE_INDEX[Opcode.FLOG]),
     "fsin": (_ieee_sin, OPCODE_INDEX[Opcode.FSIN]),
     "fcos": (_ieee_cos, OPCODE_INDEX[Opcode.FCOS]),
+}
+
+#: Branch mnemonics -> taken?, indexed by the condition codes (0, 1, -1).
+_BRANCHES: Dict[str, Tuple[bool, bool, bool]] = {
+    "ba": (True, True, True),
+    "be": (True, False, False),
+    "bne": (False, True, True),
+    "bl": (False, False, True),
+    "ble": (True, False, True),
+    "bg": (False, True, False),
+    "bge": (True, True, False),
 }
 
 
@@ -166,12 +206,358 @@ def assemble(source: str) -> Program:
     return program
 
 
+# -- decoding ----------------------------------------------------------------
+
+#: An executable instruction: runs one step and returns the next index.
+_Op = Callable[[], int]
+
+#: Where an operand lives: ``values[index]`` and ``vids[index]`` are its
+#: value and producing event id at run time.
+_Slot = Tuple[list, list, int]
+
+
+class _Halt(Exception):
+    """Raised by ``halt``: the step counts and the machine halts."""
+
+
+class _End(Exception):
+    """Raised past the last instruction: the run ends without a step."""
+
+
+def _halt() -> int:
+    raise _Halt
+
+
+def _end() -> int:
+    raise _End
+
+
+def _raising(message: str, cause: Optional[BaseException] = None) -> _Op:
+    """An op raising ``MachineError(message)`` whenever it executes."""
+
+    def op() -> int:
+        raise MachineError(message) from cause
+
+    return op
+
+
+def _int_reg(token: str) -> int:
+    if not token.startswith("%r"):
+        raise MachineError(f"expected integer register, got {token!r}")
+    number = int(token[2:])
+    if not 0 <= number < 32:
+        raise MachineError(f"no such register {token!r}")
+    return number
+
+
+def _fp_reg(token: str) -> int:
+    if not token.startswith("%f"):
+        raise MachineError(f"expected fp register, got {token!r}")
+    number = int(token[2:])
+    if not 0 <= number < 32:
+        raise MachineError(f"no such register {token!r}")
+    return number
+
+
+def _constant(value: float) -> _Slot:
+    """A private slot: an immediate or ``%r0`` read, or a ``%r0`` write
+    that nothing reads back."""
+    return [value], [None], 0
+
+
+def _int_source(token: str, machine: "Machine") -> _Slot:
+    """An integer register or immediate operand."""
+    if token.startswith("%r"):
+        number = _int_reg(token)
+        if number == 0:
+            return _constant(0)
+        return machine.int_regs, machine._int_vids, number
+    try:
+        return _constant(int(token, 0))
+    except ValueError:
+        raise MachineError(f"bad integer operand {token!r}") from None
+
+
+def _int_dest(token: str, machine: "Machine") -> _Slot:
+    """An integer destination register (``%r0`` is hardwired zero)."""
+    number = _int_reg(token)
+    if number == 0:
+        return _constant(0)
+    return machine.int_regs, machine._int_vids, number
+
+
+def _fp_slot(token: str, machine: "Machine") -> _Slot:
+    """A floating-point register operand, read or written."""
+    return machine.fp_regs, machine._fp_vids, _fp_reg(token)
+
+
+def _memory_operand(token: str, machine: "Machine") -> Tuple[_Slot, int]:
+    """``[%rN + offset]`` -> (base register slot, offset)."""
+    match = _MEM_RE.match(token)
+    if not match:
+        raise MachineError(f"bad memory operand {token!r}")
+    base = int(match.group(1))
+    offset = int(match.group(2) or 0)
+    if base == 0:
+        return _constant(0), offset
+    if base >= 32:  # reported as a malformed instruction
+        raise IndexError(f"no register %r{base}")
+    return (machine.int_regs, machine._int_vids, base), offset
+
+
+def _decode_nop(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    plain = machine._columns.plain
+    pc, following = ins.pc, index + 1
+
+    def op() -> int:
+        plain(_NOP, None, None, (), pc)
+        return following
+
+    return op
+
+
+def _decode_set(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    if ins.mnemonic == "fset":
+        values, _, source = _constant(float(ins.operands[0]))
+        regs, vids, dest = _fp_slot(ins.operands[1], machine)
+    else:
+        values, _, source = _int_source(ins.operands[0], machine)
+        regs, vids, dest = _int_dest(ins.operands[1], machine)
+    new_vid = machine._vids.__next__
+    plain = machine._columns.plain
+    pc, following = ins.pc, index + 1
+
+    def op() -> int:
+        vid = new_vid()
+        regs[dest] = values[source]
+        vids[dest] = vid
+        plain(_IALU, None, vid, (), pc)
+        return following
+
+    return op
+
+
+def _decode_binary(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    compute, code, is_float = _BINARY[ins.mnemonic]
+    source = _fp_slot if is_float else _int_source
+    a_values, a_vids, a = source(ins.operands[0], machine)
+    b_values, b_vids, b = source(ins.operands[1], machine)
+    regs, vids, dest = (_fp_slot if is_float else _int_dest)(
+        ins.operands[2], machine
+    )
+    new_vid = machine._vids.__next__
+    pc, following = ins.pc, index + 1
+
+    if code == _IALU:
+        plain = machine._columns.plain
+
+        def op() -> int:
+            x = a_values[a]
+            y = b_values[b]
+            va = a_vids[a]
+            vb = b_vids[b]
+            vid = new_vid()
+            regs[dest] = compute(x, y)
+            vids[dest] = vid
+            if va is None:
+                srcs = () if vb is None else (vb,)
+            else:
+                srcs = (va,) if vb is None else (va, vb)
+            plain(_IALU, None, vid, srcs, pc)
+            return following
+
+        return op
+
+    columns = machine._columns
+    append = columns.float_op if is_float else columns.int_op
+
+    def traced_op() -> int:
+        x = a_values[a]
+        y = b_values[b]
+        va = a_vids[a]
+        vb = b_vids[b]
+        result = compute(x, y)
+        vid = new_vid()
+        regs[dest] = result
+        vids[dest] = vid
+        if va is None:
+            srcs = () if vb is None else (vb,)
+        else:
+            srcs = (va,) if vb is None else (va, vb)
+        append(code, x, y, result, vid, srcs, pc)
+        return following
+
+    return traced_op
+
+
+def _decode_ld(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    (bases, base_vids, base), offset = _memory_operand(ins.operands[0], machine)
+    regs, vids, dest = _fp_slot(ins.operands[1], machine)
+    load = machine.memory.get
+    producer = machine._mem_vids.get
+    new_vid = machine._vids.__next__
+    plain = machine._columns.plain
+    pc, following = ins.pc, index + 1
+
+    def op() -> int:
+        address = bases[base] + offset
+        vb = base_vids[base]
+        value = load(address, 0.0)
+        vid = new_vid()
+        vm = producer(address)
+        if vb is None:
+            srcs = () if vm is None else (vm,)
+        else:
+            srcs = (vb,) if vm is None else (vb, vm)
+        regs[dest] = value
+        vids[dest] = vid
+        plain(_LOAD, address, vid, srcs, pc)
+        return following
+
+    return op
+
+
+def _decode_st(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    regs, vids, source = _fp_slot(ins.operands[0], machine)
+    (bases, base_vids, base), offset = _memory_operand(ins.operands[1], machine)
+    memory, mem_vids = machine.memory, machine._mem_vids
+    new_vid = machine._vids.__next__
+    plain = machine._columns.plain
+    pc, following = ins.pc, index + 1
+
+    def op() -> int:
+        value = regs[source]
+        vv = vids[source]
+        address = bases[base] + offset
+        vb = base_vids[base]
+        memory[address] = value
+        vid = new_vid()
+        mem_vids[address] = vid
+        if vv is None:
+            srcs = () if vb is None else (vb,)
+        else:
+            srcs = (vv,) if vb is None else (vv, vb)
+        plain(_STORE, address, vid, srcs, pc)
+        return following
+
+    return op
+
+
+def _decode_fp_unary(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    compute, code = _FP_UNARY[ins.mnemonic]
+    a = _fp_reg(ins.operands[0])
+    dest = _fp_reg(ins.operands[1])
+    regs, vids = machine.fp_regs, machine._fp_vids
+    new_vid = machine._vids.__next__
+    float_op = machine._columns.float_op
+    pc, following = ins.pc, index + 1
+
+    def op() -> int:
+        x = regs[a]
+        va = vids[a]
+        result = float(compute(x))
+        vid = new_vid()
+        regs[dest] = result
+        vids[dest] = vid
+        float_op(code, x, 0.0, result, vid, () if va is None else (va,), pc)
+        return following
+
+    return op
+
+
+def _decode_cmp(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    a_values, _, a = _int_source(ins.operands[0], machine)
+    b_values, _, b = _int_source(ins.operands[1], machine)
+    cc = machine._cc
+    plain = machine._columns.plain
+    pc, following = ins.pc, index + 1
+
+    def op() -> int:
+        x = a_values[a]
+        y = b_values[b]
+        cc[0] = (x > y) - (x < y)
+        plain(_IALU, None, None, (), pc)
+        return following
+
+    return op
+
+
+def _decode_branch(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    taken = _BRANCHES[ins.mnemonic]
+    cc = machine._cc
+    plain = machine._columns.plain
+    pc, following = ins.pc, index + 1
+    try:
+        label = ins.operands[0]
+    except IndexError as exc:
+        message = f"line {ins.line}: malformed {ins.mnemonic!r} instruction"
+        cause: Optional[BaseException] = exc.with_traceback(None)
+    else:
+        address = machine.program.labels.get(label)
+        if address is not None:
+            end = len(machine.program.instructions)
+            target = (address - TEXT_BASE) // 4
+            if not 0 <= target <= end:
+                target = end  # a hand-built label outside the program
+            # Successor indices, indexed by the condition codes.
+            successors = tuple(target if t else following for t in taken)
+
+            def op() -> int:
+                plain(_BRANCH, None, None, (), pc)
+                return successors[cc[0]]
+
+            return op
+        message, cause = f"unknown label {label!r}", None
+
+    def failing_op() -> int:
+        plain(_BRANCH, None, None, (), pc)
+        if taken[cc[0]]:
+            raise MachineError(message) from cause
+        return following
+
+    return failing_op
+
+
+_DECODERS: Dict[str, Callable[[Instruction, int, "Machine"], _Op]] = {
+    "halt": lambda ins, index, machine: _halt,
+    "nop": _decode_nop,
+    "set": _decode_set,
+    "fset": _decode_set,
+    "ld": _decode_ld,
+    "st": _decode_st,
+    "cmp": _decode_cmp,
+    **dict.fromkeys(_BINARY, _decode_binary),
+    **dict.fromkeys(_FP_UNARY, _decode_fp_unary),
+    **dict.fromkeys(_BRANCHES, _decode_branch),
+}
+
+
+def _decode(ins: Instruction, index: int, machine: "Machine") -> _Op:
+    """The op of one instruction, or one raising its error when executed."""
+    decoder = _DECODERS.get(ins.mnemonic)
+    if decoder is None:
+        return _raising(f"line {ins.line}: unknown mnemonic {ins.mnemonic!r}")
+    try:
+        return decoder(ins, index, machine)
+    except (IndexError, ValueError) as exc:
+        # Drop the traceback: its frames hold the machine, and the op
+        # that keeps the cause must not.
+        return _raising(
+            f"line {ins.line}: malformed {ins.mnemonic!r} instruction",
+            exc.with_traceback(None),
+        )
+    except MachineError as exc:
+        return _raising(str(exc))
+
+
 class Machine:
-    """Interpreter executing a :class:`Program` and recording its trace.
+    """Executes a :class:`Program` and records its trace.
 
     Integer registers hold Python ints and floating-point registers and
     memory hold floats (``write_doubles`` coerces), so every traced
-    operand triple is all-int or all-float.
+    operand triple is all-int or all-float.  The program is decoded
+    when the machine is built, against these register lists and this
+    memory dict: change their contents, never the objects.
     """
 
     def __init__(self, program: Program) -> None:
@@ -179,82 +565,30 @@ class Machine:
         self.int_regs: List[int] = [0] * 32
         self.fp_regs: List[float] = [0.0] * 32
         self.memory: Dict[int, float] = {}
-        self.cc = 0  # condition codes: sign of last cmp
-        self._columns = ColumnAccumulator()
         self.steps = 0
         self.halted = False
+        self._cc = [0]  # condition codes: sign of last cmp
+        self._columns = ColumnAccumulator()
         # Dataflow: last writer event id per register / memory word.
-        self._next_vid = 0
+        self._vids = itertools.count(1)
         self._int_vids: List[Optional[int]] = [None] * 32
         self._fp_vids: List[Optional[int]] = [None] * 32
         self._mem_vids: Dict[int, int] = {}
+        self._ops: List[_Op] = [
+            _decode(ins, index, self)
+            for index, ins in enumerate(program.instructions)
+        ]
+        self._ops.append(_end)
+
+    @property
+    def cc(self) -> int:
+        """Condition codes: the sign of the last ``cmp``."""
+        return self._cc[0]
 
     @property
     def trace(self) -> Trace:
         """A :class:`~repro.isa.trace.Trace` of everything executed so far."""
         return self._columns.trace()
-
-    # -- helpers -----------------------------------------------------------
-
-    def _new_vid(self) -> int:
-        self._next_vid += 1
-        return self._next_vid
-
-    @staticmethod
-    def _int_reg(token: str) -> int:
-        if not token.startswith("%r"):
-            raise MachineError(f"expected integer register, got {token!r}")
-        number = int(token[2:])
-        if not 0 <= number < 32:
-            raise MachineError(f"no such register {token!r}")
-        return number
-
-    @staticmethod
-    def _fp_reg(token: str) -> int:
-        if not token.startswith("%f"):
-            raise MachineError(f"expected fp register, got {token!r}")
-        number = int(token[2:])
-        if not 0 <= number < 32:
-            raise MachineError(f"no such register {token!r}")
-        return number
-
-    def _read_int(self, token: str) -> Tuple[int, Optional[int]]:
-        """Integer register or immediate -> (value, producing vid)."""
-        if token.startswith("%r"):
-            number = self._int_reg(token)
-            if number == 0:
-                return 0, None
-            return self.int_regs[number], self._int_vids[number]
-        try:
-            return int(token, 0), None
-        except ValueError:
-            raise MachineError(f"bad integer operand {token!r}") from None
-
-    def _write_int(self, token: str, value: int, vid: Optional[int]) -> None:
-        number = self._int_reg(token)
-        if number == 0:
-            return  # %r0 is hardwired zero
-        self.int_regs[number] = value
-        self._int_vids[number] = vid
-
-    def _read_fp(self, token: str) -> Tuple[float, Optional[int]]:
-        number = self._fp_reg(token)
-        return self.fp_regs[number], self._fp_vids[number]
-
-    def _write_fp(self, token: str, value: float, vid: Optional[int]) -> None:
-        number = self._fp_reg(token)
-        self.fp_regs[number] = value
-        self._fp_vids[number] = vid
-
-    def _effective_address(self, token: str) -> Tuple[int, Optional[int]]:
-        match = _MEM_RE.match(token)
-        if not match:
-            raise MachineError(f"bad memory operand {token!r}")
-        base = int(match.group(1))
-        offset = int(match.group(2) or 0)
-        base_value = 0 if base == 0 else self.int_regs[base]
-        base_vid = None if base == 0 else self._int_vids[base]
-        return base_value + offset, base_vid
 
     # -- memory seeding / inspection ----------------------------------------
 
@@ -269,145 +603,23 @@ class Machine:
     # -- execution -----------------------------------------------------------
 
     def run(self, max_steps: int = 1_000_000) -> int:
-        """Execute until ``halt`` or the step budget; returns steps taken."""
+        """Execute from the first instruction until ``halt``, the end of
+        the program or the step budget; returns the steps taken."""
+        if self.halted:
+            return self.steps
+        ops = self._ops
+        steps = self.steps
         index = 0
-        instructions = self.program.instructions
-        labels = self.program.labels
-        while not self.halted:
-            if self.steps >= max_steps:
-                raise MachineError(f"step budget exhausted ({max_steps})")
-            if index >= len(instructions):
-                break  # fell off the end: implicit halt
-            instruction = instructions[index]
-            index = self._execute(instruction, index, labels)
-            self.steps += 1
-        return self.steps
-
-    def _execute(self, ins: Instruction, index: int, labels) -> int:
-        m = ins.mnemonic
-        ops = ins.operands
-        pc = ins.pc
-        columns = self._columns
         try:
-            if m == "halt":
-                self.halted = True
-                return index
-            if m == "nop":
-                columns.plain(_NOP, pc=pc)
-                return index + 1
-            if m == "set":
-                value, _ = self._read_int(ops[0])
-                vid = self._new_vid()
-                self._write_int(ops[1], value, vid)
-                columns.plain(_IALU, dst=vid, pc=pc)
-                return index + 1
-            if m == "fset":
-                vid = self._new_vid()
-                self._write_fp(ops[1], float(ops[0]), vid)
-                columns.plain(_IALU, dst=vid, pc=pc)
-                return index + 1
-            if m in _INT_OPS:
-                a, va = self._read_int(ops[0])
-                b, vb = self._read_int(ops[1])
-                result = {
-                    "add": a + b,
-                    "sub": a - b,
-                    "and": a & b,
-                    "or": a | b,
-                    "xor": a ^ b,
-                    "sll": a << (b & 63),
-                    "srl": (a % (1 << 64)) >> (b & 63),
-                }[m]
-                vid = self._new_vid()
-                self._write_int(ops[2], result, vid)
-                srcs = tuple(v for v in (va, vb) if v is not None)
-                columns.plain(_IALU, dst=vid, srcs=srcs, pc=pc)
-                return index + 1
-            if m in ("sdiv", "smul"):
-                a, va = self._read_int(ops[0])
-                b, vb = self._read_int(ops[1])
-                result = int_div(a, b) if m == "sdiv" else a * b
-                vid = self._new_vid()
-                self._write_int(ops[2], result, vid)
-                srcs = tuple(v for v in (va, vb) if v is not None)
-                columns.int_op(
-                    _IDIV if m == "sdiv" else _IMUL, a, b, result, vid, srcs, pc
-                )
-                return index + 1
-            if m == "ld":
-                address, base_vid = self._effective_address(ops[0])
-                value = self.memory.get(address, 0.0)
-                vid = self._new_vid()
-                srcs = tuple(
-                    v
-                    for v in (base_vid, self._mem_vids.get(address))
-                    if v is not None
-                )
-                self._write_fp(ops[1], value, vid)
-                columns.plain(_LOAD, address, vid, srcs, pc)
-                return index + 1
-            if m == "st":
-                value, value_vid = self._read_fp(ops[0])
-                address, base_vid = self._effective_address(ops[1])
-                self.memory[address] = value
-                vid = self._new_vid()
-                self._mem_vids[address] = vid
-                srcs = tuple(v for v in (value_vid, base_vid) if v is not None)
-                columns.plain(_STORE, address, vid, srcs, pc)
-                return index + 1
-            if m in ("fadd", "fsub"):
-                a, va = self._read_fp(ops[0])
-                b, vb = self._read_fp(ops[1])
-                result = a + b if m == "fadd" else a - b
-                vid = self._new_vid()
-                self._write_fp(ops[2], result, vid)
-                srcs = tuple(v for v in (va, vb) if v is not None)
-                columns.float_op(_FADD, a, b, result, vid, srcs, pc)
-                return index + 1
-            if m in ("fmul", "fdiv"):
-                a, va = self._read_fp(ops[0])
-                b, vb = self._read_fp(ops[1])
-                result = a * b if m == "fmul" else ieee_div(a, b)
-                code = _FMUL if m == "fmul" else _FDIV
-                vid = self._new_vid()
-                self._write_fp(ops[2], result, vid)
-                srcs = tuple(v for v in (va, vb) if v is not None)
-                columns.float_op(code, a, b, result, vid, srcs, pc)
-                return index + 1
-            if m in _FP_UNARY:
-                compute, code = _FP_UNARY[m]
-                a, va = self._read_fp(ops[0])
-                result = float(compute(a))
-                vid = self._new_vid()
-                self._write_fp(ops[1], result, vid)
-                srcs = (va,) if va is not None else ()
-                columns.float_op(code, a, 0.0, result, vid, srcs, pc)
-                return index + 1
-            if m == "cmp":
-                a, _ = self._read_int(ops[0])
-                b, _ = self._read_int(ops[1])
-                self.cc = (a > b) - (a < b)
-                columns.plain(_IALU, pc=pc)
-                return index + 1
-            if m in _BRANCHES:
-                taken = {
-                    "ba": True,
-                    "be": self.cc == 0,
-                    "bne": self.cc != 0,
-                    "bl": self.cc < 0,
-                    "ble": self.cc <= 0,
-                    "bg": self.cc > 0,
-                    "bge": self.cc >= 0,
-                }[m]
-                columns.plain(_BRANCH, pc=pc)
-                if taken:
-                    target = labels.get(ops[0])
-                    if target is None:
-                        raise MachineError(f"unknown label {ops[0]!r}")
-                    return (target - TEXT_BASE) // 4
-                return index + 1
-        except (IndexError, ValueError) as exc:
-            raise MachineError(
-                f"line {ins.line}: malformed {m!r} instruction"
-            ) from exc
-        raise MachineError(f"line {ins.line}: unknown mnemonic {m!r}")
+            while steps < max_steps:
+                index = ops[index]()
+                steps += 1
+        except _Halt:
+            steps += 1
+            self.halted = True
+            return steps
+        except _End:
+            return steps
+        finally:
+            self.steps = steps
+        raise MachineError(f"step budget exhausted ({max_steps})")

@@ -201,17 +201,18 @@ def main_submit(argv: Optional[List[str]] = None) -> int:
                         help="experiment workload scale")
     parser.add_argument("--program", default=None,
                         help="bundled ISA program for a program job")
-    parser.add_argument("--n", type=int, default=64,
+    parser.add_argument("--n", type=cliargs.positive_int, default=64,
                         help="program problem size")
-    parser.add_argument("--entries", type=int, default=32)
-    parser.add_argument("--ways", type=int, default=4)
+    parser.add_argument("--entries", type=cliargs.positive_int, default=32)
+    parser.add_argument("--ways", type=cliargs.positive_int, default=4)
     parser.add_argument("--mantissa", action="store_true")
     parser.add_argument("--fuzz", action="store_true",
                         help="submit a differential fuzz campaign")
-    parser.add_argument("--budget", type=int, default=200)
+    parser.add_argument("--budget", type=cliargs.positive_int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-events", type=int, default=96)
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--max-events", type=cliargs.positive_int,
+                        default=96)
+    parser.add_argument("--timeout", type=cliargs.seconds, default=None,
                         help="per-job execution timeout in seconds")
     parser.add_argument("--backend", default=None,
                         help="execution backend the worker scopes around "

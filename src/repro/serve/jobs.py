@@ -12,7 +12,12 @@ from __future__ import annotations
 import time
 from typing import Any, Dict
 
-from .protocol import ServeProtocolError, normalize_spec
+from .protocol import (
+    PROGRAM_STEP_BUDGET,
+    SAMPLE_STEP_BUDGET,
+    ServeProtocolError,
+    normalize_spec,
+)
 
 __all__ = ["run_job"]
 
@@ -34,7 +39,7 @@ def _run_program_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     from ..simulator.shade import ShadeSimulator
 
     machine = reference_machine(spec["program"], spec["n"])
-    steps = machine.run(max_steps=2_000_000)
+    steps = machine.run(max_steps=PROGRAM_STEP_BUDGET)
     config = MemoTableConfig(
         entries=spec["entries"],
         associativity=spec["ways"],
@@ -92,7 +97,7 @@ def _run_sample_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     from ..simulator.sampling import PhasePlan, estimate_phases
 
     machine = reference_machine(spec["program"], spec["n"])
-    machine.run(max_steps=8_000_000)
+    machine.run(max_steps=SAMPLE_STEP_BUDGET)
     plan = PhasePlan(
         phases=spec["phases"],
         interval=spec["interval"],

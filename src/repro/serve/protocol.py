@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -49,6 +50,8 @@ __all__ = [
     "JOB_STATES",
     "JobSpec",
     "JobRecord",
+    "PROGRAM_STEP_BUDGET",
+    "SAMPLE_STEP_BUDGET",
     "ServeProtocolError",
     "job_id_for",
     "normalize_spec",
@@ -73,6 +76,12 @@ DEFAULT_LEASE_TTL = 30.0
 #: Default cap on executions of one job (first attempt + requeues).
 DEFAULT_MAX_ATTEMPTS = 3
 
+#: Machine steps a ``program`` / ``sample`` job may run.  Every bundled
+#: program spends at least one step per element, so a job whose ``n``
+#: exceeds its budget could only fail, after allocating its inputs.
+PROGRAM_STEP_BUDGET = 2_000_000
+SAMPLE_STEP_BUDGET = 8_000_000
+
 
 class ServeProtocolError(ReproError):
     """A malformed job spec or protocol message."""
@@ -93,24 +102,43 @@ def _optional_number(
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServeProtocolError(f"job spec field {key!r} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ServeProtocolError(
+            f"job spec field {key!r} must be a finite number"
+        )
+    return number
 
 
 def _int_field(
-    spec: Dict[str, Any], key: str, default: int, floor: Optional[int] = None
+    spec: Dict[str, Any], key: str, default: int, floor: Optional[int] = None,
+    ceiling: Optional[int] = None,
 ) -> int:
     """An integer field with an explicit default.
 
     Unlike ``value or default``, a present-but-zero value is *kept* (and
     then rejected by ``floor`` where zero is meaningless) -- silently
     replacing 0 with the default would hash the spec to the default
-    job's identity.
+    job's identity.  An integral float (``2.0``) is taken as its int;
+    any other float, NaN and the infinities included, is rejected.
     """
-    value = _optional_number(spec, key, float(default))
-    number = int(default if value is None else value)
-    if floor is not None and number < floor:
+    value = spec.get(key, default)
+    if value is None:
+        value = default
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServeProtocolError(f"job spec field {key!r} must be an integer")
+    if floor is not None and value < floor:
         raise ServeProtocolError(f"job spec field {key!r} must be >= {floor}")
-    return number
+    if ceiling is not None and value > ceiling:
+        raise ServeProtocolError(
+            f"job spec field {key!r} must be <= {ceiling}"
+        )
+    return value
 
 
 def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -131,12 +159,16 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     out: Dict[str, Any] = {"type": kind}
     allowed = {"type", "delay", "timeout", "backend"}
     delay = _optional_number(spec, "delay", 0.0) or 0.0
+    if delay < 0:
+        raise ServeProtocolError("job spec field 'delay' must be >= 0")
     if delay:
         # Pacing/testing hook: the worker sleeps this long before
         # executing (lets tests kill a worker mid-job deterministically).
         out["delay"] = delay
     timeout = _optional_number(spec, "timeout")
     if timeout is not None:
+        if timeout <= 0:
+            raise ServeProtocolError("job spec field 'timeout' must be > 0")
         out["timeout"] = timeout
     backend = spec.get("backend")
     if backend is not None:
@@ -180,7 +212,9 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
                 f"unknown program {name!r}; available: " + ", ".join(PROGRAMS)
             )
         out["program"] = name
-        out["n"] = _int_field(spec, "n", 64, floor=1)
+        out["n"] = _int_field(
+            spec, "n", 64, floor=1, ceiling=PROGRAM_STEP_BUDGET
+        )
         out["entries"] = _int_field(spec, "entries", 32, floor=1)
         out["ways"] = _int_field(spec, "ways", 4, floor=1)
         out["mantissa"] = bool(spec.get("mantissa", False))
@@ -204,7 +238,9 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
                 f"unknown program {name!r}; available: " + ", ".join(PROGRAMS)
             )
         out["program"] = name
-        out["n"] = _int_field(spec, "n", 16384, floor=1)
+        out["n"] = _int_field(
+            spec, "n", 16384, floor=1, ceiling=SAMPLE_STEP_BUDGET
+        )
         out["phases"] = _int_field(spec, "phases", 16, floor=1)
         out["interval"] = _int_field(spec, "interval", 250, floor=1)
         out["warmup"] = _int_field(spec, "warmup", 500, floor=0)

@@ -79,14 +79,23 @@ def test_zero_gc_bound_accepted(tmp_path, capsys):
     assert "(bound 0B)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "nan", "inf"])
 @pytest.mark.parametrize(
     "argv, option",
     [
         (["stats", "--program", "saxpy", "-n"], "argument -n"),
         (["sample", "--program", "saxpy", "--n"], "argument --n"),
+        (["submit", "--program", "saxpy", "--n"], "argument --n"),
+        (["submit", "--program", "saxpy", "--entries"], "argument --entries"),
+        (["submit", "--program", "saxpy", "--ways"], "argument --ways"),
+        (["submit", "--fuzz", "--budget"], "argument --budget"),
+        (["submit", "--fuzz", "--max-events"], "argument --max-events"),
+        (["submit", "--program", "saxpy", "--timeout"], "argument --timeout"),
     ],
-    ids=["stats", "sample"],
+    ids=[
+        "stats", "sample", "submit-n", "submit-entries", "submit-ways",
+        "submit-budget", "submit-max-events", "submit-timeout",
+    ],
 )
 def test_bad_problem_size_is_a_usage_error(argv, option, value, capsys):
     with pytest.raises(SystemExit) as exc:

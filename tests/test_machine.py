@@ -139,6 +139,98 @@ class TestExecution:
         assert machine.steps == 1
 
 
+#: (source, exact MachineError text or None, steps at the error, the
+#: partial trace as (opcode, dst, srcs) rows).  Every message the
+#: machine can raise, with the instruction it comes from: checked
+#: operands fail in the order they are read, and nothing fails before
+#: the instruction executes.
+ERROR_CASES = {
+    "unknown-mnemonic": (
+        "nop\nfrobnicate %r1\n",
+        "line 2: unknown mnemonic 'frobnicate'", 1, [("NOP", None, ())],
+    ),
+    "missing-operand": (
+        "set 3, %r1\nset 1\nhalt\n",
+        "line 2: malformed 'set' instruction", 1, [("IALU", 1, ())],
+    ),
+    "bad-fset-literal": (
+        "nop\nfset abc, %f1\n",
+        "line 2: malformed 'fset' instruction", 1, [("NOP", None, ())],
+    ),
+    "r99-memory-base": (
+        "fset 1.0, %f1\nst %f1, [%r99]\n",
+        "line 2: malformed 'st' instruction", 1, [("IALU", 1, ())],
+    ),
+    "bad-integer-operand": (
+        "nop\nadd %r1, 0q7, %r2\n",
+        "bad integer operand '0q7'", 1, [("NOP", None, ())],
+    ),
+    "bad-memory-operand": (
+        "set 8, %r1\nld %r1, %f2\n",
+        "bad memory operand '%r1'", 1, [("IALU", 1, ())],
+    ),
+    "expected-integer-register": (
+        "set 1, %f1\n", "expected integer register, got '%f1'", 0, [],
+    ),
+    "expected-fp-register": (
+        "fadd %r1, %f2, %f3\n", "expected fp register, got '%r1'", 0, [],
+    ),
+    "no-such-register": (
+        "set 1, %r32\n", "no such register '%r32'", 0, [],
+    ),
+    "no-such-fp-register": (
+        "fmul %f1, %f40, %f2\n", "no such register '%f40'", 0, [],
+    ),
+    "value-operand-read-first": (
+        "st %f99, [%r99]\n", "no such register '%f99'", 0, [],
+    ),
+    "unknown-label-taken": (
+        "set 1, %r1\ncmp %r1, %r0\nbg nowhere\nhalt\n",
+        "unknown label 'nowhere'", 2,
+        [("IALU", 1, ()), ("IALU", None, ()), ("BRANCH", None, ())],
+    ),
+    "unknown-label-untaken": (
+        "set 1, %r1\ncmp %r1, %r0\nbl nowhere\nhalt\n",
+        None, 4,
+        [("IALU", 1, ()), ("IALU", None, ()), ("BRANCH", None, ())],
+    ),
+    "malformed-unexecuted": (
+        "ba skip\nset 1\nfrobnicate\nst %f1, [%r99]\nskip:\nhalt\n",
+        None, 2, [("BRANCH", None, ())],
+    ),
+    "step-budget": (
+        "set 0, %r1\nloop:\nadd %r1, 1, %r1\nba loop\n",
+        "step budget exhausted (6)", 6,
+        [("IALU", 1, ()), ("IALU", 2, (1,)), ("BRANCH", None, ()),
+         ("IALU", 3, (2,)), ("BRANCH", None, ()), ("IALU", 4, (3,))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_machine_error_text_steps_and_partial_trace(name):
+    source, message, steps, rows = ERROR_CASES[name]
+    machine = Machine(assemble(source))
+    if message is None:
+        machine.run(max_steps=6)
+        assert machine.halted
+    else:
+        with pytest.raises(MachineError) as excinfo:
+            machine.run(max_steps=6)
+        assert str(excinfo.value) == message
+        assert not machine.halted
+    assert machine.steps == steps
+    assert [
+        (event.opcode.name, event.dst, event.srcs) for event in machine.trace
+    ] == rows
+
+
+def test_duplicate_label_text():
+    with pytest.raises(MachineError) as excinfo:
+        assemble("x:\n nop\nx:\n nop\n")
+    assert str(excinfo.value) == "line 4: duplicate label 'x'"
+
+
 class TestPrograms:
     def test_saxpy(self):
         machine = run_source(

@@ -14,6 +14,8 @@ Two halves:
   heartbeat the job.
 """
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,11 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.analysis.static.memo import reference_machine
+from repro.isa.programs import PROGRAMS
 from repro.serve.protocol import (
+    PROGRAM_STEP_BUDGET,
+    SAMPLE_STEP_BUDGET,
     JobSpec,
     ServeProtocolError,
     job_id_for,
@@ -144,6 +150,78 @@ class TestNormalizeSpecLaws:
     def test_fuzz_max_events_floor(self, cap):
         with pytest.raises(ServeProtocolError):
             normalize_spec({"type": "fuzz", "max_events": cap})
+
+
+class TestNumericFields:
+    """Every numeric field is finite, integer fields are integral, and
+    ``delay >= 0``, ``timeout > 0`` and ``n`` within its job type's step
+    budget; anything else is a :class:`ServeProtocolError` (HTTP 400),
+    never an ``OverflowError``, a truncation or a job that cannot end."""
+
+    NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+    @given(
+        field=st.sampled_from(["n", "entries", "ways"]),
+        value=st.one_of(
+            NON_FINITE,
+            st.floats(allow_nan=False, allow_infinity=False).filter(
+                lambda v: not v.is_integer()
+            ),
+        ),
+    )
+    @settings(max_examples=60)
+    def test_program_integer_fields_rejected(self, field, value):
+        with pytest.raises(ServeProtocolError):
+            normalize_spec(
+                {"type": "program", "program": "saxpy", field: value}
+            )
+
+    @given(st.integers(min_value=1, max_value=512))
+    @settings(max_examples=20)
+    def test_integral_float_is_the_integer(self, n):
+        as_float = normalize_spec(
+            {"type": "program", "program": "saxpy", "n": float(n)}
+        )
+        as_int = normalize_spec({"type": "program", "program": "saxpy", "n": n})
+        assert as_float == as_int
+        assert job_id_for(as_float) == job_id_for(as_int)
+
+    @given(
+        field=st.sampled_from(["delay", "timeout"]),
+        value=st.one_of(
+            NON_FINITE,
+            st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False),
+            st.integers(min_value=2**1024, max_value=2**1100),
+        ),
+    )
+    @settings(max_examples=60)
+    def test_durations_rejected(self, field, value):
+        with pytest.raises(ServeProtocolError):
+            normalize_spec({"type": "fuzz", field: value})
+
+    def test_zero_timeout_rejected_zero_delay_dropped(self):
+        with pytest.raises(ServeProtocolError):
+            normalize_spec({"type": "fuzz", "timeout": 0})
+        assert "delay" not in normalize_spec({"type": "fuzz", "delay": 0})
+
+    @pytest.mark.parametrize(
+        "kind, budget",
+        [("program", PROGRAM_STEP_BUDGET), ("sample", SAMPLE_STEP_BUDGET)],
+    )
+    def test_n_ceiling_is_the_step_budget(self, kind, budget):
+        spec = {"type": kind, "program": "saxpy", "n": budget}
+        assert normalize_spec(spec)["n"] == budget
+        for n in (budget + 1, 2**1100):
+            with pytest.raises(ServeProtocolError, match="'n' must be <="):
+                normalize_spec(dict(spec, n=n))
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @given(n=st.integers(min_value=1, max_value=400))
+    @settings(max_examples=15, deadline=None)
+    def test_every_program_takes_a_step_per_element(self, name, n):
+        """What makes the ceiling sound: a job with ``n`` past its step
+        budget can only end in 'step budget exhausted'."""
+        assert reference_machine(name, n).run(max_steps=10**7) >= n
 
 
 # ---------------------------------------------------------------------------

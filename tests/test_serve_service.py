@@ -16,6 +16,7 @@ import pytest
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import run_job
+from repro.serve.protocol import PROGRAM_STEP_BUDGET, SAMPLE_STEP_BUDGET
 from repro.serve.server import endpoint_for
 
 SPEC = {"type": "program", "program": "dot_product", "n": 40}
@@ -123,6 +124,18 @@ def test_malformed_specs_rejected(service):
         {"type": "program", "program": "saxpy", "typo": 1},
         {"type": "experiment", "experiment": "no-such-table"},
         {"type": "fuzz", "max_events": 32},
+        {"type": "program", "program": "saxpy", "n": float("inf")},
+        {"type": "program", "program": "saxpy", "n": float("nan")},
+        {"type": "program", "program": "saxpy", "n": 2.7},
+        {"type": "program", "program": "saxpy", "n": 10**400},
+        {"type": "program", "program": "saxpy", "n": PROGRAM_STEP_BUDGET + 1},
+        {"type": "sample", "program": "saxpy", "n": SAMPLE_STEP_BUDGET + 1},
+        {"type": "fuzz", "timeout": float("nan")},
+        {"type": "fuzz", "timeout": 0},
+        {"type": "fuzz", "timeout": -1.0},
+        {"type": "fuzz", "delay": float("nan")},
+        {"type": "fuzz", "delay": float("inf")},
+        {"type": "fuzz", "delay": -1.0},
     ):
         with pytest.raises(ServeError) as excinfo:
             service.submit(bad)
