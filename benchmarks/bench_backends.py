@@ -1,7 +1,7 @@
 """Per-backend probe-kernel throughput (records/second).
 
-Times the same column-backed MM trace through every registered
-execution backend (``repro.core.backend``: the ``scalar`` reference
+Times the same column-backed MM trace through both execution
+backends (``repro.core.backend``: the ``scalar`` reference
 and the ``fused`` kernel) under four bank configurations -- the
 paper's EXCLUDE policy with FULL tags, the two other trivial-operation
 policies of Table 9 (INTEGRATED, CACHE_ALL) and the mantissa-only tags
@@ -133,7 +133,7 @@ def _replay_throughput(events, bank_kwargs, rounds=ROUNDS):
 
 
 def measure(events=None):
-    """Measure every registered backend under every configuration;
+    """Measure both backends under every configuration;
     returns the JSON result dict."""
     if events is None:
         events = _bench_trace()

@@ -26,7 +26,7 @@ REPRO007   no mutable default arguments anywhere in the package (a
 REPRO008   durable JSON/state files are published atomically (tmp write
            + ``os.replace``), never ``open(path, "w")`` in place
 REPRO009   only ``repro.core`` imports ``repro.core.kernel``; every
-           other layer goes through the execution-backend registry
+           other layer goes through the execution-backend facade
            (``repro.core.backend``)
 =========  ==============================================================
 """
@@ -750,7 +750,7 @@ class KernelImportRule(LintRule):
     """Only ``repro.core`` may import the kernel module directly.
 
     Every other layer selects an execution path through the backend
-    registry (:mod:`repro.core.backend`), which re-exports the kernel
+    facade (:mod:`repro.core.backend`), which re-exports the kernel
     helpers front-ends legitimately need (``probe_one``,
     ``values_match``, ``replay_infinite``, the fault-injection seam).
     A direct kernel import bypasses backend selection -- the module
@@ -808,7 +808,7 @@ class KernelImportRule(LintRule):
         return self.violation(
             node, path,
             "direct repro.core.kernel import outside repro.core; go "
-            "through the execution-backend registry "
+            "through the execution-backend facade "
             "(repro.core.backend dispatches and re-exports the "
             "sanctioned kernel helpers)",
         )

@@ -22,7 +22,7 @@ Passes provided:
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from ...arch.ieee754 import float64_to_bits
 from ...core.operations import ieee_div, ieee_log, ieee_recip, ieee_sqrt, int_div
@@ -83,36 +83,6 @@ def _reg_name(token: str) -> Optional[str]:
         name = token[1:]
         return None if name == "r0" else name  # r0 writes vanish
     return None
-
-
-def source_registers(mnemonic: str, operands: Tuple[str, ...]) -> List[str]:
-    """Registers an instruction reads (r0 reported as itself)."""
-    sources: List[str] = []
-
-    def reg(token: str) -> None:
-        if token.startswith("%r") or token.startswith("%f"):
-            sources.append(token[1:])
-
-    if mnemonic == "set":
-        reg(operands[0])
-    elif mnemonic in _INT_BINOPS or mnemonic in ("smul", "sdiv", "cmp"):
-        reg(operands[0])
-        reg(operands[1])
-    elif mnemonic in _FP_BINOPS:
-        reg(operands[0])
-        reg(operands[1])
-    elif mnemonic in _FP_UNOPS:
-        reg(operands[0])
-    elif mnemonic == "ld":
-        base = operands[0].strip("[]").split("+")[0].strip()
-        reg(base)
-    elif mnemonic == "st":
-        reg(operands[0])
-        base = operands[1].strip("[]").split("+")[0].strip()
-        reg(base)
-    elif mnemonic.startswith("b"):
-        sources.append("cc")
-    return sources
 
 
 # -- reaching definitions --------------------------------------------------

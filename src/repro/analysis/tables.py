@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["format_ratio", "format_table", "render_rows"]
+__all__ = ["format_ratio", "format_table"]
 
 
 def format_ratio(value: Optional[float], digits: int = 2) -> str:
@@ -55,8 +55,3 @@ def format_table(
     parts.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
     parts.extend(line(row) for row in materialized)
     return "\n".join(parts)
-
-
-def render_rows(rows: Iterable[Sequence[object]]) -> str:
-    """Render rows without headers (for quick dumps)."""
-    return "\n".join("  ".join(str(c) for c in row) for row in rows)

@@ -1,10 +1,10 @@
-"""Named execution backends behind one probe interface.
+"""The two execution backends and the one entry point that picks one.
 
 The kernel module owns *how* a batch is probed; this module owns
-*which* implementation does it.  Every front-end (Shade statistics,
-the cycle model, the sampling estimator, the corpus engine, serve
-workers) funnels through :func:`dispatch`, which resolves a backend by
-name and hands it the batch:
+*which* of its two loops runs.  Every front-end (Shade statistics, the
+cycle model, the sampling estimator, the corpus engine, serve workers)
+funnels through :func:`dispatch`, which resolves a backend name and
+calls the kernel directly:
 
 ``scalar``
     The event-at-a-time reference loop
@@ -12,18 +12,20 @@ name and hands it the batch:
     several times slower than ``fused`` on columnar traces.
 
 ``fused``
-    The opcode-partitioned pair-id kernel
-    (:func:`repro.core.kernel.probe_batch`) -- the default.  Operand
-    pairs are deduplicated up front with ``np.unique`` so tag compare,
-    value compute and victim selection all run over small dense
-    integer tables instead of per-event tuples (the pLUTo "table as
-    precomputed LUT" move).
+    The opcode-partitioned columnar kernel
+    (:func:`repro.core.kernel._run_batch`) -- the default.  Per opcode
+    partition, operand pairs are deduplicated up front with
+    ``np.unique`` so tag compare, value compute and victim selection
+    all run over small dense integer tables instead of per-event
+    tuples (the pLUTo "table as precomputed LUT" move).  A plain event
+    iterable has no columnar view and takes the scalar loop.
 
 Selection precedence (first match wins):
 
-1. an explicit ``backend=`` argument (``--backend NAME`` on the CLIs,
-   the ``backend`` field of a serve job spec);
-2. a process-wide override installed by :func:`set_backend`;
+1. ``dispatch(..., backend=NAME)``, for that one call;
+2. a process-wide override installed by :func:`set_backend` or scoped
+   by :func:`use_backend` (``--backend NAME`` on the CLIs, the
+   ``backend`` field of a serve job spec);
 3. the ``REPRO_BACKEND`` environment variable;
 4. the default, ``fused``.
 
@@ -44,8 +46,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .. import obs
 from ..errors import ReproError
@@ -64,17 +65,8 @@ from .kernel import (  # noqa: F401  (facade re-exports; see REPRO009)
 )
 
 __all__ = [
-    "BackendError",
     "UnknownBackendError",
-    "KernelConfig",
-    "KernelResult",
-    "ExecutionBackend",
-    "ScalarBackend",
-    "FusedBackend",
-    "register",
-    "get",
     "names",
-    "describe",
     "selected_name",
     "set_backend",
     "use_backend",
@@ -102,146 +94,20 @@ ENV_VAR = "REPRO_BACKEND"
 
 DEFAULT_BACKEND = "fused"
 
-#: Alias: a backend run produces exactly a kernel report.
-KernelResult = KernelReport
+#: The backend names, reference first.
+_NAMES = ("scalar", "fused")
 
 
-class BackendError(ReproError):
-    """Backend registration or selection failed."""
+class UnknownBackendError(ReproError):
+    """A backend name that is neither ``scalar`` nor ``fused``."""
 
 
-class UnknownBackendError(BackendError):
-    """A backend name that is not in the registry."""
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Everything a backend needs besides the batch and the units.
-
-    Mirrors the keyword surface of :func:`dispatch`:
-    ``machine``/``hierarchy``/``fp_add_latency`` switch on cycle
-    accounting, ``validate`` compares delivered values against traced
-    results, ``start``/``stop`` select an index slice of the trace.
-    """
-
-    machine: Optional[object] = None
-    hierarchy: Optional[object] = None
-    fp_add_latency: int = 3
-    validate: bool = False
-    start: int = 0
-    stop: Optional[int] = None
-
-
-class ExecutionBackend:
-    """One named way of running a batch through the memo units.
-
-    Subclasses implement :meth:`probe_batch` -- the whole contract.
-    Correctness bar: bit-identical :class:`~repro.core.stats.MemoStats`,
-    table contents and delivered values to the ``scalar`` reference on
-    any input (the parity suite and ``repro verify fuzz`` enforce this
-    for every registered backend).
-    """
-
-    #: Registry key; also the value ``--backend`` / ``REPRO_BACKEND`` take.
-    name: str = ""
-    description: str = ""
-
-    def probe_batch(self, batch, units, config: KernelConfig) -> KernelResult:
-        """Run ``batch[config.start:config.stop]`` through ``units``.
-
-        ``batch`` is anything :func:`repro.core.kernel.as_batch`
-        understands (a ColumnBatch, a Trace, or a plain event
-        sequence); ``units`` maps
-        :class:`~repro.core.operations.Operation` to memoized units.
-        Statistics must land on the units/tables exactly as the scalar
-        protocol would put them."""
-        raise NotImplementedError
-
-
-class ScalarBackend(ExecutionBackend):
-    """The retained event-at-a-time reference loop (``unit.execute``)."""
-
-    name = "scalar"
-    description = "event-at-a-time reference loop (ground truth)"
-
-    def probe_batch(self, batch, units, config: KernelConfig) -> KernelResult:
-        events = batch
-        if config.start or config.stop is not None:
-            end = len(events) if config.stop is None else config.stop
-            indexed = events
-            events = (indexed[i] for i in range(config.start, end))
-        return kernel.run_events_scalar(
-            events,
-            units,
-            machine=config.machine,
-            hierarchy=config.hierarchy,
-            fp_add_latency=config.fp_add_latency,
-            validate=config.validate,
-        )
-
-
-class FusedBackend(ExecutionBackend):
-    """The opcode-partitioned pair-id kernel (the default)."""
-
-    name = "fused"
-    description = "pair-id LUT kernel (np.unique dedup + integer probe loop)"
-
-    def probe_batch(self, batch, units, config: KernelConfig) -> KernelResult:
-        columns = as_batch(batch)
-        if columns is None:
-            # Plain event iterables have no columnar view; the scalar
-            # loop is the documented degrade.
-            return _SCALAR.probe_batch(batch, units, config)
-        stop = len(columns) if config.stop is None else config.stop
-        return kernel._run_batch(
-            columns,
-            units,
-            config.machine,
-            config.hierarchy,
-            config.fp_add_latency,
-            config.validate,
-            config.start,
-            stop,
-        )
-
-
-# -- registry ---------------------------------------------------------------
-
-_REGISTRY: Dict[str, ExecutionBackend] = {}
 _override: Optional[str] = None
 
 
-def register(backend: ExecutionBackend, replace: bool = False) -> ExecutionBackend:
-    """Add a backend to the registry (``replace=True`` to overwrite)."""
-    if not backend.name:
-        raise BackendError("execution backend must declare a non-empty name")
-    if backend.name in _REGISTRY and not replace:
-        raise BackendError(
-            f"execution backend {backend.name!r} is already registered"
-        )
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
 def names() -> Tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def get(name: str) -> ExecutionBackend:
-    """The registered backend called ``name``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownBackendError(
-            f"unknown execution backend {name!r}; registered: "
-            + ", ".join(_REGISTRY)
-        ) from None
-
-
-def describe() -> Dict[str, str]:
-    """``{name: description}`` for every registered backend."""
-    return {name: impl.description for name, impl in _REGISTRY.items()}
+    """The backend names ``--backend`` / ``REPRO_BACKEND`` accept."""
+    return _NAMES
 
 
 def selected_name() -> str:
@@ -266,8 +132,7 @@ def set_backend(name: Optional[str]) -> None:
         _override = None
         os.environ.pop(ENV_VAR, None)
         return
-    get(name)  # validate before installing
-    _override = name
+    _override = resolve(name)
     os.environ[ENV_VAR] = name
 
 
@@ -291,9 +156,16 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
             os.environ[ENV_VAR] = prev_env
 
 
-def resolve(name: Optional[str] = None) -> ExecutionBackend:
-    """The backend to run: ``name``, or the precedence-chain selection."""
-    return get(name if name is not None else selected_name())
+def resolve(name: Optional[str] = None) -> str:
+    """The backend to run, validated: ``name``, or the precedence-chain
+    selection."""
+    chosen = name if name is not None else selected_name()
+    if chosen not in _NAMES:
+        raise UnknownBackendError(
+            f"unknown execution backend {chosen!r}; known: "
+            + ", ".join(_NAMES)
+        )
+    return chosen
 
 
 # -- the one entry point front-ends call ------------------------------------
@@ -310,10 +182,11 @@ def dispatch(
     validate: bool = False,
     start: int = 0,
     stop: Optional[int] = None,
-) -> KernelResult:
-    """Resolve a backend and run ``events`` through it.
+) -> KernelReport:
+    """Run ``events`` through ``units`` on the selected backend.
 
-    With ``machine`` (a :class:`~repro.arch.latency.ProcessorModel`)
+    ``backend`` overrides the selection for this call only.  With
+    ``machine`` (a :class:`~repro.arch.latency.ProcessorModel`)
     the pass also charges cycles: uncovered memoizable operations cost
     the machine latency, loads/stores go through ``hierarchy``, FADD
     costs ``fp_add_latency`` and everything else one cycle -- the
@@ -325,30 +198,47 @@ def dispatch(
     ``backend.<name>.run`` span, so ``repro stats`` shows which
     backend served a run.
     """
-    impl = resolve(backend)
-    config = KernelConfig(
-        machine=machine,
-        hierarchy=hierarchy,
-        fp_add_latency=fp_add_latency,
-        validate=validate,
-        start=start,
-        stop=stop,
-    )
-    if not obs.enabled():
-        return impl.probe_batch(events, units, config)
-    reg = obs.registry()
-    reg.gauge_set(f"backend.{impl.name}.selected", 1.0)
-    reg.counter_add(f"backend.{impl.name}.dispatches")
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
+    name = resolve(backend)
+    instrumented = obs.enabled()
+    if instrumented:
+        reg = obs.registry()
+        reg.gauge_set(f"backend.{name}.selected", 1.0)
+        reg.counter_add(f"backend.{name}.dispatches")
+        wall0 = time.perf_counter()
+        cpu0 = time.process_time()
     with obs.span("kernel.run"):
-        report = impl.probe_batch(events, units, config)
-    reg.record_span(
-        f"backend.{impl.name}.run",
-        time.perf_counter() - wall0,
-        time.process_time() - cpu0,
-    )
-    reg.counter_add("kernel.instructions", report.instructions)
+        # A plain event iterable has no columnar view: under either
+        # name it takes the reference loop.
+        batch = as_batch(events) if name == "fused" else None
+        if batch is None:
+            report = kernel.run_events_scalar(
+                events,
+                units,
+                machine=machine,
+                hierarchy=hierarchy,
+                fp_add_latency=fp_add_latency,
+                validate=validate,
+                start=start,
+                stop=stop,
+            )
+        else:
+            report = kernel._run_batch(
+                batch,
+                units,
+                machine,
+                hierarchy,
+                fp_add_latency,
+                validate,
+                start,
+                len(batch) if stop is None else stop,
+            )
+    if instrumented:
+        reg.record_span(
+            f"backend.{name}.run",
+            time.perf_counter() - wall0,
+            time.process_time() - cpu0,
+        )
+        reg.counter_add("kernel.instructions", report.instructions)
     return report
 
 
@@ -387,7 +277,3 @@ def set_indices(config, a, b):
     (sampling residency screens, conflict studies) can never drift from
     the simulator (REPRO009)."""
     return kernel._set_indices(config, a, b)
-
-
-_SCALAR = register(ScalarBackend())
-register(FusedBackend())

@@ -5,12 +5,13 @@ MEMO-TABLE and count" (sections 2-4).  Historically that probe sequence
 was re-implemented as a per-record Python loop in each front-end
 (``simulator/shade.py``, ``simulator/cpu.py``, ``simulator/pipeline.py``
 and the corpus replay path); this module is the single shared
-implementation, in two forms:
+implementation, with two entry points:
 
-* :func:`probe_batch` -- the **fused** path.  A columnar
+* :func:`_run_batch` -- the **fused** path.  A columnar
   :class:`~repro.isa.columns.ColumnBatch` is partitioned by opcode with
-  numpy; per partition, ``np.unique`` maps every event to a dense
-  **pair id** (one integer per distinct tag pair, the pLUTo "table as
+  numpy, and :func:`_probe_partition` picks each partition's tier.  In
+  the pair-id loop, ``np.unique`` maps every event to a dense **pair
+  id** (one integer per distinct tag pair, the pLUTo "table as
   precomputed lookup structure" move), so set index and commutative
   twin are resolved once per id and the probe loop runs over small
   integer lists -- replicating :class:`~repro.core.memo_table.MemoTable`
@@ -21,18 +22,19 @@ implementation, in two forms:
   remembered on its batch (:class:`_ProbeMemo`): the next dispatch of
   the same partition into an equally configured fresh table -- another
   experiment, another machine's latencies, the hazard pass -- rebuilds
-  the final table and charges the counts without running the loop.
+  the final table and charges the counts without decoding the
+  partition or running the loop.
 * :func:`run_events_scalar` -- the **scalar reference** path: the
   classic event-at-a-time loop over ``unit.execute``.  CI asserts the
   two produce bit-identical :class:`~repro.core.stats.MemoStats` on
   every bundled program.
 
-Which form runs is decided by the execution-backend registry
-(:mod:`repro.core.backend`, as ``fused`` and ``scalar``); ``repro
-<experiment> --backend NAME`` or the ``REPRO_BACKEND`` environment
-variable picks one at runtime.  Models that need each event's outcome
-(the hazard-aware pipeline) get it from :func:`probe_outcomes`, the
-fused pass with a per-event outcome column.
+:func:`repro.core.backend.dispatch` calls one or the other, as the
+``fused`` and ``scalar`` backends; ``repro <experiment> --backend
+NAME`` or the ``REPRO_BACKEND`` environment variable picks one at
+runtime.  Models that need each event's outcome (the hazard-aware
+pipeline) get it from :func:`probe_outcomes`, the fused pass with a
+per-event outcome column.
 
 Batching by opcode is sound because each operation class owns a private
 MEMO-TABLE: per-table outcomes depend only on that operation's
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +69,6 @@ __all__ = [
     "OUTCOME_HIT",
     "OUTCOME_MISS",
     "run_events_scalar",
-    "probe_batch",
     "probe_one",
     "probe_outcomes",
     "replay_infinite",
@@ -85,7 +86,7 @@ _F_WIDE = 16
 
 _MANT_MASK = (1 << 52) - 1
 
-#: Per-event outcome codes (:func:`probe_batch`'s ``outcomes`` output):
+#: Per-event outcome codes (:func:`probe_outcomes`' output):
 #: a table miss, a hit (INTEGRATED's trivial "hits" included), and a
 #: trivial operation that took the unit's early-out path without
 #: touching the table (EXCLUDE).
@@ -214,100 +215,56 @@ def _set_indices(config, np_a, np_b, mask: Optional[int] = None):
     )
 
 
-def probe_batch(
-    unit,
-    a_values: Sequence,
-    b_values: Sequence,
-    results: Optional[Sequence] = None,
-    validate: bool = False,
-    _np_a=None,
-    _np_b=None,
-    outcomes=None,
-    _memo=None,
-) -> Tuple[int, int, int]:
-    """Present a same-operation operand batch to one memoized unit.
+def _probe_partition(unit, batch, views, idx, validate, outcomes, partition):
+    """Present one opcode partition of ``batch`` -- the events at
+    ``idx`` -- to its memoized unit.
 
     Returns ``(base_cycles, memo_cycles, mismatches)``.  All unit and
     table statistics land exactly where ``unit.execute`` would put them.
-    This is the one place that picks a partition's loop:
+    This is the one place that picks a partition's tier:
 
     * finite :class:`~repro.core.memo_table.MemoTable` under any
-      replacement policy, trivial-operation policy and tag mode -- the
-      pair-id loop (:func:`_probe_fused`), or its stored result
-      (:func:`_replay_fused`) when ``_memo`` holds one for this unit;
+      replacement policy, trivial-operation policy and tag mode -- a
+      replay of the batch's probe memo (:func:`_replay_fused`) when
+      :func:`_memo_key` admits one and the memo holds it, else the
+      pair-id loop (:func:`_probe_fused`), whose run the memo then
+      keeps when :func:`_memo_key` admits it;
     * :class:`~repro.core.memo_table.InfiniteMemoTable` under EXCLUDE
       with FULL tags -- the tag dict loop (:func:`_probe_infinite`);
-    * anything else -- validation runs, custom table classes, mixed
-      int/float and wide partitions, infinite tables under other
-      policies or tag modes -- loops ``unit.execute`` and is therefore
-      correct by construction.
+    * anything else -- validation runs, custom table classes, operands
+      that are not all of the table's kind (mixed int/float partitions,
+      wide ones whose operands do not fit the kind's dtype), infinite
+      tables under other policies or tag modes -- loops
+      ``unit.execute`` and is therefore correct by construction.
+
+    The memo is consulted before any operand is read, so a replayed
+    partition is never decoded; the two loops read operand arrays
+    (:func:`_partition_arrays`), and per-event Python values
+    (:func:`_decode_partition`) are built only for the ``unit.execute``
+    tier and for a partition holding wide events.
 
     ``outcomes``, when given, is a writable integer array of
-    ``len(a_values)`` that receives one code per event, in partition
-    order: :data:`OUTCOME_HIT`, :data:`OUTCOME_MISS` or
-    :data:`OUTCOME_BYPASS` (``Execution.hit`` and ``Execution.trivial``
-    folded together).  Every tier fills it; a call without it does no
-    extra work.
-
-    ``_memo`` is ``(memo, partition)``: the probe memo of the batch the
-    operands come from (a dict) and a key naming them within it
-    (opcode, start, stop).  When :func:`_memo_key` says a stored run
-    can stand in for the loop, a hit replays it and a miss stores the
-    loop's run.  The lookup sits inside the instrumented path, so a
-    replayed partition reports the same spans and counters as a probed
-    one.
+    ``len(idx)`` that receives one code per event, in partition order:
+    :data:`OUTCOME_HIT`, :data:`OUTCOME_MISS` or :data:`OUTCOME_BYPASS`
+    (``Execution.hit`` and ``Execution.trivial`` folded together).
+    Every tier fills it; a call without it does no extra work.
+    ``partition`` (opcode, start, stop) names the events within the
+    batch's probe memo (``views.probes``).
 
     With metrics enabled (:func:`repro.obs.enabled`), each partition is
     additionally timed as a ``kernel.partition.<OP>`` span and its
     probe/insert/evict counter deltas stream into the registry --
-    one snapshot per *batch*, never per event, and nothing at all when
-    the switch is off.
+    one snapshot per *partition*, never per event, and nothing at all
+    when the switch is off.
     """
-    if not obs.enabled():
-        return _probe_batch(
-            unit, a_values, b_values, results, validate, _np_a, _np_b,
-            outcomes, _memo,
-        )
-    stats = unit.stats
-    before = stats.counters()
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    out = _probe_batch(
-        unit, a_values, b_values, results, validate, _np_a, _np_b, outcomes,
-        _memo,
-    )
-    reg = obs.registry()
-    name = unit.operation.name
-    reg.record_span(
-        f"kernel.partition.{name}",
-        time.perf_counter() - wall0,
-        time.process_time() - cpu0,
-    )
-    reg.add_counters(
-        f"kernel.{name}",
-        {key: value - before.get(key, 0)
-         for key, value in stats.counters().items()},
-    )
-    return out
-
-
-def _probe_batch(
-    unit,
-    a_values: Sequence,
-    b_values: Sequence,
-    results: Optional[Sequence] = None,
-    validate: bool = False,
-    _np_a=None,
-    _np_b=None,
-    outcomes=None,
-    _memo=None,
-) -> Tuple[int, int, int]:
-    """The uninstrumented :func:`probe_batch` body (tier dispatch)."""
-    n = len(a_values)
-    if not n:
-        return 0, 0, 0
+    instrumented = obs.enabled()
+    if instrumented:
+        before = unit.stats.counters()
+        wall0 = time.perf_counter()
+        cpu0 = time.process_time()
     table = unit.table
     table_type = type(table)
+    counts = None
     if not validate and (
         table_type is MemoTable
         or (
@@ -316,70 +273,67 @@ def _probe_batch(
             and table.config.tag_mode is TagMode.FULL
         )
     ):
-        int_kind = table.config.operand_kind is OperandKind.INT
-        if _np_a is None:
-            _np_a, _np_b = _coerce_operands(a_values, b_values, int_kind)
-        if _np_a is not None and int_kind == (_np_a.dtype.kind == "i"):
-            if table_type is not MemoTable:
-                counts = _probe_infinite(
-                    unit, table, a_values, b_values, _np_a, _np_b, outcomes
-                )
-                return _charge(unit, table, *counts)
-            key = None if _memo is None else _memo_key(unit, table, _memo[1])
-            if key is None:
-                counts = _probe_fused(
-                    unit, table, a_values, b_values, _np_a, _np_b, outcomes
-                )
-                return _charge(unit, table, *counts)
-            runs = _memo[0]
-            stored = runs.get(key)
-            if stored is None:
-                stored = _ProbeMemo.run(
-                    unit, table, a_values, b_values, _np_a, _np_b
-                )
-                runs[key] = stored
-            else:
-                _replay_fused(unit, table, stored)
+        key = (
+            _memo_key(unit, table, partition)
+            if table_type is MemoTable else None
+        )
+        stored = None if key is None else views.probes.get(key)
+        if stored is not None:
+            _replay_fused(unit, table, stored)
+        else:
+            np_a, np_b = _partition_arrays(
+                batch, views, idx,
+                table.config.operand_kind is OperandKind.INT,
+            )
+            if np_a is not None:
+                if table_type is not MemoTable:
+                    counts = _probe_infinite(
+                        unit, table, np_a, np_b, outcomes
+                    )
+                elif key is None:
+                    counts = _probe_fused(unit, table, np_a, np_b, outcomes)
+                else:
+                    stored = _ProbeMemo.run(unit, table, np_a, np_b)
+                    views.probes[key] = stored
+        if stored is not None:
             if outcomes is not None:
                 outcomes[:] = stored.outcomes
-            return _charge(unit, table, *stored.counts)
-    execute = unit.execute
-    check = validate and results is not None
-    base = memo = mismatches = 0
-    for i, (a, b) in enumerate(zip(a_values, b_values)):
-        outcome = execute(a, b)
-        base += outcome.base_cycles
-        memo += outcome.cycles
-        if check and not values_match(outcome.value, results[i]):
-            mismatches += 1
-        if outcomes is not None:
-            outcomes[i] = (
-                OUTCOME_HIT if outcome.hit
-                else OUTCOME_BYPASS if outcome.trivial
-                else OUTCOME_MISS
-            )
-    return base, memo, mismatches
-
-
-def _coerce_operands(a_values, b_values, int_kind):
-    """numpy operand arrays when the batch is type-homogeneous and in
-    range, else ``(None, None)`` (the generic tier handles the rest).
-    Exact type checks: bools must not alias ints, and int-typed floats
-    must not be silently truncated."""
-    want = int if int_kind else float
-    if not (
-        all(type(v) is want for v in a_values)
-        and all(type(v) is want for v in b_values)
-    ):
-        return None, None
-    dtype = np.int64 if int_kind else np.float64
-    try:
-        return (
-            np.asarray(a_values, dtype=dtype),
-            np.asarray(b_values, dtype=dtype),
+            counts = stored.counts
+    if counts is not None:
+        out = _charge(unit, table, *counts)
+    else:
+        a_values, b_values, results = _decode_partition(
+            batch, views, idx, validate
         )
-    except (OverflowError, ValueError):
-        return None, None
+        execute = unit.execute
+        base = memo = mismatches = 0
+        for i, (a, b) in enumerate(zip(a_values, b_values)):
+            outcome = execute(a, b)
+            base += outcome.base_cycles
+            memo += outcome.cycles
+            if validate and not values_match(outcome.value, results[i]):
+                mismatches += 1
+            if outcomes is not None:
+                outcomes[i] = (
+                    OUTCOME_HIT if outcome.hit
+                    else OUTCOME_BYPASS if outcome.trivial
+                    else OUTCOME_MISS
+                )
+        out = base, memo, mismatches
+    if instrumented:
+        reg = obs.registry()
+        name = unit.operation.name
+        reg.record_span(
+            f"kernel.partition.{name}",
+            time.perf_counter() - wall0,
+            time.process_time() - cpu0,
+        )
+        reg.add_counters(
+            f"kernel.{name}",
+            {counter: value - before.get(counter, 0)
+             for counter, value in unit.stats.counters().items()},
+        )
+    return out
 
 
 def _charge(unit, table, n, n_trivial, lookups, hits, commutative_hits,
@@ -515,12 +469,10 @@ class _ProbeMemo(NamedTuple):
     outcomes: np.ndarray
 
     @classmethod
-    def run(cls, unit, table, a_values, b_values, np_a, np_b) -> "_ProbeMemo":
+    def run(cls, unit, table, np_a, np_b) -> "_ProbeMemo":
         """Run the pair-id loop into ``table`` and keep what it left."""
         outcomes = np.empty(len(np_a), np.uint8)
-        counts = _probe_fused(
-            unit, table, a_values, b_values, np_a, np_b, outcomes
-        )
+        counts = _probe_fused(unit, table, np_a, np_b, outcomes)
         dtype = (
             _INT_WAYS if table.config.operand_kind is OperandKind.INT
             else _FLOAT_WAYS
@@ -550,14 +502,14 @@ def _replay_fused(unit, table, stored: _ProbeMemo) -> None:
     table._clock = stored.clock
 
 
-def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
+def _probe_fused(unit, table, np_a, np_b, outcomes=None):
     """The pair-id loop (finite MemoTable; every trivial policy and tag
-    mode).
+    mode) over the operand arrays ``np_a``/``np_b`` of one partition.
 
     1. ``np.unique`` over the partition's operand bit patterns maps
        every event to a dense **full id**; representative operands are
-       precomputed per full id, and the computed value is cached per
-       full id on first miss.  The table's **pair ids** are the full
+       taken per full id, and the computed value is cached per full id
+       on first miss.  The table's **pair ids** are the full
        ids under FULL tags, and under MANTISSA tags the ids of the
        distinct 52-bit mantissa pairs, deduplicated once more over the
        full ids.  Set index and commutative twin are precomputed per
@@ -614,7 +566,8 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
             full_a & mantissa, full_b & mantissa
         )
         inv_np = pair_of_full[inv_full]
-    first = first_np.tolist()
+    rep_a = np_a[first_np].tolist()
+    rep_b = np_b[first_np].tolist()
     tags_a = key_a.tolist()
     tags_b = key_b.tolist()
     mask = config.n_sets - 1
@@ -672,8 +625,6 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
     else:
         swap_lut = [-1] * u
 
-    a_list = a_values if isinstance(a_values, list) else list(a_values)
-    b_list = b_values if isinstance(b_values, list) else list(b_values)
     compute_op = compute_function(unit.operation)
     value_lut: List[object] = [_UNSET] * u_full
     policy = table._policy
@@ -731,8 +682,7 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
                 continue
         f = kept_full[step]
         if value_lut[f] is _UNSET:
-            j = first[f]
-            value_lut[f] = compute_op(a_list[j], b_list[j])
+            value_lut[f] = compute_op(rep_a[f], rep_b[f])
         clock += 1
         insertions += 1
         s = set_lut[k]
@@ -787,11 +737,10 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
                 if entry is None:
                     k = uid_flat[pos]
                     f = full_flat[pos]
-                    j = first[f]
                     entry = _Entry(
                         (tags_a[k], tags_b[k]),
                         value_lut[f],
-                        (a_list[j], b_list[j]),
+                        (rep_a[f], rep_b[f]),
                         used_flat[pos],
                     )
                     entry.inserted = ins_flat[pos]
@@ -803,21 +752,19 @@ def _probe_fused(unit, table, a_values, b_values, np_a, np_b, outcomes=None):
     return n, n_trivial, lookups, hits, commutative_hits, insertions, evictions
 
 
-def _probe_infinite(unit, table, a_values, b_values, np_a, np_b,
-                    outcomes=None):
+def _probe_infinite(unit, table, np_a, np_b, outcomes=None):
     """The tag dict loop (EXCLUDE policy, FULL tags, InfiniteMemoTable):
     every distinct pair stays resident, so a probe is one dict lookup
     and a miss one dict store."""
     trivial_arr = _trivial_mask(unit.operation, np_a, np_b)
     n_trivial = int(trivial_arr.sum())
+    a_list, b_list = np_a.tolist(), np_b.tolist()
     if table.config.operand_kind is OperandKind.INT:
-        tags_a, tags_b = np_a.tolist(), np_b.tolist()
+        tags_a, tags_b = a_list, b_list
     else:
         tags_a = np_a.view(np.uint64).tolist()
         tags_b = np_b.view(np.uint64).tolist()
     tag_pairs = list(zip(tags_a, tags_b))
-    a_list = a_values if isinstance(a_values, list) else list(a_values)
-    b_list = b_values if isinstance(b_values, list) else list(b_values)
     commutative = table.config.commutative
     compute_op = compute_function(unit.operation)
     n = len(a_list)
@@ -865,13 +812,20 @@ def run_events_scalar(
     hierarchy=None,
     fp_add_latency: int = 3,
     validate: bool = False,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> KernelReport:
     """The scalar reference loop (one ``unit.execute`` per event).
 
     This is the consolidation of the per-record loops the simulator
     front-ends used to carry; it stays as the ground truth the fused
     path is tested against, and as the fallback for plain event
-    iterables."""
+    iterables.  ``start``/``stop`` select an index slice of
+    ``events``, which must then support ``len`` and indexing."""
+    if start or stop is not None:
+        indexed = events
+        end = len(indexed) if stop is None else stop
+        events = (indexed[i] for i in range(start, end))
     counts: Dict[Opcode, int] = {}
     cycles_by_opcode: Dict[Opcode, int] = {}
     instructions = 0
@@ -922,23 +876,56 @@ def run_events_scalar(
     )
 
 
+def _partition_arrays(batch, views, idx, int_kind):
+    """The operands of the events at ``idx`` as int64 (``int_kind``) or
+    float64 arrays, or ``(None, None)`` when some operand is not of
+    that kind or does not fit its dtype.
+
+    The flags column classifies the partition.  A wide partition is
+    decoded from its raw operands: an event wide only in its result
+    still has operands that fit, and the exact type checks keep bools
+    from aliasing ints and int-typed floats from being truncated."""
+    flags = views.flags[idx]
+    if batch.wide and bool(np.bitwise_and(flags, _F_WIDE).any()):
+        a_values, b_values, _ = _decode_partition(batch, views, idx, False)
+        want = int if int_kind else float
+        if not (
+            all(type(v) is want for v in a_values)
+            and all(type(v) is want for v in b_values)
+        ):
+            return None, None
+        dtype = np.int64 if int_kind else np.float64
+        try:
+            return (
+                np.asarray(a_values, dtype=dtype),
+                np.asarray(b_values, dtype=dtype),
+            )
+        except (OverflowError, ValueError):
+            return None, None
+    int_flags = np.bitwise_and(flags, _F_INT)
+    if int_kind and int_flags.all():
+        return views.a_i[idx], views.b_i[idx]
+    if not int_kind and not int_flags.any():
+        return views.a_f[idx], views.b_f[idx]
+    return None, None
+
+
 def _decode_partition(batch, views, idx, want_results):
-    """Operand value lists (and numpy arrays when type-homogeneous)
-    for the events at ``idx``."""
+    """Operand value lists (and, with ``want_results``, the traced
+    results) of the events at ``idx``, each value of its own event's
+    type: what the ``unit.execute`` tier probes with."""
     flags = views.flags[idx]
     if batch.wide and bool(np.bitwise_and(flags, _F_WIDE).any()):
         triples = [batch.operand_triple(i) for i in idx.tolist()]
         a_values = [t[0] for t in triples]
         b_values = [t[1] for t in triples]
         results = [t[2] for t in triples] if want_results else None
-        return a_values, b_values, results, None, None
+        return a_values, b_values, results
     int_flags = np.bitwise_and(flags, _F_INT)
     if not int_flags.any():
-        np_a, np_b = views.a_f[idx], views.b_f[idx]
-        results = views.r_f[idx].tolist() if want_results else None
+        np_a, np_b, np_r = views.a_f, views.b_f, views.r_f
     elif int_flags.all():
-        np_a, np_b = views.a_i[idx], views.b_i[idx]
-        results = views.r_i[idx].tolist() if want_results else None
+        np_a, np_b, np_r = views.a_i, views.b_i, views.r_i
     else:
         is_int = int_flags.tolist()
         a_f, b_f = views.a_f[idx].tolist(), views.b_f[idx].tolist()
@@ -951,8 +938,9 @@ def _decode_partition(batch, views, idx, want_results):
             results = [
                 r_i[k] if is_int[k] else r_f[k] for k in range(len(is_int))
             ]
-        return a_values, b_values, results, None, None
-    return np_a.tolist(), np_b.tolist(), results, np_a, np_b
+        return a_values, b_values, results
+    results = np_r[idx].tolist() if want_results else None
+    return np_a[idx].tolist(), np_b[idx].tolist(), results
 
 
 def _run_batch(
@@ -967,7 +955,7 @@ def _run_batch(
     outcomes=None,
 ) -> KernelReport:
     """Opcode-partitioned execution of ``batch[start:stop]``: each
-    memoizable opcode's events go to :func:`probe_batch` as one
+    memoizable opcode's events go to :func:`_probe_partition` as one
     partition, with the batch's probe memo; memory, FADD and
     IALU-class cycles are charged in bulk.  ``outcomes`` (length
     ``stop - start``) receives each probed event's outcome code at its
@@ -999,14 +987,9 @@ def _run_batch(
             continue
         relative = np.nonzero(opcode_codes == OPCODE_INDEX[opcode])[0]
         idx = relative + start if start else relative
-        a_values, b_values, results, np_a, np_b = _decode_partition(
-            batch, views, idx, validate
-        )
         part = None if outcomes is None else np.empty(len(idx), np.uint8)
-        base, memo, bad = probe_batch(
-            unit, a_values, b_values,
-            results=results, validate=validate, _np_a=np_a, _np_b=np_b,
-            outcomes=part, _memo=(views.probes, (opcode, start, stop)),
+        base, memo, bad = _probe_partition(
+            unit, batch, views, idx, validate, part, (opcode, start, stop)
         )
         if part is not None:
             outcomes[relative] = part
@@ -1123,22 +1106,22 @@ def replay_infinite(events) -> Tuple[Dict[int, int], int, int]:
             )
             for pc, pc_count in zip(pcs.tolist(), pc_counts.tolist()):
                 counts[pc] = counts.get(pc, 0) + pc_count
-        a_values, b_values, _, np_a, np_b = _decode_partition(
-            batch, views, idx, False
-        )
         int_kind = operation.operand_kind is OperandKind.INT
-        if np_a is not None and int_kind == (np_a.dtype.kind == "i"):
-            if int_kind:
-                tags_a, tags_b = a_values, b_values
-            else:
-                tags_a = np_a.view(np.uint64).tolist()
-                tags_b = np_b.view(np.uint64).tolist()
-        elif int_kind:
-            tags_a = [int(a) for a in a_values]
-            tags_b = [int(b) for b in b_values]
+        np_a, np_b = _partition_arrays(batch, views, idx, int_kind)
+        if np_a is not None:
+            if not int_kind:
+                np_a, np_b = np_a.view(np.uint64), np_b.view(np.uint64)
+            tags_a, tags_b = np_a.tolist(), np_b.tolist()
         else:
-            tags_a = [float64_to_bits(float(a)) for a in a_values]
-            tags_b = [float64_to_bits(float(b)) for b in b_values]
+            a_values, b_values, _ = _decode_partition(
+                batch, views, idx, False
+            )
+            if int_kind:
+                tags_a = [int(a) for a in a_values]
+                tags_b = [int(b) for b in b_values]
+            else:
+                tags_a = [float64_to_bits(float(a)) for a in a_values]
+                tags_b = [float64_to_bits(float(b)) for b in b_values]
         seen = set()
         add = seen.add
         if operation.commutative:

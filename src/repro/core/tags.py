@@ -10,16 +10,17 @@ Two float tag modes exist (Table 10):
 * ``FULL`` -- the complete 64-bit patterns of both operands;
 * ``MANTISSA`` -- only the 52-bit mantissa fields.  Operands whose
   mantissas match but whose exponents differ then *hit*; the hardware
-  would recompute the result exponent with a small adder.  This module
-  also provides that exponent fix-up so mantissa-mode tables still return
-  numerically correct results in simulation.
+  would recompute the result exponent with a small adder
+  (:class:`~repro.core.unit.MemoizedUnit` models that fix-up, so
+  mantissa-mode tables still return numerically correct results in
+  simulation).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from ..arch.ieee754 import decompose64, exponent64, float64_to_bits
+from ..arch.ieee754 import decompose64, float64_to_bits
 from .config import MemoTableConfig, OperandKind, TagMode
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "float_full_tag",
     "float_mantissa_tag",
     "tag_function",
-    "mantissa_mode_key",
 ]
 
 Tag = Tuple[int, int]
@@ -62,22 +62,3 @@ def tag_function(config: MemoTableConfig) -> Callable[[object, object], Tag]:
     if config.tag_mode is TagMode.FULL:
         return lambda a, b: float_full_tag(float(a), float(b))
     return lambda a, b: float_mantissa_tag(float(a), float(b))
-
-
-def mantissa_mode_key(a: float, b: float) -> Tag:
-    """Alias of :func:`float_mantissa_tag` used by analysis code."""
-    return float_mantissa_tag(a, b)
-
-
-def exponent_delta(stored_a: float, stored_b: float, a: float, b: float) -> int:
-    """Biased-exponent delta between a stored operand pair and a new pair.
-
-    In MANTISSA mode, a hit on operands whose exponents differ from the
-    stored pair requires adjusting the stored result's exponent.  For
-    multiplication the result exponent shifts by the sum of the operand
-    exponent deltas; for division by their difference.  Callers supply
-    the appropriate combination; this helper returns per-operand deltas.
-    """
-    return (exponent64(a) - exponent64(stored_a)) + (
-        exponent64(b) - exponent64(stored_b)
-    )

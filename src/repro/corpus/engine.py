@@ -20,8 +20,8 @@ created) runs serially through the exact same code paths.
 Traces flow through this engine in columnar form end to end: the store
 serializes v3 column blocks and deserializes straight into
 column-backed :class:`~repro.isa.trace.Trace` objects, so every replay
-a worker performs enters the simulators through the execution-backend
-registry (:mod:`repro.core.backend`) without materializing per-event
+a worker performs enters the simulators through
+:func:`repro.core.backend.dispatch` without materializing per-event
 tuples.  ``repro --backend NAME`` (propagated to workers via
 ``REPRO_BACKEND``) selects which kernel serves the run.
 """

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.config import MemoTableConfig
-from ..core.memo_table import MemoTable
-from ..core.operations import Operation, compute
+from ..core.bank import MemoTableBank
+from ..core.config import TrivialPolicy
+from ..core.operations import Operation
 from ..core.reuse_buffer import ReuseBuffer, run_reuse_buffer
 from ..images import generate
 from ..isa.opcodes import Opcode
+from ..simulator.shade import ShadeSimulator
 from ..workloads.khoros import run_kernel
 from ..workloads.recorder import OperationRecorder
 from .base import ExperimentResult, ratio_cell
@@ -25,14 +26,16 @@ __all__ = ["run"]
 _PAIRS = ((Opcode.FMUL, Operation.FP_MUL), (Opcode.FDIV, Operation.FP_DIV))
 
 
-def _memo_ratio(trace, opcode: Opcode, operation: Operation) -> float:
-    table = MemoTable(MemoTableConfig(commutative=operation.commutative))
-    for event in trace:
-        if event.opcode is opcode:
-            table.access(
-                event.a, event.b, lambda x, y, op=operation: compute(op, x, y)
-            )
-    return table.stats.hit_ratio
+def _memo_bank(trace) -> MemoTableBank:
+    """The trace's FMUL and FDIV streams through paper-baseline tables
+    that, like the Reuse Buffer, treat trivial operations as any other
+    (CACHE_ALL: a lookup, plus an insert on a miss)."""
+    bank = MemoTableBank.paper_baseline(
+        operations=(Operation.FP_MUL, Operation.FP_DIV),
+        trivial_policy=TrivialPolicy.CACHE_ALL,
+    )
+    ShadeSimulator(bank).run(trace)
+    return bank
 
 
 def run(
@@ -62,13 +65,13 @@ def run(
             _, rb_report = run_reuse_buffer(
                 trace, ReuseBuffer(entries=rb_entries, associativity=4)
             )
+            bank = _memo_bank(trace)
             cells = [app, image_name]
             for opcode, operation in _PAIRS:
-                has_op = any(e.opcode is opcode for e in trace)
-                if not has_op:
+                if not trace.count(opcode):
                     cells += ["-", "-"]
                     continue
-                memo = _memo_ratio(trace, opcode, operation)
+                memo = bank.units[operation].table.stats.hit_ratio
                 rb = rb_report.hit_ratio(opcode)
                 deltas.append(memo - rb)
                 cells += [ratio_cell(memo), ratio_cell(rb)]

@@ -50,6 +50,7 @@ __all__ = [
     "JOB_STATES",
     "JobSpec",
     "JobRecord",
+    "MAX_TABLE_ENTRIES",
     "PROGRAM_STEP_BUDGET",
     "SAMPLE_STEP_BUDGET",
     "ServeProtocolError",
@@ -81,6 +82,11 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: exceeds its budget could only fail, after allocating its inputs.
 PROGRAM_STEP_BUDGET = 2_000_000
 SAMPLE_STEP_BUDGET = 8_000_000
+
+#: Largest memo table a ``program`` job may ask for (figure3's largest
+#: table).  The worker builds one list per set up front, so without a
+#: cap a spec could make it allocate without bound.
+MAX_TABLE_ENTRIES = 8192
 
 
 class ServeProtocolError(ReproError):
@@ -141,6 +147,23 @@ def _int_field(
     return value
 
 
+def _check_table(out: Dict[str, Any]) -> None:
+    """Reject a ``program`` job whose table the worker could not build
+    (entries not a power of two, ways not dividing them into a power
+    of two of sets), naming the offending field."""
+    from ..core.config import MemoTableConfig
+    from ..errors import ConfigurationError
+
+    entries = out["entries"]
+    try:
+        MemoTableConfig(entries=entries, associativity=out["ways"])
+    except ConfigurationError as exc:
+        field = "entries" if entries & (entries - 1) else "ways"
+        raise ServeProtocolError(
+            f"job spec field {field!r} does not describe a memo table: {exc}"
+        ) from None
+
+
 def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a job spec and return its canonical form.
 
@@ -182,7 +205,7 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
 
         if backend not in execution.names():
             raise ServeProtocolError(
-                f"unknown execution backend {backend!r}; registered: "
+                f"unknown execution backend {backend!r}; known: "
                 + ", ".join(execution.names())
             )
         out["backend"] = backend
@@ -215,9 +238,12 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
         out["n"] = _int_field(
             spec, "n", 64, floor=1, ceiling=PROGRAM_STEP_BUDGET
         )
-        out["entries"] = _int_field(spec, "entries", 32, floor=1)
+        out["entries"] = _int_field(
+            spec, "entries", 32, floor=1, ceiling=MAX_TABLE_ENTRIES
+        )
         out["ways"] = _int_field(spec, "ways", 4, floor=1)
         out["mantissa"] = bool(spec.get("mantissa", False))
+        _check_table(out)
     elif kind == "fuzz":
         allowed |= {"budget", "seed", "max_events"}
         out["budget"] = _int_field(spec, "budget", 200, floor=1)

@@ -46,7 +46,6 @@ class MemoizedCPU:
         memoized: Sequence[Operation] = (Operation.FP_MUL, Operation.FP_DIV),
         config: Optional[MemoTableConfig] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.machine = machine
         self.memoized = tuple(memoized)
@@ -55,12 +54,7 @@ class MemoizedCPU:
             operations=self.memoized,
             latencies=machine.latencies(),
         )
-        self.model = CycleModel(
-            machine,
-            bank=self.bank,
-            hierarchy=hierarchy,
-            backend=backend,
-        )
+        self.model = CycleModel(machine, bank=self.bank, hierarchy=hierarchy)
 
     def run(self, events: Iterable[TraceEvent]) -> CycleReport:
         """Run one application trace through the cycle model."""

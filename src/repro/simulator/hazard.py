@@ -148,7 +148,7 @@ class HazardModel:
         iterable) and report its timing.  Columnar traces take the
         columnar pass unless the ``scalar`` backend is selected."""
         batch: Optional[ColumnBatch] = None
-        if execution.resolve().name != "scalar":
+        if execution.resolve() != "scalar":
             batch = execution.as_batch(events)
         if batch is None:
             return self._run_events(events)

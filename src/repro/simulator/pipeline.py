@@ -13,10 +13,10 @@ This model therefore charges each dynamic instruction its latency:
   machine -- both accumulated in a single pass, since a miss costs the
   enhanced machine exactly the baseline latency.
 
-The accounting itself is performed by whichever execution backend the
-registry (:mod:`repro.core.backend`) selects; this module keeps the
-machine-model wiring and the report shape.  ``backend=`` pins a
-backend by name -- all backends produce bit-identical results.
+The accounting itself is one :func:`repro.core.backend.dispatch` on
+the process-wide backend selection; this module keeps the
+machine-model wiring and the report shape.  Both backends produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -81,16 +81,13 @@ class CycleModel:
         bank: Optional[MemoTableBank] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
         fp_add_latency: int = 3,
-        backend: Optional[str] = None,
     ) -> None:
         """``bank`` of None means the baseline machine (no MEMO-TABLES);
-        cycle totals are then identical for base and memo columns.
-        ``backend`` pins a registered execution backend by name."""
+        cycle totals are then identical for base and memo columns."""
         self.machine = machine
         self.bank = bank
         self.hierarchy = hierarchy if hierarchy is not None else default_hierarchy()
         self.fp_add_latency = fp_add_latency
-        self.backend = backend
         if bank is not None:
             # The machine model owns the latencies; retune the bank's units.
             for op, unit in bank.units.items():
@@ -100,21 +97,17 @@ class CycleModel:
         """Charge every event; returns totals for base and memoized machines."""
         bank = self.bank
         instrumented = obs.enabled()
-        if instrumented:
-            before = (
-                obs.unit_counter_snapshot(bank.units)
-                if bank is not None
-                else {}
+        if instrumented and bank is not None:
+            before = obs.unit_counter_snapshot(bank.units)
+        with obs.span("cycle.run"):
+            result = execution.dispatch(
+                events,
+                bank.units if bank is not None else None,
+                machine=self.machine,
+                hierarchy=self.hierarchy,
+                fp_add_latency=self.fp_add_latency,
             )
-            with obs.span("cycle.run"):
-                result = execution.dispatch(
-                    events,
-                    bank.units if bank is not None else None,
-                    machine=self.machine,
-                    hierarchy=self.hierarchy,
-                    fp_add_latency=self.fp_add_latency,
-                    backend=self.backend,
-                )
+        if instrumented:
             if bank is not None:
                 obs.emit_unit_counters("cycle", bank.units, before)
             reg = obs.registry()
@@ -125,15 +118,6 @@ class CycleModel:
                     "base_cycles": result.base_cycles,
                     "memo_cycles": result.memo_cycles,
                 },
-            )
-        else:
-            result = execution.dispatch(
-                events,
-                bank.units if bank is not None else None,
-                machine=self.machine,
-                hierarchy=self.hierarchy,
-                fp_add_latency=self.fp_add_latency,
-                backend=self.backend,
             )
         report = CycleReport(
             machine=self.machine.name,

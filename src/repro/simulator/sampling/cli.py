@@ -154,14 +154,15 @@ def main_sample(argv: Optional[List[str]] = None) -> int:
                 correct_cold_start=not args.no_cold_start,
                 control_variate=not args.no_control_variate,
             )
-            machine = reference_machine(args.program, args.n)
-            machine.run(max_steps=8_000_000)
-            estimate = estimate_phases(
-                machine.trace,
-                plan=plan,
-                backend=args.backend,
-                bound_warmup=not args.no_bound,
-            )
+            # use_backend rejects an unknown name before the run.
+            with execution.use_backend(args.backend):
+                machine = reference_machine(args.program, args.n)
+                machine.run(max_steps=8_000_000)
+                estimate = estimate_phases(
+                    machine.trace,
+                    plan=plan,
+                    bound_warmup=not args.no_bound,
+                )
         except ReproError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -184,9 +185,7 @@ def main_sample(argv: Optional[List[str]] = None) -> int:
         full = None
         if args.compare_full:
             bank = MemoTableBank.paper_baseline()
-            execution.dispatch(
-                machine.trace, bank.units, backend=args.backend
-            )
+            execution.dispatch(machine.trace, bank.units, backend=estimate.backend)
             full = {}
             for op, unit in bank.units.items():
                 eligible = unit.stats.table.lookups + unit.stats.trivial_hits

@@ -7,8 +7,8 @@ The SimPoint recipe applied to memo simulation:
 2. cluster the fingerprints into phases with seeded k-means
    (:mod:`.phases`),
 3. simulate *one representative interval per phase* -- warm-up slice
-   first, then the measured window -- through the execution-backend
-   registry, and
+   first, then the measured window -- through the selected execution
+   backend, and
 4. report the cluster-weighted hit-ratio estimate together with an
    **oracle-bounded warm-up error**.
 
@@ -61,8 +61,9 @@ of carrying the whole estimate, which is what makes small sample
 budgets robust.
 
 All simulation goes through :func:`repro.core.backend.dispatch`, so the
-estimator inherits every registered backend (``scalar`` | ``fused``)
-and stays bit-identical across them -- the parity suite asserts it.
+estimator runs on the process-wide backend selection (``scalar`` |
+``fused``; scope one with ``use_backend``) and stays bit-identical
+across them -- the parity suite asserts it.
 """
 
 from __future__ import annotations
@@ -308,7 +309,6 @@ def estimate_phases(
     events,
     bank: Optional[MemoTableBank] = None,
     plan: Optional[PhasePlan] = None,
-    backend: Optional[str] = None,
     bound_warmup: bool = True,
 ) -> PhaseEstimate:
     """Phase-weighted hit-ratio estimate of ``events``.
@@ -349,7 +349,7 @@ def estimate_phases(
             clustering, normalized, plan.samples_per_phase, seed=plan.seed
         )
 
-        impl_name = execution.resolve(backend).name
+        impl_name = execution.resolve()
         # The per-event arrays were already computed for the
         # residency-rate feature columns; reuse them verbatim.
         prev, unit_of = features.prev, features.unit_of
@@ -387,8 +387,7 @@ def estimate_phases(
                 bank.flush()
                 if warm_start < start:
                     execution.dispatch(
-                        batch, bank.units,
-                        start=warm_start, stop=start, backend=backend,
+                        batch, bank.units, start=warm_start, stop=start
                     )
                     simulated += start - warm_start
                 before = {
@@ -396,10 +395,7 @@ def estimate_phases(
                          unit.stats.trivial_hits)
                     for op, unit in bank.units.items()
                 }
-                execution.dispatch(
-                    batch, bank.units, start=start, stop=stop,
-                    backend=backend,
-                )
+                execution.dispatch(batch, bank.units, start=start, stop=stop)
                 simulated += stop - start
                 measured_events += stop - start
                 rep = RepresentativeWindow(

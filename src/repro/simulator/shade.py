@@ -6,11 +6,10 @@ pass consumes :class:`~repro.isa.trace.TraceEvent` streams: memoizable
 events are dispatched to a :class:`~repro.core.bank.MemoTableBank`, and
 every event contributes to the instruction frequency breakdown.
 
-This front-end is a thin consumer of the execution-backend registry
-(:mod:`repro.core.backend`): ``backend="scalar"`` (or ``repro
---backend scalar`` / ``REPRO_BACKEND``) picks a registered kernel by
-name, and without it the process-wide selection applies.  Every
-backend produces bit-identical statistics.
+Every run is one :func:`repro.core.backend.dispatch`, so the
+process-wide backend selection applies (``repro --backend scalar``,
+``use_backend``, ``REPRO_BACKEND``); both backends produce
+bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -61,43 +60,27 @@ class ShadeSimulator:
         self,
         bank: Optional[MemoTableBank] = None,
         validate: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         """``validate`` cross-checks memoized results against the traced
         results (exact for full-value tags; mantissa-mode hits may differ
-        by rounding of the exponent fix-up and are checked loosely).
-        ``backend`` pins a registered execution backend by name."""
+        by rounding of the exponent fix-up and are checked loosely)."""
         self.bank = bank if bank is not None else MemoTableBank.paper_baseline()
         self.validate = validate
-        self.backend = backend
 
     def run(self, events: Iterable[TraceEvent]) -> SimulationReport:
         """Consume a trace; returns statistics.  Tables persist across runs."""
-        if obs.enabled():
+        instrumented = obs.enabled()
+        if instrumented:
             before = obs.unit_counter_snapshot(self.bank.units)
-            with obs.span("shade.run"):
-                report = execution.dispatch(
-                    events,
-                    self.bank.units,
-                    validate=self.validate,
-                    backend=self.backend,
-                )
-            obs.emit_unit_counters("sim", self.bank.units, before)
-        else:
+        with obs.span("shade.run"):
             report = execution.dispatch(
-                events,
-                self.bank.units,
-                validate=self.validate,
-                backend=self.backend,
+                events, self.bank.units, validate=self.validate
             )
+        if instrumented:
+            obs.emit_unit_counters("sim", self.bank.units, before)
         return SimulationReport(
             instructions=report.instructions,
             breakdown=report.counts,
             unit_stats={op: unit.stats for op, unit in self.bank.units.items()},
             mismatches=report.mismatches,
         )
-
-
-#: Retained name: the validation comparison now lives in the kernel
-#: (re-exported through the backend facade).
-_values_match = execution.values_match

@@ -7,9 +7,10 @@ One fuzz case is a (trace, table configuration, trivial policy) triple.
 * the scalar reference path (event-at-a-time
   :func:`repro.core.backend.probe_one`, which is ``unit.execute``),
 * the pair-id columnar kernel (the ``fused`` execution backend over a
-  :class:`~repro.isa.columns.ColumnBatch`, pinned explicitly through
-  the registry so a process-wide ``REPRO_BACKEND`` can never alias two
-  parties onto the same code path), run twice: once into a fresh bank,
+  :class:`~repro.isa.columns.ColumnBatch`, pinned with
+  ``dispatch(..., backend="fused")`` so a process-wide
+  ``REPRO_BACKEND`` can never alias two parties onto the same code
+  path), run twice: once into a fresh bank,
   which runs the loop, and once more into another fresh bank, which
   the kernel's probe memo serves from the first run (the replay leg)
 
@@ -283,22 +284,19 @@ def run_case(case: FuzzCase) -> CaseResult:
         return result
 
     # Path 3: fused kernel over the columnar view (pinned by name so
-    # the environment cannot redirect this leg onto another backend).
+    # the environment cannot redirect this leg onto the scalar loop).
     # The same batch then goes into a second fresh bank: the kernel's
     # probe memo serves every partition the first leg ran through the
     # pair-id loop, so the replay leg checks the stored runs.
-    fused = execution.get("fused")
     fused_bank = make_bank(case)
     replay_bank = make_bank(case)
     try:
-        report = fused.probe_batch(
-            batch, fused_bank.units, execution.KernelConfig()
-        )
+        report = execution.dispatch(batch, fused_bank.units, backend="fused")
     except Exception as exc:
         diverge(f"crash: fused kernel raised {exc!r}")
         return result
     try:
-        fused.probe_batch(batch, replay_bank.units, execution.KernelConfig())
+        execution.dispatch(batch, replay_bank.units, backend="fused")
     except Exception as exc:
         diverge(f"crash: fused replay raised {exc!r}")
         return result

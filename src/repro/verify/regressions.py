@@ -24,7 +24,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.config import (
     MemoTableConfig,
@@ -295,11 +295,3 @@ def seed_cases(directory: Path, overwrite: bool = False) -> List[Path]:
             )
         )
     return written
-
-
-def iter_case_ids(directory: Path) -> Iterator[str]:
-    """Names only (cheap, for collection-time parametrization)."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return iter(())
-    return (p.stem for p in sorted(directory.glob("*.json")))

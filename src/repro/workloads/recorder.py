@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from ..isa.columns import ColumnAccumulator
 from ..isa.opcodes import OPCODE_INDEX, Opcode
 from ..isa.trace import Trace
 
-__all__ = ["OperationRecorder", "TrackedArray", "TracedValue", "TracedInt", "vid_of"]
+__all__ = ["OperationRecorder", "TrackedArray", "TracedValue", "TracedInt"]
 
 # Column codes of the opcodes the recorder appends; IALU and BRANCH are
 # one-byte runs for ColumnAccumulator.plain_run.
@@ -76,11 +76,6 @@ class TracedInt(int):
         self = int.__new__(cls, value)
         self.vid = vid
         return self
-
-
-def vid_of(value) -> Optional[int]:
-    """Virtual value-id of ``value``, or None for untracked constants."""
-    return getattr(value, "vid", None)
 
 
 def _srcs(a, b=None) -> tuple:

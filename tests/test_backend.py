@@ -1,11 +1,12 @@
-"""Unit tests for the execution-backend registry (repro.core.backend).
+"""Unit tests for backend selection (repro.core.backend).
 
-Covers the registry proper (registration, lookup, selection
-precedence), the ``--backend`` flag and ``REPRO_BACKEND`` validation of
-the experiment CLI, the serve job-spec ``backend`` field, the
-per-backend metrics attribution, and a handful of targeted fused-kernel
-parity cases (persistent tables across runs, pre-existing commutative
-twins) that the broad parity suite only hits statistically.
+Covers the backend names and their validation, the selection
+precedence, every front-end taking the one selected path, the
+``--backend`` flag and ``REPRO_BACKEND`` validation of the experiment
+CLI, the serve job-spec ``backend`` field, the per-backend metrics
+attribution, and a handful of targeted fused-kernel parity cases
+(persistent tables across runs, pre-existing commutative twins) that
+the broad parity suite only hits statistically.
 """
 
 import os
@@ -14,7 +15,10 @@ import struct
 import pytest
 
 from repro import obs
+from repro.analysis.static.memo import reference_machine
+from repro.arch.latency import FAST_DESIGN
 from repro.core import backend as execution
+from repro.core import kernel
 from repro.core.bank import MemoTableBank
 from repro.core.config import MemoTableConfig
 from repro.core.operations import Operation
@@ -22,6 +26,10 @@ from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
 from repro.isa.trace import TraceEvent
 from repro.serve.protocol import JobSpec, ServeProtocolError, normalize_spec
+from repro.simulator.cpu import MemoizedCPU
+from repro.simulator.hazard import HazardModel
+from repro.simulator.sampling import PhasePlan, estimate_phases
+from repro.simulator.shade import ShadeSimulator
 
 ALL_OPERATIONS = tuple(Operation)
 
@@ -76,24 +84,15 @@ class TestRegistry:
 
     def test_unknown_name_raises(self):
         with pytest.raises(execution.UnknownBackendError) as excinfo:
-            execution.get("warp-drive")
+            execution.resolve("warp-drive")
         message = str(excinfo.value)
         assert "warp-drive" in message
-        assert "fused" in message  # lists what IS registered
+        assert "fused" in message  # lists the known names
 
     def test_set_backend_rejects_unknown_eagerly(self):
         with pytest.raises(execution.UnknownBackendError):
             execution.set_backend("warp-drive")
         assert execution.ENV_VAR not in os.environ
-
-    def test_describe_covers_every_backend(self):
-        described = execution.describe()
-        assert set(described) == set(execution.names())
-        assert all(described.values())
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(execution.BackendError):
-            execution.register(execution.FusedBackend())
 
 
 class TestSelectionPrecedence:
@@ -111,7 +110,7 @@ class TestSelectionPrecedence:
 
     def test_explicit_argument_beats_everything(self):
         execution.set_backend("scalar")
-        assert execution.resolve("fused").name == "fused"
+        assert execution.resolve("fused") == "fused"
 
     def test_set_backend_mirrors_into_env(self):
         execution.set_backend("fused")
@@ -132,6 +131,59 @@ class TestSelectionPrecedence:
         with execution.use_backend(None):
             assert execution.selected_name() == "scalar"
         assert execution.selected_name() == "scalar"
+
+
+def _hazard(trace):
+    bank = MemoTableBank.paper_baseline(latencies=FAST_DESIGN.latencies())
+    HazardModel(FAST_DESIGN, bank=bank).run(trace)
+
+
+#: Every front-end that probes a whole trace, run on a columnar one.
+FRONT_ENDS = {
+    "shade": lambda trace: ShadeSimulator().run(trace),
+    "cpu": lambda trace: MemoizedCPU(FAST_DESIGN).run(trace),
+    "hazard": _hazard,
+    "sampling": lambda trace: estimate_phases(
+        trace,
+        plan=PhasePlan(phases=2, interval=64, warmup=32, samples_per_phase=1),
+        bound_warmup=False,
+    ),
+}
+
+
+class TestOneRoad:
+    """Every front-end runs on the selected backend, the one way:
+    ``use_backend("scalar")`` sends each down its event-at-a-time
+    reference, and the default down the columnar kernel."""
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    @pytest.mark.parametrize("selected", ["scalar", None])
+    def test_front_end_takes_the_selected_path(
+        self, monkeypatch, front_end, selected
+    ):
+        taken = []
+        for owner, name in (
+            (kernel, "run_events_scalar"),
+            (kernel, "_run_batch"),
+            (HazardModel, "_run_events"),
+        ):
+            def counting(*args, _original=getattr(owner, name), _name=name,
+                         **kwargs):
+                taken.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        machine = reference_machine("saxpy", 64)
+        machine.run(max_steps=100_000)
+        with execution.use_backend(selected):
+            FRONT_ENDS[front_end](machine.trace)
+        if selected is None:
+            expected = {"_run_batch"}
+        elif front_end == "hazard":
+            expected = {"_run_events"}
+        else:
+            expected = {"run_events_scalar"}
+        assert taken and set(taken) == expected
 
 
 class TestCliAliases:

@@ -3,10 +3,11 @@
 The execution backends (``repro.core.backend``) replace four scalar
 probe loops; their one contract is *bit-identical* statistics.  These
 tests run every bundled ISA program -- and synthetic edge-value traces
--- through every registered non-scalar backend (``fused``, and
-whatever else the registry carries) against the scalar reference,
-requiring exactly equal ``MemoStats`` / ``UnitStats`` counters, opcode
-breakdowns, cycle totals and final table contents.  NaN-carrying
+-- through the non-scalar backend (``fused``) against the scalar
+reference, each side selected with ``use_backend`` or pinned with
+``dispatch(..., backend=...)``, requiring exactly equal ``MemoStats`` /
+``UnitStats`` counters, opcode breakdowns, cycle totals and final
+table contents.  NaN-carrying
 values are compared by bit pattern, never by ``==``.  Every input is
 columnar: a plain event list would send the fast backend down its
 scalar degrade path and compare the scalar loop with itself.
@@ -46,7 +47,7 @@ from repro.verify import faults
 
 ALL_OPERATIONS = tuple(Operation)
 
-#: Every registered backend that must match the scalar reference.
+#: Every backend that must match the scalar reference.
 NON_SCALAR_BACKENDS = tuple(
     name for name in execution.names() if name != "scalar"
 )
@@ -180,12 +181,10 @@ def _run_both(events, make_bank, backend="fused", **kwargs):
     assert execution.as_batch(events) is not None
     backend_bank = make_bank()
     scalar_bank = make_bank()
-    report = ShadeSimulator(
-        bank=backend_bank, backend=backend, **kwargs
-    ).run(events)
-    scalar = ShadeSimulator(
-        bank=scalar_bank, backend="scalar", **kwargs
-    ).run(events)
+    with execution.use_backend(backend):
+        report = ShadeSimulator(bank=backend_bank, **kwargs).run(events)
+    with execution.use_backend("scalar"):
+        scalar = ShadeSimulator(bank=scalar_bank, **kwargs).run(events)
     return report, scalar, backend_bank, scalar_bank
 
 
@@ -218,12 +217,10 @@ class TestProgramParity:
                 latencies=FAST_DESIGN.latencies(),
             )
             model = CycleModel(
-                FAST_DESIGN,
-                bank=bank,
-                hierarchy=MemoryHierarchy(),
-                backend=chosen,
+                FAST_DESIGN, bank=bank, hierarchy=MemoryHierarchy()
             )
-            reports.append(model.run(events))
+            with execution.use_backend(chosen):
+                reports.append(model.run(events))
         report, scalar_report = reports
         assert report.base_cycles == scalar_report.base_cycles
         assert report.memo_cycles == scalar_report.memo_cycles
@@ -564,6 +561,29 @@ class TestProbeMemo:
             execution.dispatch(events, reference.units, backend="scalar")
             _assert_same_state(bank, reference)
 
+    def test_replay_decodes_no_partition(self, traces, monkeypatch, replays):
+        # The memo is consulted before any operand is read: a partition
+        # served from it is never decoded.
+        decoded = []
+        for name in ("_partition_arrays", "_decode_partition"):
+            def counting(*args, _original=getattr(kernel, name), _name=name):
+                decoded.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(kernel, name, counting)
+
+        def make_bank():
+            return MemoTableBank.paper_baseline(operations=ALL_OPERATIONS)
+
+        batch = _fresh(traces["memo_showcase"])
+        execution.dispatch(batch, make_bank().units, backend="fused")
+        assert decoded
+        del decoded[:]
+        bank = make_bank()
+        execution.dispatch(batch, bank.units, backend="fused")
+        assert decoded == []
+        assert sorted(replays, key=lambda op: op.name) == _probed(bank)
+
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_one_probe_serves_two_machines(self, traces, name, loop_runs):
         # A machine's latencies change only the cycle charge, so the
@@ -579,10 +599,11 @@ class TestProbeMemo:
                     operations=ALL_OPERATIONS,
                     latencies=machine.latencies(),
                 )
-                reports.append(CycleModel(
-                    machine, bank=bank, hierarchy=MemoryHierarchy(),
-                    backend=chosen,
-                ).run(trace))
+                model = CycleModel(
+                    machine, bank=bank, hierarchy=MemoryHierarchy()
+                )
+                with execution.use_backend(chosen):
+                    reports.append(model.run(trace))
             report, scalar_report = reports
             assert report.base_cycles == scalar_report.base_cycles
             assert report.memo_cycles == scalar_report.memo_cycles
@@ -690,12 +711,13 @@ class TestProbeMemo:
             for _ in range(2):
                 del loop_runs[:]
                 registry = obs.MetricsRegistry()
-                with obs.use_registry(registry):
+                with obs.use_registry(registry), (
+                    execution.use_backend("fused")
+                ):
                     ShadeSimulator(
                         bank=MemoTableBank.paper_baseline(
                             operations=ALL_OPERATIONS
                         ),
-                        backend="fused",
                     ).run(batch)
                     CycleModel(
                         FAST_DESIGN,
@@ -703,7 +725,6 @@ class TestProbeMemo:
                             operations=ALL_OPERATIONS,
                             latencies=FAST_DESIGN.latencies(),
                         ),
-                        backend="fused",
                     ).run(batch)
                 snapshots.append((registry.as_dict(), list(loop_runs)))
         finally:

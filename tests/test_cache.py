@@ -180,9 +180,8 @@ class TestFifoReplacement:
 
 class TestBackendAwareProbeAdapter:
     """The hierarchy walk is stateful and interleaved with memo probes;
-    every registered backend must drive it identically (same cache
-    stats, same cycle totals) or the registry story drifts from the
-    cache path."""
+    both backends must drive it identically (same cache stats, same
+    cycle totals) or the fast path drifts from the cache path."""
 
     def _memory_trace(self):
         events = []
@@ -209,10 +208,9 @@ class TestBackendAwareProbeAdapter:
             bank = MemoTableBank.paper_baseline(
                 operations=ALL_OPERATIONS, latencies=FAST_DESIGN.latencies()
             )
-            model = CycleModel(
-                FAST_DESIGN, bank=bank, hierarchy=hierarchy, backend=chosen
-            )
-            report = model.run(batch)
+            model = CycleModel(FAST_DESIGN, bank=bank, hierarchy=hierarchy)
+            with execution.use_backend(chosen):
+                report = model.run(batch)
             runs.append((hierarchy.stats(), report))
         (stats, report), (ref_stats, ref_report) = runs
         assert stats == ref_stats

@@ -244,12 +244,10 @@ class TestEstimatePhases:
 
     @pytest.mark.parametrize("backend", execution.names())
     def test_backend_parity(self, saxpy_trace, backend):
-        reference = estimate_phases(
-            saxpy_trace, plan=self.PLAN, backend="scalar"
-        )
-        estimate = estimate_phases(
-            saxpy_trace, plan=self.PLAN, backend=backend
-        )
+        with execution.use_backend("scalar"):
+            reference = estimate_phases(saxpy_trace, plan=self.PLAN)
+        with execution.use_backend(backend):
+            estimate = estimate_phases(saxpy_trace, plan=self.PLAN)
         assert estimate.hit_ratios == reference.hit_ratios
         assert estimate.events_simulated == reference.events_simulated
         assert estimate.backend == backend
@@ -322,6 +320,20 @@ class TestSampleCli:
 
         assert main_sample(["--program", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_backend_flag_is_scoped_to_the_run(self, capsys):
+        from repro.simulator.sampling.cli import main_sample
+
+        before = execution.selected_name()
+        # The name is checked before the program runs.
+        assert main_sample(["--program", "nope", "--backend", "warp"]) == 2
+        assert "warp" in capsys.readouterr().err
+        assert main_sample([
+            "--program", "saxpy", "--n", "2048", "--phases", "4",
+            "--backend", "scalar", "--compare-full",
+        ]) == 0
+        assert "[backend=scalar]" in capsys.readouterr().out
+        assert execution.selected_name() == before
 
 
 class TestSampleServeJob:

@@ -140,6 +140,22 @@ def test_malformed_specs_rejected(service):
         with pytest.raises(ServeError) as excinfo:
             service.submit(bad)
         assert excinfo.value.status == 400
+    # A table the worker could not build, or one past figure3's largest
+    # (8192 entries): rejected at submit, naming the field.
+    for field, table in (
+        ("entries", {"entries": 33}),
+        ("entries", {"entries": 2**40}),
+        ("ways", {"ways": 3}),
+        ("ways", {"entries": 32, "ways": 64}),
+    ):
+        with pytest.raises(ServeError) as excinfo:
+            service.submit({"type": "program", "program": "saxpy", **table})
+        assert excinfo.value.status == 400
+        assert repr(field) in str(excinfo.value)
+    largest = {"type": "program", "program": "saxpy", "n": 8,
+               "entries": 8192, "ways": 4}
+    record = service.wait(service.submit(largest)["id"], timeout=60.0)
+    assert record["state"] == "done"
 
 
 def test_unknown_job_404s(service):

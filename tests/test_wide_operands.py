@@ -3,8 +3,9 @@
 Python integers are unbounded, so ``imul``/``idiv`` (and the machine's
 ``smul``/``sdiv``) can produce operands no int64 column holds.  Such
 events are kept verbatim beside the columns: the event view returns the
-exact integers, both backends count them alike, and the v3 writer
-refuses them rather than truncating.
+exact integers, both backends count them alike (a partition whose wide
+events are wide only in their results still takes the pair-id loop),
+and the v3 writer refuses them rather than truncating.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import io
 
 import pytest
 
+from repro.core import backend as execution
+from repro.core import kernel
 from repro.core.bank import MemoTableBank
 from repro.core.operations import Operation
 from repro.errors import TraceFormatError
@@ -93,14 +96,26 @@ def test_machine_event_view_returns_exact_integers():
 
 
 @pytest.mark.parametrize("make", [_recorded_trace, _machine_trace])
-def test_scalar_and_fused_count_wide_events_alike(make):
+def test_scalar_and_fused_count_wide_events_alike(make, monkeypatch):
+    looped = []
+    probe_fused = kernel._probe_fused
+
+    def counting(unit, *args):
+        looped.append(unit.operation)
+        return probe_fused(unit, *args)
+
+    monkeypatch.setattr(kernel, "_probe_fused", counting)
     stats = {}
     for backend in ("scalar", "fused"):
         bank = MemoTableBank.paper_baseline(operations=_INT_UNITS)
-        report = ShadeSimulator(bank, backend=backend).run(make())
+        with execution.use_backend(backend):
+            report = ShadeSimulator(bank).run(make())
         stats[backend] = report.unit_stats
     assert stats["scalar"] == stats["fused"]
     assert stats["fused"][Operation.INT_MUL].operations > 0
+    # IMUL's wide event is wide only in its result, so its operands fit
+    # the loop; IDIV's wide dividend sends it to unit.execute.
+    assert looped == [Operation.INT_MUL]
 
 
 @pytest.mark.parametrize("make", [_recorded_trace, _machine_trace, _mixed_trace])
