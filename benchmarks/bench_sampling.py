@@ -8,10 +8,13 @@ phase-representative intervals only
 error and achieved work reduction.  CI's sampling-accuracy job runs
 this as a script and fails the build (exit 1) unless **every** program
 lands within ``ERROR_GATE`` absolute hit ratio of the full run while
-touching at least ``WORK_REDUCTION_GATE`` times fewer events
-(backend-simulated windows plus oracle replay -- the honest
-denominator; the vectorized fingerprinting pass is trace preprocessing,
-not per-event simulation).
+touching at least ``WORK_REDUCTION_GATE`` times fewer events.  The
+estimator simulates only through the kernel: its residency model is
+one pass over the whole trace, the windows and their warm-up slices
+are dispatched, and the warm-up bound is an infinite-table replay of
+each primary window.  ``work_reduction`` counts the window and bound
+events only: neither the whole-trace residency pass nor the
+vectorized fingerprinting is in its denominator.
 
 Everything is seeded, so the gate is deterministic: same trace, same
 plan, same estimate.
@@ -39,7 +42,7 @@ WORKLOAD_N = 65536
 #: Absolute per-unit hit-ratio error ceiling, per program.
 ERROR_GATE = 0.02
 
-#: Floor on full-trace events over touched (simulated + oracle) events.
+#: Floor on full-trace events over window and bound events.
 WORK_REDUCTION_GATE = 10.0
 
 #: The locked estimation plan the gate certifies (seeded, deterministic).

@@ -33,12 +33,15 @@ Selection precedence (first match wins):
 fork/spawn worker pools inherit it.  Unknown names raise
 :class:`UnknownBackendError`.
 
+Models that need each event's outcome get the per-event outcome column
+from :func:`probe_outcomes`, which follows the same selection.
+
 This module is also the sanctioned facade over the kernel: lint rule
 REPRO009 forbids importing :mod:`repro.core.kernel` from outside
 ``repro.core``, so the kernel helpers front-ends legitimately need
-(:func:`probe_one`, :func:`probe_outcomes` and its outcome codes,
-:func:`values_match`, :func:`replay_infinite`, the fault-injection
-seam) are re-exported here.
+(:func:`probe_one`, the outcome codes, :func:`values_match`,
+:func:`replay_infinite`, the fault-injection seam) are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ import contextlib
 import os
 import time
 from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..errors import ReproError
@@ -59,7 +64,6 @@ from .kernel import (  # noqa: F401  (facade re-exports; see REPRO009)
     KernelReport,
     as_batch,
     probe_one,
-    probe_outcomes,
     replay_infinite,
     values_match,
 )
@@ -83,7 +87,6 @@ __all__ = [
     "probe_outcomes",
     "replay_infinite",
     "trivial_mask",
-    "set_indices",
     "values_match",
     "active_fault",
     "set_active_fault",
@@ -242,6 +245,26 @@ def dispatch(
     return report
 
 
+def probe_outcomes(batch, units) -> np.ndarray:
+    """Probe every memoized opcode partition of ``batch`` through its
+    unit in ``units`` on the selected backend and return one outcome
+    code per event (uint8; :data:`OUTCOME_MISS` for events no unit
+    serves).
+
+    Statistics land on the units exactly as a statistics-only dispatch
+    would put them; since each unit sees its own subsequence in trace
+    order, every event's outcome equals what ``unit.execute`` returns
+    for it in an event-at-a-time walk, which is what ``scalar`` runs."""
+    outcomes = np.zeros(len(batch), dtype=np.uint8)
+    if resolve() == "scalar":
+        kernel.run_events_scalar(batch, units, outcomes=outcomes)
+    else:
+        kernel._run_batch(
+            batch, units, None, None, 3, False, 0, len(batch), outcomes
+        )
+    return outcomes
+
+
 # -- kernel facade (REPRO009: outside repro.core, import *this* module) -----
 
 
@@ -264,16 +287,3 @@ def trivial_mask(operation, a, b):
     verification) use this instead of importing the kernel directly
     (REPRO009)."""
     return kernel._trivial_mask(operation, a, b)
-
-
-def set_indices(config, a, b):
-    """Public face of the kernel's vectorized set-index computation.
-
-    ``config`` is a :class:`~repro.core.config.MemoTableConfig`; ``a``
-    and ``b`` are operand arrays of the config's kind (int64 values for
-    INT units, float64 values for FLOAT units).  Returns each pair's
-    table set index under the production mapping -- the same formula
-    the probe fast path uses, so placement models in analysis layers
-    (sampling residency screens, conflict studies) can never drift from
-    the simulator (REPRO009)."""
-    return kernel._set_indices(config, a, b)

@@ -33,8 +33,9 @@ implementation, with two entry points:
 ``fused`` and ``scalar`` backends; ``repro <experiment> --backend
 NAME`` or the ``REPRO_BACKEND`` environment variable picks one at
 runtime.  Models that need each event's outcome (the hazard-aware
-pipeline) get it from :func:`probe_outcomes`, the fused pass with a
-per-event outcome column.
+pipeline, the sampling estimator's residency model) get a per-event
+outcome column from either entry point's ``outcomes`` argument, through
+:func:`repro.core.backend.probe_outcomes`.
 
 Batching by opcode is sound because each operation class owns a private
 MEMO-TABLE: per-table outcomes depend only on that operation's
@@ -70,7 +71,6 @@ __all__ = [
     "OUTCOME_MISS",
     "run_events_scalar",
     "probe_one",
-    "probe_outcomes",
     "replay_infinite",
     "as_batch",
     "values_match",
@@ -86,7 +86,7 @@ _F_WIDE = 16
 
 _MANT_MASK = (1 << 52) - 1
 
-#: Per-event outcome codes (:func:`probe_outcomes`' output):
+#: Per-event outcome codes (the ``outcomes`` column of both entry points):
 #: a table miss, a hit (INTEGRATED's trivial "hits" included), and a
 #: trivial operation that took the unit's early-out path without
 #: touching the table (EXCLUDE).
@@ -193,9 +193,7 @@ def _trivial_mask(operation: Operation, a, b):
 def _set_indices(config, np_a, np_b, mask: Optional[int] = None):
     """Vectorized table set index for each operand pair.
 
-    The single source of truth for the set-mapping formula: the probe
-    loop and any analysis layer that models table placement both call
-    this, so they can never drift apart.  INT operands xor their
+    The pair-id loop's set-mapping formula.  INT operands xor their
     values; FLOAT operands (float64 values or their uint64 bit
     patterns) xor the top bits of their mantissas (the exponent is
     deliberately excluded -- see the table design notes).  ``mask``
@@ -314,11 +312,7 @@ def _probe_partition(unit, batch, views, idx, validate, outcomes, partition):
             if validate and not values_match(outcome.value, results[i]):
                 mismatches += 1
             if outcomes is not None:
-                outcomes[i] = (
-                    OUTCOME_HIT if outcome.hit
-                    else OUTCOME_BYPASS if outcome.trivial
-                    else OUTCOME_MISS
-                )
+                outcomes[i] = _outcome_code(outcome)
         out = base, memo, mismatches
     if instrumented:
         reg = obs.registry()
@@ -371,6 +365,13 @@ def _charge(unit, table, n, n_trivial, lookups, hits, commutative_hits,
     unit_stats.cycles_base += base
     unit_stats.cycles_memo += memo
     return base, memo, 0
+
+
+def _outcome_code(outcome) -> int:
+    """The outcome code of one ``unit.execute`` result."""
+    if outcome.hit:
+        return OUTCOME_HIT
+    return OUTCOME_BYPASS if outcome.trivial else OUTCOME_MISS
 
 
 def _fill_outcomes(outcomes, bypass_mask, missed) -> None:
@@ -814,6 +815,7 @@ def run_events_scalar(
     validate: bool = False,
     start: int = 0,
     stop: Optional[int] = None,
+    outcomes=None,
 ) -> KernelReport:
     """The scalar reference loop (one ``unit.execute`` per event).
 
@@ -821,7 +823,9 @@ def run_events_scalar(
     front-ends used to carry; it stays as the ground truth the fused
     path is tested against, and as the fallback for plain event
     iterables.  ``start``/``stop`` select an index slice of
-    ``events``, which must then support ``len`` and indexing."""
+    ``events``, which must then support ``len`` and indexing.
+    ``outcomes``, when given, receives each probed event's outcome
+    code at its position in the slice, as :func:`_run_batch`'s does."""
     if start or stop is not None:
         indexed = events
         end = len(indexed) if stop is None else stop
@@ -841,6 +845,8 @@ def run_events_scalar(
             unit = units.get(operation) if units else None
             if unit is not None:
                 outcome = unit.execute(event.a, event.b)
+                if outcomes is not None:
+                    outcomes[instructions - 1] = _outcome_code(outcome)
                 if validate and not values_match(outcome.value, event.result):
                     mismatches += 1
                 if not cycle_mode:
@@ -1050,21 +1056,6 @@ def _run_batch(
         memo_cycles=memo_total,
         cycles_by_opcode=cycles_by_opcode,
     )
-
-
-def probe_outcomes(batch: ColumnBatch, units) -> np.ndarray:
-    """Probe every memoized opcode partition of ``batch`` through its
-    unit in ``units`` and return one outcome code per event (uint8;
-    :data:`OUTCOME_MISS` for events no unit serves).
-
-    Statistics land on the units exactly as a statistics-only dispatch
-    would put them; since each unit sees its own subsequence in trace
-    order, every event's outcome equals what ``unit.execute`` returns
-    for it in an event-at-a-time walk.  This is how the hazard-aware
-    pipeline model gets per-event outcomes without walking events."""
-    outcomes = np.zeros(len(batch), dtype=np.uint8)
-    _run_batch(batch, units, None, None, 3, False, 0, len(batch), outcomes)
-    return outcomes
 
 
 # -- infinite-table replay (reuse upper bound) ------------------------------

@@ -22,10 +22,9 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .. import obs
 from .config import MemoTableConfig, OperandKind, TagMode
-from .indexing import index_function
 from .replacement import ReplacementPolicy, make_policy
 from .stats import MemoStats
-from .tags import Tag, tag_function
+from .tags import Tag
 
 __all__ = ["LookupResult", "MemoTable", "InfiniteMemoTable", "BaseMemoTable"]
 
@@ -118,8 +117,10 @@ class BaseMemoTable(abc.ABC):
 def _key_function(config: MemoTableConfig) -> Callable[[float, float], Tuple[int, Tag]]:
     """Fused (set index, tag) extraction -- the lookup hot path.
 
-    Semantically identical to composing :func:`index_function` and
-    :func:`tag_function`, but decodes each operand's bit pattern once.
+    Semantically identical to composing
+    :func:`~repro.core.indexing.index_function` and
+    :func:`~repro.core.tags.tag_function` (the tests' references), but
+    decodes each operand's bit pattern once.
     """
     import struct
 
@@ -158,8 +159,6 @@ class MemoTable(BaseMemoTable):
 
     def __init__(self, config: Optional[MemoTableConfig] = None) -> None:
         self.config = config if config is not None else MemoTableConfig()
-        self._index = index_function(self.config)
-        self._tag = tag_function(self.config)
         self._key = _key_function(self.config)
         self._policy: ReplacementPolicy = make_policy(
             self.config.replacement, self.config.seed
@@ -266,7 +265,6 @@ class InfiniteMemoTable(BaseMemoTable):
             tag_mode=tag_mode,
             commutative=commutative,
         )
-        self._tag = tag_function(self.config)
         self._key = _key_function(self.config)
         self._entries: Dict[Tag, Tuple[float, Tuple[float, float]]] = {}
         self.stats = MemoStats()

@@ -19,9 +19,13 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
-from ..isa.opcodes import Opcode
+from ..isa.columns import ColumnBatch
+from ..isa.opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode
 from ..isa.trace import TraceEvent
+from .kernel import _F_PC, _decode_partition, as_batch
 from .stats import MemoStats
 
 __all__ = ["ReuseBuffer", "ReuseBufferReport", "run_reuse_buffer"]
@@ -139,17 +143,27 @@ def run_reuse_buffer(
     Events without a PC (traces recorded with ``record_sites=False``, or
     classes the recorder doesn't stamp, like loop overhead) are counted
     in ``report.skipped_no_pc`` -- for a faithful comparison record the
-    workload with sites enabled.
+    workload with sites enabled.  Opcode, pc and operands are read from
+    the trace's columns, each operand as the Python value of its own
+    event's type; a plain event sequence is converted once.
     """
     if buffer is None:
         buffer = ReuseBuffer()
     report = ReuseBufferReport()
-    for event in events:
-        if event.opcode not in classes:
-            continue
-        if event.pc is None:
-            report.skipped_no_pc += 1
-            continue
-        hit = buffer.access(event.pc, event.a, event.b, event.result)
-        report.record(event.opcode, hit)
+    batch = as_batch(events)
+    if batch is None:
+        batch = ColumnBatch.from_events(events)
+    views = batch.views()
+    idx = np.flatnonzero(
+        np.isin(views.opcode, [OPCODE_INDEX[opcode] for opcode in classes])
+    )
+    stamped = np.bitwise_and(views.flags[idx], _F_PC) != 0
+    report.skipped_no_pc = int(len(idx) - stamped.sum())
+    idx = idx[stamped]
+    a_values, b_values, results = _decode_partition(batch, views, idx, True)
+    for code, pc, a, b, result in zip(
+        views.opcode[idx].tolist(), views.pc[idx].tolist(),
+        a_values, b_values, results,
+    ):
+        report.record(OPCODE_LIST[code], buffer.access(pc, a, b, result))
     return buffer, report

@@ -13,8 +13,8 @@ append each operation to a :class:`ColumnAccumulator`, whose
 :meth:`~ColumnAccumulator.batch` turns the float64 operand buffers into
 int64 bit columns with one reinterpretation.  :class:`TraceEvent`
 objects exist only as the event view (:meth:`ColumnBatch.to_events`)
-that the scalar reference, the oracle, the hazard model and the reuse
-buffer walk; :meth:`ColumnBatch.append` / :meth:`ColumnBatch.from_events`
+that the scalar reference, the oracle and the hazard model's reference
+loop walk; :meth:`ColumnBatch.append` / :meth:`ColumnBatch.from_events`
 is the one event-to-column converter, for traces that arrive as events
 (the text format, generated test cases).
 

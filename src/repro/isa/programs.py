@@ -12,6 +12,7 @@ from typing import Dict
 
 __all__ = [
     "PROGRAMS",
+    "STEPS_PER_ELEMENT",
     "SAXPY",
     "DOT_PRODUCT",
     "VECTOR_NORMALIZE",
@@ -223,4 +224,21 @@ PROGRAMS: Dict[str, str] = {
     "gamma_lut": GAMMA_LUT,
     "sobel_gx": SOBEL_GX,
     "memo_showcase": MEMO_SHOWCASE,
+}
+
+#: A floor on the machine steps each program spends per element of its
+#: workload size ``n`` on the reference harness
+#: (:func:`repro.analysis.static.memo.reference_machine`): every run
+#: takes at least ``STEPS_PER_ELEMENT[name] * n`` steps, one pass of a
+#: loop body per element plus set-up (saxpy takes 11n + 7).  sobel_gx,
+#: whose ``n`` sets a width and a height, has its lowest ratio on small
+#: images (159 steps at n = 14).  Serve rejects an ``n`` whose floor
+#: exceeds the job's step budget.
+STEPS_PER_ELEMENT: Dict[str, int] = {
+    "saxpy": 11,
+    "dot_product": 10,
+    "vector_normalize": 16,
+    "gamma_lut": 10,
+    "sobel_gx": 11,
+    "memo_showcase": 19,
 }

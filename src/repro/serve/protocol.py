@@ -27,7 +27,8 @@ job types cover every workload the repository already knows how to run:
     program's memo hit ratios: feature extraction, k-means phase
     clustering, and simulation of representative intervals only.  The
     result document is the estimate's ``as_dict()`` -- per-unit
-    ratios, oracle warm-up bounds, and the achieved work reduction.
+    ratios, infinite-table warm-up bounds, and the achieved work
+    reduction.
 
 Jobs are **content-hash keyed**: :func:`job_id_for` digests the
 canonicalized spec, so submitting the same spec twice yields the same
@@ -78,8 +79,10 @@ DEFAULT_LEASE_TTL = 30.0
 DEFAULT_MAX_ATTEMPTS = 3
 
 #: Machine steps a ``program`` / ``sample`` job may run.  Every bundled
-#: program spends at least one step per element, so a job whose ``n``
-#: exceeds its budget could only fail, after allocating its inputs.
+#: program spends at least its
+#: :data:`~repro.isa.programs.STEPS_PER_ELEMENT` floor of steps per
+#: element, so a job whose ``n`` exceeds the budget over that floor
+#: could only fail, after allocating its inputs; it is rejected instead.
 PROGRAM_STEP_BUDGET = 2_000_000
 SAMPLE_STEP_BUDGET = 8_000_000
 
@@ -145,6 +148,28 @@ def _int_field(
             f"job spec field {key!r} must be <= {ceiling}"
         )
     return value
+
+
+def _program(spec: Dict[str, Any]) -> str:
+    """The spec's ``program`` field, checked against the bundled ones."""
+    from ..isa.programs import PROGRAMS
+
+    name = _require_str(spec, "program")
+    if name not in PROGRAMS:
+        raise ServeProtocolError(
+            f"unknown program {name!r}; available: " + ", ".join(PROGRAMS)
+        )
+    return name
+
+
+def _n_ceiling(program: str, budget: int) -> int:
+    """The largest ``n`` whose run could fit ``budget`` machine steps:
+    ``program`` spends at least its floor of steps on every element, so
+    any larger ``n`` could only end in 'step budget exhausted', after
+    building its inputs."""
+    from ..isa.programs import STEPS_PER_ELEMENT
+
+    return budget // STEPS_PER_ELEMENT[program]
 
 
 def _check_table(out: Dict[str, Any]) -> None:
@@ -227,16 +252,10 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
         out["kwargs"] = {str(k): kwargs[k] for k in sorted(kwargs)}
     elif kind == "program":
         allowed |= {"program", "n", "entries", "ways", "mantissa"}
-        name = _require_str(spec, "program")
-        from ..isa.programs import PROGRAMS
-
-        if name not in PROGRAMS:
-            raise ServeProtocolError(
-                f"unknown program {name!r}; available: " + ", ".join(PROGRAMS)
-            )
-        out["program"] = name
+        out["program"] = _program(spec)
         out["n"] = _int_field(
-            spec, "n", 64, floor=1, ceiling=PROGRAM_STEP_BUDGET
+            spec, "n", 64, floor=1,
+            ceiling=_n_ceiling(out["program"], PROGRAM_STEP_BUDGET),
         )
         out["entries"] = _int_field(
             spec, "entries", 32, floor=1, ceiling=MAX_TABLE_ENTRIES
@@ -256,22 +275,21 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
             "program", "n", "phases", "interval", "warmup",
             "samples_per_phase", "seed", "bound",
         }
-        name = _require_str(spec, "program")
-        from ..isa.programs import PROGRAMS
+        from ..simulator.sampling import PhasePlan
 
-        if name not in PROGRAMS:
-            raise ServeProtocolError(
-                f"unknown program {name!r}; available: " + ", ".join(PROGRAMS)
-            )
-        out["program"] = name
+        plan = PhasePlan()
+        out["program"] = _program(spec)
         out["n"] = _int_field(
-            spec, "n", 16384, floor=1, ceiling=SAMPLE_STEP_BUDGET
+            spec, "n", 16384, floor=1,
+            ceiling=_n_ceiling(out["program"], SAMPLE_STEP_BUDGET),
         )
-        out["phases"] = _int_field(spec, "phases", 16, floor=1)
-        out["interval"] = _int_field(spec, "interval", 250, floor=1)
-        out["warmup"] = _int_field(spec, "warmup", 500, floor=0)
+        out["phases"] = _int_field(spec, "phases", plan.phases, floor=1)
+        out["interval"] = _int_field(
+            spec, "interval", plan.interval, floor=1
+        )
+        out["warmup"] = _int_field(spec, "warmup", plan.warmup, floor=0)
         out["samples_per_phase"] = _int_field(
-            spec, "samples_per_phase", 4, floor=1
+            spec, "samples_per_phase", plan.samples_per_phase, floor=1
         )
         out["seed"] = _int_field(spec, "seed", 0)
         out["bound"] = bool(spec.get("bound", True))

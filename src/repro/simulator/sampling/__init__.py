@@ -6,10 +6,11 @@ phase-aware sampling:
 
 :mod:`.features` / :mod:`.phases` / :mod:`.estimator`
     per-interval feature vectors (opcode mix, operand-bit entropy,
-    pc-region signature), seeded k-means phase clustering, and a
-    weighted estimate from one representative interval per phase whose
-    warm-up error is bounded against the oracle's infinite-table replay
-    (:func:`estimate_phases`).
+    pc-region signature, residency under one kernel pass of the whole
+    trace), seeded k-means phase clustering, and a weighted estimate
+    from representative intervals per phase whose warm-up error is
+    bounded by an infinite-table replay of each warm-up slice and
+    window (:func:`estimate_phases`).
 """
 
 from .estimator import (
@@ -22,7 +23,6 @@ from .features import (
     FeatureConfig,
     IntervalFeatures,
     interval_features,
-    likely_resident,
     prior_lookup_index,
 )
 from .phases import (
@@ -36,7 +36,6 @@ __all__ = [
     "FeatureConfig",
     "IntervalFeatures",
     "interval_features",
-    "likely_resident",
     "prior_lookup_index",
     "PhaseClustering",
     "cluster_phases",

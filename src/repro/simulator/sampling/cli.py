@@ -52,27 +52,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--phases",
         type=int,
-        default=16,
-        help="target phase count for k-means (default 16)",
+        default=defaults.phases,
+        help="target phase count for k-means (default %(default)s)",
     )
     parser.add_argument(
         "--interval",
         type=int,
-        default=250,
-        help=f"interval length in events (default 250; plan default "
-             f"{defaults.interval})",
+        default=defaults.interval,
+        help="interval length in events (default %(default)s)",
     )
     parser.add_argument(
         "--warmup",
         type=int,
-        default=500,
-        help="functional-warming events before each window (default 500)",
+        default=defaults.warmup,
+        help="functional-warming events before each window (default "
+             "%(default)s)",
     )
     parser.add_argument(
         "--samples-per-phase",
         type=int,
-        default=4,
-        help="measured windows per phase (default 4)",
+        default=defaults.samples_per_phase,
+        help="measured windows per phase (default %(default)s)",
     )
     parser.add_argument(
         "--seed",
@@ -92,7 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-bound",
         action="store_true",
-        help="skip the oracle replay (no warm-up error bound, less work)",
+        help=(
+            "skip the infinite-table replay (no warm-up error bound, less "
+            "work)"
+        ),
     )
     parser.add_argument(
         "--no-cold-start",
@@ -103,8 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-control-variate",
         action="store_true",
         help=(
-            "disable the analytic-model control variate (plain weighted "
-            "window average)"
+            "disable the residency-model control variate (plain "
+            "weighted window average)"
         ),
     )
     parser.add_argument(
@@ -178,7 +181,7 @@ def main_sample(argv: Optional[List[str]] = None) -> int:
             f"[backend={estimate.backend}]"
         )
         print(
-            f"  simulated {estimate.events_simulated} + oracle "
+            f"  simulated {estimate.events_simulated} + bound "
             f"{estimate.oracle_events} events "
             f"-> work reduction {estimate.work_reduction:.1f}x"
         )

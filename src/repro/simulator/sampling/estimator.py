@@ -6,64 +6,70 @@ The SimPoint recipe applied to memo simulation:
    (:mod:`.features`),
 2. cluster the fingerprints into phases with seeded k-means
    (:mod:`.phases`),
-3. simulate *one representative interval per phase* -- warm-up slice
-   first, then the measured window -- through the selected execution
-   backend, and
-4. report the cluster-weighted hit-ratio estimate together with an
-   **oracle-bounded warm-up error**.
+3. simulate *a few representative intervals per phase* -- warm-up
+   slice first, then the measured window -- through the selected
+   execution backend, and
+4. report the cluster-weighted hit-ratio estimate together with a
+   **bounded warm-up error**.
+
+Every simulation here is a kernel run
+(:func:`~repro.core.backend.dispatch` or
+:func:`~repro.core.backend.probe_outcomes`); the estimator keeps no
+table model of its own.
 
 The error bound: each representative starts from a flushed bank plus
 ``plan.warmup`` events of functional warming, so the only events whose
 hit/miss outcome can differ from the full run are those in the
 measurement window whose operand pair never occurred since the warm-up
 began -- with *any* pre-interval table state they could at most flip
-from miss to hit.  Replaying the warm-up-plus-window slice through the
-golden oracle's infinite table (:class:`repro.verify.oracle.OracleBank`
-with ``infinite=True``) counts exactly those first-occurrence window
+from miss to hit.  Dispatching the warm-up slice and then the window
+into a fresh infinite bank (:meth:`MemoTableBank.infinite` under the
+bank's trivial policy) counts exactly those first-occurrence window
 lookups, and their weighted fraction of eligible window lookups is an
 upper bound on how much the estimate can undershoot the full run per
 unit.  (Finite-table replacement noise is second-order and not covered
 by the bound; the CI accuracy gate measures the realized end-to-end
 error on every bundled program.)
 
-The cold-start correction: those first-occurrence-in-slice window
-lookups split into two populations that a single vectorized
-previous-occurrence pass over the trace columns (no simulation, no
-per-event Python) can tell apart.  Pairs that *never* occurred before
-the slice miss in the full run too -- truncated warm-up already
-simulates them faithfully.  Pairs that did occur earlier in the trace
-were (replacement noise aside) resident in the full run's table, so the
-truncated run's one cold miss per such pair is pure warm-up artifact;
-``plan.correct_cold_start`` (default on) counts them back as hits.  The
-correction models the default table semantics -- full-value tags,
-trivial operands excluded from lookups, commutative operand matching
-where the operation declares it -- and the oracle bound above still
-brackets the corrected estimate: the correction moves the point
-estimate from the "all unknown lookups miss" end of the bracket toward
-the "resident pairs hit" end.
+The residency model: one kernel pass of the *whole* trace through a
+never-probed copy of the bank's units gives every event's full-run
+outcome (:mod:`.features`); a lookup is *resident* when that pass hit
+it.  The verdicts are the simulator's own under every replacement
+policy, tag mode, trivial policy and infinite table.
 
-The control variate: the residency sweep behind the correction
-(:func:`~repro.simulator.sampling.features.likely_resident`) is an
-analytic replay of the bank's real geometry -- set mapping, ways, LRU
-recency -- over the *whole* trace, so its per-unit hit prediction is
-near-exact for the default table semantics.  With
-``plan.control_variate`` (default on) the estimate becomes
+The cold-start correction: the first-occurrence-in-slice window
+lookups split into two populations.  Pairs that *never* occurred
+before the slice miss in the full run too -- truncated warm-up already
+simulates them faithfully.  Pairs that did occur earlier in the trace
+and that the full run serves from its table are cold in the truncated
+run only because of the truncation; ``plan.correct_cold_start``
+(default on) counts them back as hits.  Key identity follows the
+default table semantics -- full-value keys, trivial operands excluded
+from lookups, commutative operand matching where the operation
+declares it (:func:`~.features.prior_lookup_index`) -- and the bound
+above still brackets the corrected estimate: the correction moves the
+point estimate from the "all unknown lookups miss" end of the bracket
+toward the "resident pairs hit" end.
+
+The control variate: with ``plan.control_variate`` (default on) the
+estimate becomes
 
     model(full trace) + sum over windows of
         weight * (measured(window) - model(window))
 
-instead of a pure weighted window average.  Where the model is exact
-the window residuals vanish and sampling variance with them; where the
-model is biased (non-LRU replacement, exotic tag modes) the sampled
+instead of a pure weighted window average, where the model counts the
+residency verdicts (and the unit's trivial operations as hits).  Where
+the model matches the windows' measurement the residuals vanish and
+sampling variance with them; where it does not (a window's warm-up
+misses, trivial accounting that differs from the table's) the sampled
 residuals correct it, because measured and model are differenced on
-identical events.  The simulated windows thus audit the model instead
-of carrying the whole estimate, which is what makes small sample
-budgets robust.
+identical events.
 
-All simulation goes through :func:`repro.core.backend.dispatch`, so the
-estimator runs on the process-wide backend selection (``scalar`` |
-``fused``; scope one with ``use_backend``) and stays bit-identical
-across them -- the parity suite asserts it.
+All simulation follows the process-wide backend selection (``scalar``
+| ``fused``; scope one with ``use_backend``) and stays bit-identical
+across them -- the parity suite asserts it.  ``work_reduction`` counts
+the window and bound events only; the whole-trace residency pass, one
+more kernel run over every event, is not in it.
 """
 
 from __future__ import annotations
@@ -107,21 +113,23 @@ class PhasePlan:
         interval.
     ``correct_cold_start``
         Count window lookups whose operand pair occurred before the
-        warm-up slice (and would therefore have been table-resident in
-        the full run) as hits instead of cold misses (see module
-        docstring).
+        warm-up slice and that the full run hits as hits instead of
+        cold misses (see module docstring).
     ``control_variate``
-        Anchor the estimate on the analytic residency model of the
-        full trace and let the simulated windows contribute only their
+        Anchor the estimate on the residency model of the full trace
+        and let the simulated windows contribute only their
         measured-minus-model residuals (see module docstring).  Off,
         the estimate is the plain weighted window average.
+
+    The defaults are the plan ``repro sample`` and serve's ``sample``
+    jobs run.
     """
 
-    phases: int = 4
-    interval: int = 1000
-    warmup: int = 250
+    phases: int = 16
+    interval: int = 250
+    warmup: int = 500
     seed: int = 0
-    samples_per_phase: int = 1
+    samples_per_phase: int = 4
     correct_cold_start: bool = True
     control_variate: bool = True
 
@@ -146,15 +154,16 @@ class RepresentativeWindow:
     weight: float
     #: Per-unit ``(eligible_lookups, hits)`` measured inside the window.
     measured: Dict[Operation, Tuple[int, int]] = field(default_factory=dict)
-    #: Per-unit ``(eligible_lookups, infinite_misses)`` from the oracle
-    #: replay of the warm-up + window slice (empty when bounding is off).
+    #: Per-unit ``(eligible_lookups, infinite_misses)`` from the
+    #: infinite-table replay of the warm-up + window slice (empty when
+    #: bounding is off or on a phase's extra windows).
     oracle: Dict[Operation, Tuple[int, int]] = field(default_factory=dict)
     #: Per-unit count of window lookups counted back as hits by the
     #: cold-start correction (empty when the correction is off).
     cold_corrections: Dict[Operation, int] = field(default_factory=dict)
-    #: Per-unit ``(eligible_lookups, hits)`` the analytic residency
-    #: model predicts for this window (empty when the control variate
-    #: is off).
+    #: Per-unit ``(eligible_lookups, hits)`` the residency model
+    #: predicts for this window (empty when the control variate is
+    #: off).
     model: Dict[Operation, Tuple[int, int]] = field(default_factory=dict)
 
 
@@ -169,7 +178,7 @@ class PhaseEstimate:
     events_simulated: int
     #: Events inside measurement windows.
     events_measured: int
-    #: Events replayed through the oracle for the warm-up bound.
+    #: Events replayed through infinite tables for the warm-up bound.
     oracle_events: int
     intervals: int
     phases: int
@@ -178,8 +187,8 @@ class PhaseEstimate:
     hit_ratios: Dict[Operation, float]
     #: Upper bound on per-unit estimate undershoot from truncated warm-up.
     warmup_error_bound: Dict[Operation, float]
-    #: The analytic residency model's own full-trace hit-ratio per unit
-    #: (empty when the control variate is off).
+    #: The residency model's own full-trace hit-ratio per unit (empty
+    #: when the control variate is off).
     model_hit_ratios: Dict[Operation, float] = field(default_factory=dict)
 
     @property
@@ -191,11 +200,12 @@ class PhaseEstimate:
 
     @property
     def work_reduction(self) -> float:
-        """Full-trace events over *all* touched events (backend + oracle).
+        """Full-trace events over window and bound events.
 
-        This is the honest >10x figure the CI gate checks: the oracle
-        replay is real per-event work even though it only feeds the
-        error bound.
+        This is the >10x figure the CI gate checks: the bound's
+        infinite-table replay is per-event work even though it only
+        feeds the error bound.  The whole-trace residency pass is not
+        counted (see module docstring).
         """
         touched = self.events_simulated + self.oracle_events
         if not touched:
@@ -259,50 +269,29 @@ class PhaseEstimate:
         }
 
 
-def _oracle_window_stats(
-    batch,
-    bank: MemoTableBank,
-    warm_start: int,
-    window_start: int,
-    stop: int,
-) -> Dict[Operation, Tuple[int, int]]:
-    """Replay ``[warm_start, stop)`` through infinite oracle tables.
+def _unit_counts(units) -> Dict[Operation, Tuple[int, int, int]]:
+    """Per-unit ``(lookups, hits, trivial_hits)`` so far."""
+    return {
+        op: (unit.table.stats.lookups, unit.table.stats.hits,
+             unit.stats.trivial_hits)
+        for op, unit in units.items()
+    }
 
-    Returns per-unit ``(eligible_window_lookups, infinite_misses)``:
-    the misses are the window events whose operand pair first occurs
-    inside the slice -- the only events truncated warm-up can have
-    mis-simulated (see module docstring).
-    """
-    from ...verify.oracle import OracleBank
 
-    sample_unit = next(iter(bank.units.values()))
-    oracle = OracleBank(
-        trivial_policy=sample_unit.trivial_policy,
-        operations=tuple(bank.units),
-        infinite=True,
-    )
-    marks: Dict[Operation, Tuple[int, int, int]] = {}
-    for index in range(warm_start, stop):
-        if index == window_start:
-            marks = {
-                op: (unit.table.lookups, unit.table.hits, unit.trivial_hits)
-                for op, unit in oracle.units.items()
-            }
-        event = batch.event(index)
-        operation = event.opcode.operation
-        if operation is None or operation not in oracle.units:
-            continue
-        oracle.step(operation, event.a, event.b)
-    if not marks:  # window_start == warm_start
-        marks = {op: (0, 0, 0) for op in oracle.units}
-    out: Dict[Operation, Tuple[int, int]] = {}
-    for op, unit in oracle.units.items():
-        lookups0, hits0, trivial0 = marks[op]
-        lookups = unit.table.lookups - lookups0
-        hits = unit.table.hits - hits0
-        trivial_hits = unit.trivial_hits - trivial0
-        out[op] = (lookups + trivial_hits, lookups - hits)
-    return out
+def _window_counts(
+    batch, units, warm_start: int, start: int, stop: int
+) -> Dict[Operation, Tuple[int, int, int]]:
+    """Dispatch ``[warm_start, start)`` and then ``[start, stop)`` into
+    ``units``; per-unit ``(lookups, hits, trivial_hits)`` of the
+    window alone."""
+    if warm_start < start:
+        execution.dispatch(batch, units, start=warm_start, stop=start)
+    before = _unit_counts(units)
+    execution.dispatch(batch, units, start=start, stop=stop)
+    return {
+        op: tuple(after - base for after, base in zip(counts, before[op]))
+        for op, counts in _unit_counts(units).items()
+    }
 
 
 def estimate_phases(
@@ -319,8 +308,8 @@ def estimate_phases(
     (converted once).  ``bank`` supplies the table geometry (fresh
     paper baseline by default); it is flushed before every
     representative so phase order cannot leak state between windows.
-    ``bound_warmup=False`` skips the oracle replay (no error bound,
-    less non-backend work).
+    ``bound_warmup=False`` skips the infinite-table replay (no error
+    bound, less work).
     """
     if plan is None:
         plan = PhasePlan()
@@ -385,18 +374,10 @@ def estimate_phases(
                 start, stop = features.bounds[int(interval_index)]
                 warm_start = max(0, start - plan.warmup)
                 bank.flush()
-                if warm_start < start:
-                    execution.dispatch(
-                        batch, bank.units, start=warm_start, stop=start
-                    )
-                    simulated += start - warm_start
-                before = {
-                    op: (unit.table.stats.lookups, unit.table.stats.hits,
-                         unit.stats.trivial_hits)
-                    for op, unit in bank.units.items()
-                }
-                execution.dispatch(batch, bank.units, start=start, stop=stop)
-                simulated += stop - start
+                counts = _window_counts(
+                    batch, bank.units, warm_start, start, stop
+                )
+                simulated += stop - warm_start
                 measured_events += stop - start
                 rep = RepresentativeWindow(
                     phase=phase,
@@ -433,21 +414,25 @@ def estimate_phases(
                         rep.model[op] = (
                             lookups_w + trivial_w, resident_w + trivial_w
                         )
-                for op, unit in bank.units.items():
-                    lookups0, hits0, trivial0 = before[op]
-                    lookups = unit.table.stats.lookups - lookups0
-                    hits = unit.table.stats.hits - hits0
-                    trivial_hits = unit.stats.trivial_hits - trivial0
+                for op, (lookups, hits, trivial_hits) in counts.items():
                     hits += rep.cold_corrections.get(op, 0)
                     rep.measured[op] = (lookups + trivial_hits,
                                         min(lookups, hits) + trivial_hits)
                 if bound_warmup and which == 0:
-                    # The oracle replay prices the warm-up bound on the
-                    # phase's primary (centroid-nearest) window; extra
-                    # stratified samples share their phase's bound.
-                    rep.oracle = _oracle_window_stats(
-                        batch, bank, warm_start, start, stop
+                    # The infinite-table replay prices the warm-up bound
+                    # on the phase's primary (centroid-nearest) window;
+                    # extra stratified samples share their phase's bound.
+                    infinite = MemoTableBank.infinite(
+                        tuple(bank.units),
+                        next(iter(bank.units.values())).trivial_policy,
                     )
+                    rep.oracle = {
+                        op: (lookups + trivial_hits, lookups - hits)
+                        for op, (lookups, hits, trivial_hits) in
+                        _window_counts(
+                            batch, infinite.units, warm_start, start, stop
+                        ).items()
+                    }
                     oracle_events += stop - warm_start
                 representatives.append(rep)
 
@@ -457,7 +442,7 @@ def estimate_phases(
         for op in bank.units:
             num = den = 0.0
             if plan.control_variate:
-                # Anchor on the analytic model's full-trace rates; the
+                # Anchor on the residency model's full-trace rates; the
                 # windows below then contribute only their
                 # measured-minus-model residual rates.
                 model_eligible_t, model_hits_t = model_totals[op]

@@ -3,9 +3,9 @@
 SimPoint-style phase detection needs a compact fingerprint of what each
 fixed-length interval of the trace *does*; intervals that fingerprint
 alike are the same program phase and one representative can stand in
-for all of them.  Three feature families, all computed directly on the
-:class:`~repro.isa.columns.ColumnBatch` numpy views (no event
-materialization):
+for all of them.  The feature families below are computed on the
+:class:`~repro.isa.columns.ColumnBatch` numpy views, except the
+residency rate, which reads one kernel pass:
 
 opcode mix
     The normalized opcode histogram of the interval -- the classic
@@ -33,14 +33,13 @@ reuse distance
     opcode mix it happens to share.
 
 residency rate (only when a bank is supplied)
-    Per unit, the fraction of the interval's lookups whose previous
-    occurrence was still table-resident under the bank's real geometry
-    -- an analytic set-associative LRU sweep
-    (:func:`likely_resident`) using the production set mapping.  Two
-    intervals can agree on every content feature above yet hit at
-    different rates because of the *history* each inherits; the
-    residency rate is exactly that history effect, so phases become
-    homogeneous in the quantity the estimator measures.
+    Per unit, the fraction of the interval's lookups that hit in one
+    kernel pass of the whole trace through a never-probed copy of the
+    bank (:func:`_residency`).  Two intervals can agree on every
+    content feature above yet hit at different rates because of the
+    *history* each inherits; the residency rate is exactly that history
+    effect, so phases become homogeneous in the quantity the estimator
+    measures.
 
 pc-region signature
     A small bucketed histogram of a seeded pc mix
@@ -53,7 +52,6 @@ Everything is deterministic: same batch, same config, same matrix.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -61,6 +59,8 @@ import numpy as np
 
 from ...core import backend as execution
 from ...core.config import OperandKind
+from ...core.memo_table import InfiniteMemoTable
+from ...core.unit import MemoizedUnit
 from ...errors import ConfigurationError
 from ...isa.opcodes import OPCODE_LIST
 
@@ -68,7 +68,6 @@ __all__ = [
     "FeatureConfig",
     "IntervalFeatures",
     "interval_features",
-    "likely_resident",
     "pc_signature_keys",
     "prior_lookup_index",
 ]
@@ -182,7 +181,7 @@ class IntervalFeatures:
     unit_of: Optional[np.ndarray] = field(default=None, repr=False)
     #: Operations backing ``unit_of`` indices, name-sorted.
     ops: Tuple = ()
-    #: Per-event residency verdicts (:func:`likely_resident`) when a
+    #: Per-event residency verdicts (:func:`_residency`) when a
     #: bank was supplied to :func:`interval_features`, else ``None``.
     resident: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -214,11 +213,13 @@ def prior_lookup_index(batch, operations=None):
     ``unit_of[i]`` indexes into ``ops`` (``-1`` for non-lookups).  Pure
     numpy over the columnar views -- one stable lexsort, no simulation.
 
-    Key identity follows the default table semantics: exact operand bit
-    patterns (full-value tags), trivial operands skipped (EXCLUDE
-    policy), and operand order canonicalized for commutative
-    operations.  ``operations`` restricts the units considered (every
-    memoizable operation in the opcode table by default).
+    Key identity follows the default table semantics: full operand
+    values (full-value tags), trivial operands skipped (EXCLUDE policy;
+    tested on the values of the operation's operand kind, so an integer
+    multiply by 1 is trivial), and operand order canonicalized for
+    commutative operations.  ``operations`` restricts the units
+    considered (every memoizable operation in the opcode table by
+    default).
     """
     views = batch.views()
     total = len(batch)
@@ -244,10 +245,11 @@ def prior_lookup_index(batch, operations=None):
         mine = unit_of == idx
         if not mine.any():
             continue
-        trivial = execution.trivial_mask(
-            op, views.a_f[mine], views.b_f[mine]
-        )
-        lookup[np.nonzero(mine)[0][trivial]] = False
+        if op.operand_kind is OperandKind.INT:
+            a, b = views.a_i[mine], views.b_i[mine]
+        else:
+            a, b = views.a_f[mine], views.b_f[mine]
+        lookup[np.nonzero(mine)[0][execution.trivial_mask(op, a, b)]] = False
         if op.commutative:
             a, b = key_a[mine], key_b[mine]
             key_a[mine] = np.minimum(a, b)
@@ -270,53 +272,38 @@ def prior_lookup_index(batch, operations=None):
     return prev, unit_of, ops
 
 
-def likely_resident(batch, prev, unit_of, ops, bank):
-    """Was each lookup's previous occurrence plausibly still cached?
+def _residency(batch, bank) -> np.ndarray:
+    """Did each event hit in the full run of ``batch`` through ``bank``?
 
-    An analytic hit model over the whole trace: per unit, an exact
-    set-associative LRU sweep with the real table geometry of ``bank``
-    -- each pair's set index comes from the production mapping
-    (:func:`repro.core.backend.set_indices`), and each set keeps an
-    LRU stack of ``associativity`` entries.  The previous-occurrence
-    chain from :func:`prior_lookup_index` doubles as key identity: a
-    stack entry is the trace position of a key's latest occurrence, so
-    a lookup's prior is resident exactly when that position is still
-    on its set's stack.  Capacity *and* conflict evictions are both
-    modeled.
+    One :func:`repro.core.backend.probe_outcomes` pass of the whole
+    trace into a never-probed copy of the bank's units (same table
+    class and configuration, trivial policy and latencies), so each
+    verdict is the simulator's own, under every replacement policy,
+    tag mode, trivial policy and infinite table; ``bank`` itself is
+    not touched.
 
     Two consumers: the per-interval residency-rate feature (phases
     become homogeneous in the measured quantity) and the estimator's
-    cold-start correction (window lookups whose resident prior predates
-    the warm-up slice are counted back as hits).
+    cold-start correction and control variate.
     """
-    views = batch.views()
-    resident = np.zeros(len(prev), dtype=bool)
-    for index, op in enumerate(ops):
-        config = bank.units[op].table.config
-        mine = np.nonzero(unit_of == index)[0]
-        if not len(mine):
-            continue
-        if config.operand_kind is OperandKind.INT:
-            a, b = views.a_i[mine], views.b_i[mine]
+    units = {}
+    for op, unit in bank.units.items():
+        config = unit.table.config
+        if isinstance(unit.table, InfiniteMemoTable):
+            table = InfiniteMemoTable(
+                config.operand_kind, config.tag_mode, config.commutative
+            )
         else:
-            a, b = views.a_f[mine], views.b_f[mine]
-        set_of = np.asarray(
-            execution.set_indices(config, a, b), dtype=np.int64
-        ).tolist()
-        ways = config.associativity
-        stacks: "list[OrderedDict[int, None]]" = [
-            OrderedDict() for _ in range(config.n_sets)
-        ]
-        for where, position in enumerate(mine.tolist()):
-            stack = stacks[set_of[where]]
-            prior = int(prev[position])
-            if prior >= 0 and prior in stack:
-                resident[position] = True
-                del stack[prior]
-            stack[position] = None
-            if len(stack) > ways:
-                stack.popitem(last=False)
-    return resident
+            table = type(unit.table)(config)
+        units[op] = MemoizedUnit(
+            op,
+            table=table,
+            latency=unit.latency,
+            hit_latency=unit.hit_latency,
+            trivial_latency=unit.trivial_latency,
+            trivial_policy=unit.trivial_policy,
+        )
+    return execution.probe_outcomes(batch, units) == execution.OUTCOME_HIT
 
 
 def _byte_entropy(column: np.ndarray) -> float:
@@ -421,10 +408,10 @@ def interval_features(
 
     ``bank`` (a :class:`~repro.core.bank.MemoTableBank`) enables the
     residency-rate feature family: lookups are restricted to the
-    bank's units and each row gains one analytic LRU-residency column
-    per unit (see module docstring).  The computed per-event arrays
-    ride along on the returned :class:`IntervalFeatures` so estimators
-    can reuse them without a second pass.
+    bank's units and each row gains one residency column per unit
+    (see module docstring).  The computed per-event arrays ride along
+    on the returned :class:`IntervalFeatures` so estimators can reuse
+    them without a second pass.
     """
     cfg = config if config is not None else FeatureConfig()
     # Accept the same trace shapes estimate_phases does: a columnar
@@ -446,7 +433,7 @@ def interval_features(
         prev, unit_of, ops = prior_lookup_index(
             batch, operations=bank.units
         )
-        resident = likely_resident(batch, prev, unit_of, ops, bank)
+        resident = _residency(batch, bank)
     else:
         prev, unit_of, ops = prior_lookup_index(batch)
         resident = None

@@ -12,6 +12,7 @@ the broad parity suite only hits statistically.
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -24,6 +25,7 @@ from repro.core.config import MemoTableConfig
 from repro.core.operations import Operation
 from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
+from repro.isa.programs import PROGRAMS
 from repro.isa.trace import TraceEvent
 from repro.serve.protocol import JobSpec, ServeProtocolError, normalize_spec
 from repro.simulator.cpu import MemoizedCPU
@@ -184,6 +186,26 @@ class TestOneRoad:
         else:
             expected = {"run_events_scalar"}
         assert taken and set(taken) == expected
+
+
+class TestProbeOutcomes:
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_scalar_and_fused_columns_agree(self, name):
+        machine = reference_machine(name, 1024)
+        machine.run(max_steps=100_000)
+        batch = execution.as_batch(machine.trace)
+        columns, banks = {}, {}
+        for backend in execution.names():
+            banks[backend] = MemoTableBank.paper_baseline(
+                operations=ALL_OPERATIONS
+            )
+            with execution.use_backend(backend):
+                columns[backend] = execution.probe_outcomes(
+                    batch, banks[backend].units
+                )
+        assert np.array_equal(columns["scalar"], columns["fused"])
+        assert (columns["fused"] == execution.OUTCOME_HIT).any()
+        assert _fingerprint(banks["scalar"]) == _fingerprint(banks["fused"])
 
 
 class TestCliAliases:

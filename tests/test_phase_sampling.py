@@ -2,11 +2,13 @@
 
 Covers the three layers the estimator composes -- interval features,
 seeded k-means phase clustering, representative selection -- plus the
-end-to-end phase-weighted estimate, its oracle warm-up bound, the CLI
+end-to-end phase-weighted estimate, its infinite-table warm-up bound
+(held to the oracle's replay), the CLI
 entry point and the `sample` serve job type.
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -14,10 +16,17 @@ import pytest
 from repro.analysis.static.memo import reference_machine
 from repro.core import backend as execution
 from repro.core.bank import MemoTableBank
+from repro.core.config import (
+    MemoTableConfig,
+    ReplacementKind,
+    TagMode,
+    TrivialPolicy,
+)
 from repro.core.operations import Operation
 from repro.errors import ConfigurationError
 from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
+from repro.isa.programs import PROGRAMS
 from repro.isa.trace import TraceEvent
 from repro.simulator.sampling import (
     FeatureConfig,
@@ -26,10 +35,10 @@ from repro.simulator.sampling import (
     cluster_phases,
     estimate_phases,
     interval_features,
-    likely_resident,
     prior_lookup_index,
     sample_intervals,
 )
+from repro.verify.oracle import OracleBank
 
 
 @pytest.fixture(scope="module")
@@ -94,44 +103,153 @@ class TestIntervalFeatures:
         )
 
 
+def _mixed_trace(length=3000, seed=5):
+    """FMUL/FDIV/IMUL events with reuse, set conflicts, operands that
+    share a mantissa, and integer multiplies by -1, 0 and 1."""
+    rng = random.Random(seed)
+    floats = [1.5, 3.0, 6.0, -0.75, 2.25, 4.5, 0.0, 1.0, -1.0] + [
+        1.0 + k / 64.0 for k in range(40)
+    ]
+    ints = [-1, 0, 1, 2, 3, -5, 7, 12, 100] + list(range(20, 60))
+    events = []
+    for _ in range(length):
+        kind = rng.random()
+        if kind < 0.4:
+            a, b = rng.choice(floats), rng.choice(floats)
+            events.append(TraceEvent(Opcode.FMUL, a, b, a * b))
+        elif kind < 0.6:
+            a, b = rng.choice(floats), rng.choice(floats[1:6])
+            events.append(TraceEvent(Opcode.FDIV, a, b, a / b))
+        elif kind < 0.9:
+            a, b = rng.choice(ints), rng.choice(ints)
+            events.append(TraceEvent(Opcode.IMUL, a, b, a * b))
+        else:
+            events.append(TraceEvent(Opcode.IALU, 1, 2, 3))
+    return ColumnBatch.from_events(events)
+
+
+def _walk_hits(batch, bank):
+    """Each event's ``unit.execute(...).hit`` in an event-at-a-time walk."""
+    hits = []
+    for event in batch.to_events():
+        unit = bank.units.get(event.opcode.operation)
+        hits.append(unit is not None and unit.execute(event.a, event.b).hit)
+    return np.array(hits)
+
+
+_BANKS = {
+    f"{replacement.name}-{policy.name}-{tags.name}": (
+        lambda replacement=replacement, policy=policy, tags=tags:
+        MemoTableBank.paper_baseline(
+            config=MemoTableConfig(replacement=replacement, tag_mode=tags),
+            trivial_policy=policy,
+        )
+    )
+    for replacement in ReplacementKind
+    for policy in TrivialPolicy
+    for tags in TagMode
+}
+_BANKS.update({
+    f"infinite-{policy.name}": (
+        lambda policy=policy: MemoTableBank.infinite(trivial_policy=policy)
+    )
+    for policy in TrivialPolicy
+})
+
+
 class TestResidencyModel:
     def test_first_occurrence_never_resident(self):
         events = [
             TraceEvent(Opcode.FDIV, float(i) + 2.5, 2.0, (float(i) + 2.5) / 2)
             for i in range(64)
         ]
-        batch = ColumnBatch.from_events(events)
-        bank = MemoTableBank.paper_baseline()
-        prev, unit_of, ops = prior_lookup_index(batch, operations=bank.units)
-        resident = likely_resident(batch, prev, unit_of, ops, bank)
-        assert not resident.any()  # 64 distinct pairs, no reuse at all
+        features = interval_features(
+            ColumnBatch.from_events(events), FeatureConfig(interval=16),
+            bank=MemoTableBank.paper_baseline(),
+        )
+        assert not features.resident.any()  # 64 distinct pairs, no reuse
 
     def test_steady_reuse_is_resident(self):
         events = [TraceEvent(Opcode.FDIV, 3.0, 2.0, 1.5)] * 50
-        batch = ColumnBatch.from_events(events)
-        bank = MemoTableBank.paper_baseline()
-        prev, unit_of, ops = prior_lookup_index(batch, operations=bank.units)
-        resident = likely_resident(batch, prev, unit_of, ops, bank)
-        assert not resident[0]
-        assert resident[1:].all()
+        features = interval_features(
+            ColumnBatch.from_events(events), FeatureConfig(interval=16),
+            bank=MemoTableBank.paper_baseline(),
+        )
+        assert not features.resident[0]
+        assert features.resident[1:].all()
 
-    def test_model_tracks_full_run_on_reference_programs(self, saxpy_trace):
-        # The analytic sweep replays the real geometry, so its hit
-        # counts should essentially reproduce the simulated full run
-        # under default table semantics.
-        batch = execution.as_batch(saxpy_trace)
-        bank = MemoTableBank.paper_baseline()
-        prev, unit_of, ops = prior_lookup_index(batch, operations=bank.units)
-        resident = likely_resident(batch, prev, unit_of, ops, bank)
-        full = _full_ratios(saxpy_trace)
-        for index, op in enumerate(ops):
-            mine = unit_of == index
-            if not mine.any() or op not in full:
-                continue
-            model_ratio = resident[mine].mean()
-            # Trivial events are excluded from both sides; the model
-            # may only diverge through replacement-order corner cases.
-            assert model_ratio == pytest.approx(full[op], abs=0.02)
+    @pytest.mark.parametrize("config", sorted(_BANKS))
+    def test_verdicts_are_the_simulators(self, config):
+        batch = _mixed_trace()
+        bank = _BANKS[config]()
+        features = interval_features(
+            batch, FeatureConfig(interval=250), bank=bank
+        )
+        walked = _walk_hits(batch, _BANKS[config]())
+        assert np.array_equal(features.resident, walked)
+        # The model runs on a copy: the bank it was given stays unprobed.
+        assert all(
+            unit.stats.operations == 0 for unit in bank.units.values()
+        )
+
+    def test_lookup_mask_skips_trivial_integer_operands(self):
+        batch = _mixed_trace()
+        prev, unit_of, ops = prior_lookup_index(
+            batch, operations=(Operation.INT_MUL,)
+        )
+        events = batch.to_events()
+        for position, event in enumerate(events):
+            trivial = event.a in (-1, 0, 1) or event.b in (-1, 0, 1)
+            if event.opcode is Opcode.IMUL and not trivial:
+                assert unit_of[position] == 0
+            else:
+                assert unit_of[position] == -1
+                assert prev[position] == -1
+        assert ops == [Operation.INT_MUL]
+
+    def test_model_tracks_full_run_on_reference_programs(self):
+        for name in sorted(PROGRAMS):
+            machine = reference_machine(name, 2048)
+            machine.run(max_steps=2_000_000)
+            batch = execution.as_batch(machine.trace)
+            bank = MemoTableBank.paper_baseline()
+            features = interval_features(
+                batch, FeatureConfig(interval=250), bank=bank
+            )
+            execution.dispatch(batch, bank.units)
+            for index, op in enumerate(features.ops):
+                mine = features.unit_of == index
+                # The lookups are the table's, and so are their hits.
+                table = bank.units[op].stats.table
+                assert int(mine.sum()) == table.lookups, (name, op)
+                assert int(features.resident[mine].sum()) == table.hits, (
+                    name, op
+                )
+
+
+def _oracle_bound(events, window_start, operations, policy):
+    """Per-unit ``(eligible, infinite misses)`` of ``events[window_start:]``
+    after replaying all of ``events`` through the oracle's infinite
+    tables (the reference the estimator's bound is held to)."""
+    oracle = OracleBank(
+        trivial_policy=policy, operations=operations, infinite=True
+    )
+    marks = {op: (0, 0, 0) for op in operations}
+    for index, event in enumerate(events):
+        if index == window_start:
+            marks = {
+                op: (unit.table.lookups, unit.table.hits, unit.trivial_hits)
+                for op, unit in oracle.units.items()
+            }
+        if event.opcode.operation in oracle.units:
+            oracle.step(event.opcode.operation, event.a, event.b)
+    out = {}
+    for op, unit in oracle.units.items():
+        lookups0, hits0, trivial0 = marks[op]
+        lookups = unit.table.lookups - lookups0
+        trivial_hits = unit.trivial_hits - trivial0
+        out[op] = (lookups + trivial_hits, lookups - (unit.table.hits - hits0))
+    return out
 
 
 class TestPhaseClustering:
@@ -252,6 +370,24 @@ class TestEstimatePhases:
         assert estimate.events_simulated == reference.events_simulated
         assert estimate.backend == backend
 
+    @pytest.mark.parametrize("policy", list(TrivialPolicy))
+    def test_warmup_bound_equals_an_oracle_replay(self, policy):
+        batch = _mixed_trace()
+        bank = MemoTableBank.paper_baseline(trivial_policy=policy)
+        plan = PhasePlan(
+            phases=4, interval=200, warmup=150, samples_per_phase=2
+        )
+        estimate = estimate_phases(batch, bank=bank, plan=plan)
+        primaries = [rep for rep in estimate.representatives if rep.oracle]
+        assert len(primaries) == estimate.phases
+        events = batch.to_events()
+        for rep in primaries:
+            warm_start = max(0, rep.start - plan.warmup)
+            assert rep.oracle == _oracle_bound(
+                events[warm_start:rep.stop], rep.start - warm_start,
+                tuple(bank.units), policy,
+            )
+
     def test_representative_weights_sum_to_one(self, saxpy_trace):
         estimate = estimate_phases(saxpy_trace, plan=self.PLAN)
         assert sum(r.weight for r in estimate.representatives) == (
@@ -348,6 +484,24 @@ class TestSampleServeJob:
         assert spec["samples_per_phase"] == 4
         assert spec["seed"] == 0
         assert spec["bound"] is True
+
+    def test_serve_and_cli_take_the_plan_defaults(self):
+        from repro.serve.protocol import normalize_spec
+        from repro.simulator.sampling.cli import _build_parser
+
+        plan = PhasePlan()
+        defaults = (
+            plan.phases, plan.interval, plan.warmup, plan.samples_per_phase
+        )
+        spec = normalize_spec({"type": "sample", "program": "saxpy"})
+        assert defaults == (
+            spec["phases"], spec["interval"], spec["warmup"],
+            spec["samples_per_phase"],
+        )
+        args = _build_parser().parse_args(["--program", "saxpy"])
+        assert defaults == (
+            args.phases, args.interval, args.warmup, args.samples_per_phase
+        )
 
     def test_normalize_rejects_unknown_program(self):
         from repro.errors import ReproError

@@ -28,7 +28,7 @@ from hypothesis.stateful import (
 )
 
 from repro.analysis.static.memo import reference_machine
-from repro.isa.programs import PROGRAMS
+from repro.isa.programs import PROGRAMS, STEPS_PER_ELEMENT
 from repro.serve.protocol import (
     PROGRAM_STEP_BUDGET,
     SAMPLE_STEP_BUDGET,
@@ -209,19 +209,27 @@ class TestNumericFields:
         [("program", PROGRAM_STEP_BUDGET), ("sample", SAMPLE_STEP_BUDGET)],
     )
     def test_n_ceiling_is_the_step_budget(self, kind, budget):
-        spec = {"type": kind, "program": "saxpy", "n": budget}
-        assert normalize_spec(spec)["n"] == budget
-        for n in (budget + 1, 2**1100):
-            with pytest.raises(ServeProtocolError, match="'n' must be <="):
-                normalize_spec(dict(spec, n=n))
+        """The ceiling is the budget over the program's steps-per-element
+        floor: a larger ``n`` could not finish within the budget."""
+        for name in sorted(PROGRAMS):
+            ceiling = budget // STEPS_PER_ELEMENT[name]
+            spec = {"type": kind, "program": name, "n": ceiling}
+            assert normalize_spec(spec)["n"] == ceiling
+            for n in (ceiling + 1, budget, 2**1100):
+                with pytest.raises(
+                    ServeProtocolError, match=f"'n' must be <= {ceiling}$"
+                ):
+                    normalize_spec(dict(spec, n=n))
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     @given(n=st.integers(min_value=1, max_value=400))
     @settings(max_examples=15, deadline=None)
     def test_every_program_takes_a_step_per_element(self, name, n):
         """What makes the ceiling sound: a job with ``n`` past its step
-        budget can only end in 'step budget exhausted'."""
-        assert reference_machine(name, n).run(max_steps=10**7) >= n
+        budget over the program's floor can only end in 'step budget
+        exhausted'."""
+        steps = reference_machine(name, n).run(max_steps=10**7)
+        assert steps >= STEPS_PER_ELEMENT[name] * n
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,16 @@ def test_malformed_specs_rejected(service):
             service.submit({"type": "program", "program": "saxpy", **table})
         assert excinfo.value.status == 400
         assert repr(field) in str(excinfo.value)
+    # An n no run could finish within the step budget (saxpy spends at
+    # least 11 steps per element): rejected at submit, naming 'n'.
+    for kind, budget in (
+        ("program", PROGRAM_STEP_BUDGET), ("sample", SAMPLE_STEP_BUDGET)
+    ):
+        for n in (budget // 11 + 1, 1000000):
+            with pytest.raises(ServeError) as excinfo:
+                service.submit({"type": kind, "program": "saxpy", "n": n})
+            assert excinfo.value.status == 400
+            assert "'n'" in str(excinfo.value)
     largest = {"type": "program", "program": "saxpy", "n": 8,
                "entries": 8192, "ways": 4}
     record = service.wait(service.submit(largest)["id"], timeout=60.0)
