@@ -57,13 +57,18 @@ estimate becomes
     model(full trace) + sum over windows of
         weight * (measured(window) - model(window))
 
-instead of a pure weighted window average, where the model counts the
-residency verdicts (and the unit's trivial operations as hits).  Where
-the model matches the windows' measurement the residuals vanish and
-sampling variance with them; where it does not (a window's warm-up
-misses, trivial accounting that differs from the table's) the sampled
-residuals correct it, because measured and model are differenced on
-identical events.
+instead of a pure weighted window average, where the model counts
+each unit's events by their outcome in the residency model's full run:
+an event is eligible unless it bypassed the table (a trivial operation
+under EXCLUDE) and a hit when that run hit it (under INTEGRATED a
+trivial operation is one; under CACHE_ALL it hits or misses in the
+table).  That is the counting rule of ``UnitStats.hit_ratio``, so the
+model's full-trace term is the full run's exact hit ratio
+(``model_hit_ratios``), and a window's model counts cover the same
+events as its measured ``lookups + trivial_hits``.  Where the windows
+measure what the full run did the residuals vanish and sampling
+variance with them; where they do not (misses a window's truncated
+warm-up causes) the residuals carry the difference.
 
 All simulation follows the process-wide backend selection (``scalar``
 | ``fused``; scope one with ``use_backend``) and stays bit-identical
@@ -84,6 +89,7 @@ from ...core import backend as execution
 from ...core.bank import MemoTableBank
 from ...core.operations import Operation
 from ...errors import ConfigurationError
+from ...isa.opcodes import OPCODE_LIST
 from .features import FeatureConfig, interval_features
 from .phases import cluster_phases, sample_intervals
 
@@ -294,6 +300,34 @@ def _window_counts(
     }
 
 
+def _model_events(
+    batch, unit_ops, outcomes
+) -> Dict[Operation, Tuple[np.ndarray, np.ndarray]]:
+    """Per unit, the residency model's eligible events and hits as
+    per-event masks: the unit's events whose full-run outcome is not a
+    bypass, and those whose outcome is a hit.
+
+    These are the events and the counting rule of
+    :attr:`~repro.core.stats.UnitStats.hit_ratio` under every trivial
+    policy (a bypass is an EXCLUDE trivial operation; an INTEGRATED
+    one is a hit; a CACHE_ALL one hits or misses in the table), so a
+    window's model counts cover the events its measured
+    ``lookups + trivial_hits`` cover, and the totals are the full
+    run's own counts.
+    """
+    opcode = batch.views().opcode
+    counted = outcomes != execution.OUTCOME_BYPASS
+    hit = outcomes == execution.OUTCOME_HIT
+    masks = {}
+    for op in unit_ops:
+        mine = np.isin(opcode, [
+            code for code, entry in enumerate(OPCODE_LIST)
+            if entry.operation is op
+        ])
+        masks[op] = (mine & counted, mine & hit)
+    return masks
+
+
 def estimate_phases(
     events,
     bank: Optional[MemoTableBank] = None,
@@ -344,26 +378,9 @@ def estimate_phases(
         prev, unit_of = features.prev, features.unit_of
         unit_ops, resident = features.ops, features.resident
         if plan.control_variate:
-            # Attribute every event (lookups *and* trivial skips) to
-            # its unit so the model's eligible counts line up with the
-            # measured ``lookups + trivial_hits`` on identical events.
-            from ...isa.opcodes import OPCODE_LIST
-
-            op_index = {op: i for i, op in enumerate(unit_ops)}
-            code_to_idx = np.full(len(OPCODE_LIST), -1, dtype=np.int64)
-            for code, opcode in enumerate(OPCODE_LIST):
-                operation = opcode.operation
-                if operation is not None and operation in op_index:
-                    code_to_idx[code] = op_index[operation]
-            event_unit = code_to_idx[batch.views().opcode]
-            model_totals: Dict[Operation, Tuple[int, int]] = {}
-            for index, op in enumerate(unit_ops):
-                lookups_t = int((unit_of == index).sum())
-                resident_t = int(resident[unit_of == index].sum())
-                trivial_t = int((event_unit == index).sum()) - lookups_t
-                model_totals[op] = (
-                    lookups_t + trivial_t, resident_t + trivial_t
-                )
+            model_events = _model_events(
+                batch, unit_ops, features.outcomes
+            )
         simulated = 0
         measured_events = 0
         oracle_events = 0
@@ -401,19 +418,13 @@ def estimate_phases(
                         if count:
                             rep.cold_corrections[op] = count
                 if plan.control_variate:
-                    window_units = unit_of[start:stop]
-                    window_events = event_unit[start:stop]
-                    window_resident = resident[start:stop]
-                    for index, op in enumerate(unit_ops):
-                        mine = window_units == index
-                        lookups_w = int(mine.sum())
-                        resident_w = int(window_resident[mine].sum())
-                        trivial_w = (
-                            int((window_events == index).sum()) - lookups_w
+                    rep.model = {
+                        op: (
+                            int(np.count_nonzero(eligible[start:stop])),
+                            int(np.count_nonzero(hits[start:stop])),
                         )
-                        rep.model[op] = (
-                            lookups_w + trivial_w, resident_w + trivial_w
-                        )
+                        for op, (eligible, hits) in model_events.items()
+                    }
                 for op, (lookups, hits, trivial_hits) in counts.items():
                     hits += rep.cold_corrections.get(op, 0)
                     rep.measured[op] = (lookups + trivial_hits,
@@ -445,7 +456,9 @@ def estimate_phases(
                 # Anchor on the residency model's full-trace rates; the
                 # windows below then contribute only their
                 # measured-minus-model residual rates.
-                model_eligible_t, model_hits_t = model_totals[op]
+                model_eligible_t, model_hits_t = (
+                    int(np.count_nonzero(mask)) for mask in model_events[op]
+                )
                 num = model_hits_t / total
                 den = model_eligible_t / total
                 model_ratios[op] = (

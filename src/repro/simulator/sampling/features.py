@@ -3,9 +3,8 @@
 SimPoint-style phase detection needs a compact fingerprint of what each
 fixed-length interval of the trace *does*; intervals that fingerprint
 alike are the same program phase and one representative can stand in
-for all of them.  The feature families below are computed on the
-:class:`~repro.isa.columns.ColumnBatch` numpy views, except the
-residency rate, which reads one kernel pass:
+for all of them.  Each interval's row holds the feature families below,
+in this column order:
 
 opcode mix
     The normalized opcode histogram of the interval -- the classic
@@ -13,15 +12,17 @@ opcode mix
     records.
 
 operand structure
-    Byte-level entropy of the ``a``/``b`` operand columns (how much the
-    operand values vary inside the interval), the distinct
-    operand-pair fraction of the memoizable events, and a bucketed
-    hash histogram of the ``(opcode, a, b)`` bit patterns themselves.
-    These are the features that matter *for memoization*: a low
-    distinct-pair fraction is exactly what makes a MEMO-TABLE hit, and
-    the pair signature separates intervals that reuse *different* pair
-    populations -- two regimes can agree on every aggregate statistic
-    yet thrash each other's table entries.
+    Byte-level entropy of the ``a`` and ``b`` operand columns of the
+    memoizable events (how much the operand values vary inside the
+    interval), their distinct ``(opcode, a, b)`` triple fraction (1.0
+    for an interval without memoizable events), the recorded-pc
+    fraction, and a bucketed hash histogram of the triples' bit
+    patterns themselves (the pair signature).  These are the features
+    that matter *for memoization*: a low distinct-triple fraction is
+    exactly what makes a MEMO-TABLE hit, and the pair signature
+    separates intervals that reuse *different* pair populations -- two
+    regimes can agree on every aggregate statistic yet thrash each
+    other's table entries.
 
 reuse distance
     Per memoizable operation, the fraction of the interval's lookups
@@ -35,17 +36,25 @@ reuse distance
 residency rate (only when a bank is supplied)
     Per unit, the fraction of the interval's lookups that hit in one
     kernel pass of the whole trace through a never-probed copy of the
-    bank (:func:`_residency`).  Two intervals can agree on every
-    content feature above yet hit at different rates because of the
-    *history* each inherits; the residency rate is exactly that history
-    effect, so phases become homogeneous in the quantity the estimator
-    measures.
+    bank (:func:`_full_run_outcomes`).  Two intervals can agree on
+    every content feature above yet hit at different rates because of
+    the *history* each inherits; the residency rate is exactly that
+    history effect, so phases become homogeneous in the quantity the
+    estimator measures.
 
 pc-region signature
     A small bucketed histogram of a seeded pc mix
-    (:func:`pc_signature_keys`), plus the recorded-pc fraction.
+    (:func:`pc_signature_keys`) over the events with a recorded pc.
     Intervals executing different static code regions land in
     different buckets even when their opcode mixes agree.
+
+The matrix is built in whole-range passes over the
+:class:`~repro.isa.columns.ColumnBatch` numpy views, keyed by interval
+id (event offset // interval length): one ``bincount`` per histogram
+family, one ``lexsort`` for the distinct triples, one per-unit count
+per reuse column and one byte histogram per operand column.  Only each
+entropy row's final sum runs per interval, so that it adds its terms
+in the same order as a sum over that interval alone.
 
 Everything is deterministic: same batch, same config, same matrix.
 """
@@ -72,12 +81,9 @@ __all__ = [
     "prior_lookup_index",
 ]
 
-#: Opcode indices that feed a memo unit (operand features only look at
-#: these records).
-_MEMO_CODES = np.array(
-    [i for i, op in enumerate(OPCODE_LIST) if op.operation is not None],
-    dtype=np.uint8,
-)
+#: Per opcode index: does it feed a memo unit?  (Operand features only
+#: look at these records.)
+_IS_MEMO = np.array([op.operation is not None for op in OPCODE_LIST])
 
 _F_PC = 4  # recorded-pc flag bit of repro.isa.columns
 _U64 = (1 << 64) - 1
@@ -112,31 +118,6 @@ def pc_signature_keys(views, start: int, stop: int, seed: int = 0):
 _PAIR_MUL_A = np.uint64(0x9E3779B97F4A7C15)
 _PAIR_MUL_B = np.uint64(0xBF58476D1CE4E5B9)
 _PAIR_MUL_OP = np.uint64(0x94D049BB133111EB)
-
-
-def _pair_signature(
-    opcode: np.ndarray, a: np.ndarray, b: np.ndarray, seed: int
-) -> np.ndarray:
-    """Normalized hash-bucket histogram of ``(opcode, a, b)`` patterns.
-
-    Each memoizable event's operand-pair identity is mixed down to a
-    64-bit key and bucketed by its top bits; the histogram fingerprints
-    *which* pairs an interval draws from, not just how varied they are.
-    """
-    with np.errstate(over="ignore"):
-        mixed = (
-            a.view(np.uint64) * _PAIR_MUL_A
-            ^ b.view(np.uint64) * _PAIR_MUL_B
-            ^ opcode.astype(np.uint64) * _PAIR_MUL_OP
-            ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        )
-        mixed ^= mixed >> np.uint64(31)
-        mixed *= _PAIR_MUL_B
-        mixed ^= mixed >> np.uint64(29)
-    buckets = (mixed >> np.uint64(64 - _PAIR_BUCKET_BITS)).astype(np.int64)
-    return (
-        np.bincount(buckets, minlength=1 << _PAIR_BUCKET_BITS) / len(buckets)
-    )
 
 
 @dataclass(frozen=True)
@@ -181,8 +162,12 @@ class IntervalFeatures:
     unit_of: Optional[np.ndarray] = field(default=None, repr=False)
     #: Operations backing ``unit_of`` indices, name-sorted.
     ops: Tuple = ()
-    #: Per-event residency verdicts (:func:`_residency`) when a
-    #: bank was supplied to :func:`interval_features`, else ``None``.
+    #: Per-event full-run outcome codes (:func:`_full_run_outcomes`)
+    #: when a bank was supplied to :func:`interval_features`, else
+    #: ``None``.
+    outcomes: Optional[np.ndarray] = field(default=None, repr=False)
+    #: Per-event residency verdicts (``outcomes == OUTCOME_HIT``), or
+    #: ``None`` without a bank.
     resident: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -272,15 +257,16 @@ def prior_lookup_index(batch, operations=None):
     return prev, unit_of, ops
 
 
-def _residency(batch, bank) -> np.ndarray:
-    """Did each event hit in the full run of ``batch`` through ``bank``?
+def _full_run_outcomes(batch, bank) -> np.ndarray:
+    """Each event's outcome code in the full run of ``batch`` through
+    ``bank``.
 
     One :func:`repro.core.backend.probe_outcomes` pass of the whole
     trace into a never-probed copy of the bank's units (same table
     class and configuration, trivial policy and latencies), so each
-    verdict is the simulator's own, under every replacement policy,
-    tag mode, trivial policy and infinite table; ``bank`` itself is
-    not touched.
+    code is the simulator's own, under every replacement policy, tag
+    mode, trivial policy and infinite table; ``bank`` itself is not
+    touched.
 
     Two consumers: the per-interval residency-rate feature (phases
     become homogeneous in the measured quantity) and the estimator's
@@ -303,90 +289,197 @@ def _residency(batch, bank) -> np.ndarray:
             trivial_latency=unit.trivial_latency,
             trivial_policy=unit.trivial_policy,
         )
-    return execution.probe_outcomes(batch, units) == execution.OUTCOME_HIT
+    return execution.probe_outcomes(batch, units)
 
 
-def _byte_entropy(column: np.ndarray) -> float:
-    """Shannon entropy (bits, normalized to [0, 1]) of a column's bytes."""
-    if not column.size:
-        return 0.0
-    counts = np.bincount(column.view(np.uint8), minlength=256)
-    total = counts.sum()
-    probs = counts[counts > 0] / total
-    return float(-(probs * np.log2(probs)).sum() / 8.0)
+def _cells(ids: np.ndarray, values: np.ndarray, width: int, rows: int):
+    """``(rows, width)`` counts of each ``(interval id, value)`` pair."""
+    cell = ids * width
+    cell += values
+    return np.bincount(cell, minlength=rows * width).reshape(rows, width)
 
 
-def _interval_row(
-    views,
-    batch,
+def _rates(counts: np.ndarray, totals: np.ndarray, empty: float = 0.0):
+    """``counts / totals`` (broadcast); ``empty`` where a total is 0."""
+    out = np.full(counts.shape, empty)
+    return np.divide(counts, totals, out=out, where=totals > 0)
+
+
+def _byte_entropies(
+    column: np.ndarray, ids: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Shannon entropy (bits, normalized to [0, 1]) of each interval's
+    bytes of ``column``; ``ids`` gives each value's interval and
+    ``counts`` the values per interval (0.0 for an interval with
+    none)."""
+    rows = len(counts)
+    cell = column.view(np.uint8).reshape(-1, 8).astype(np.int64)
+    cell += (ids * 256)[:, None]
+    hist = np.bincount(cell.ravel(), minlength=rows * 256)
+    cells = np.flatnonzero(hist)
+    row_of = cells >> 8
+    probs = hist[cells] / (8 * counts)[row_of]
+    terms = probs * np.log2(probs)
+    edges = np.searchsorted(row_of, np.arange(rows + 1)).tolist()
+    entropy = np.zeros(rows)
+    for row in np.flatnonzero(counts).tolist():
+        entropy[row] = -terms[edges[row]:edges[row + 1]].sum() / 8.0
+    return entropy
+
+
+def _distinct_triples(
+    ids: np.ndarray, opcode: np.ndarray, a: np.ndarray, b: np.ndarray,
+    rows: int,
+) -> np.ndarray:
+    """Distinct ``(opcode, a, b)`` triples per interval."""
+    order = np.lexsort((b, a, opcode, ids))
+    repeat = np.ones(len(order), dtype=bool)
+    repeat[:1] = False
+    for column in (ids, opcode, a, b):
+        ranked = column[order]
+        repeat[1:] &= ranked[1:] == ranked[:-1]
+    return np.bincount(ids[order[~repeat]], minlength=rows)
+
+
+def _pair_buckets(
+    opcode: np.ndarray, a: np.ndarray, b: np.ndarray, seed: int
+) -> np.ndarray:
+    """Hash bucket of each memoizable event's ``(opcode, a, b)`` bits.
+
+    Each operand-pair identity is mixed down to a 64-bit key and
+    bucketed by its top bits, so the histogram fingerprints *which*
+    pairs an interval draws from, not just how varied they are.
+    """
+    with np.errstate(over="ignore"):
+        mixed = (
+            a.view(np.uint64) * _PAIR_MUL_A
+            ^ b.view(np.uint64) * _PAIR_MUL_B
+            ^ opcode.astype(np.uint64) * _PAIR_MUL_OP
+            ^ np.uint64(seed & _U64)
+        )
+        mixed ^= mixed >> np.uint64(31)
+        mixed *= _PAIR_MUL_B
+        mixed ^= mixed >> np.uint64(29)
+    return (mixed >> np.uint64(64 - _PAIR_BUCKET_BITS)).astype(np.int64)
+
+
+def _reuse_block(
+    ids: np.ndarray,
     start: int,
     stop: int,
-    seed: int,
+    interval: int,
     prev: np.ndarray,
     unit_of: np.ndarray,
     n_units: int,
-    short_distance: int,
+    resident: Optional[np.ndarray],
+    rows: int,
+) -> np.ndarray:
+    """Per unit: has-prior, prior-within-one-interval and (with a bank)
+    resident fractions of each interval's lookups."""
+    width = 2 if resident is None else 3
+    block = np.zeros((rows, width * n_units))
+    lookups = np.flatnonzero(unit_of[start:stop] >= 0)
+    if not lookups.size:
+        return block
+    cell = ids[lookups] * n_units + unit_of[start:stop][lookups]
+    cells = rows * n_units
+    counts = np.bincount(cell, minlength=cells).reshape(rows, n_units)
+    prior = prev[start:stop][lookups]
+    has_prior = prior >= 0
+    flags = [has_prior, has_prior & (lookups + start - prior <= interval)]
+    if resident is not None:
+        flags.append(resident[start:stop][lookups])
+    for offset, flag in enumerate(flags):
+        hits = np.bincount(cell[flag], minlength=cells).reshape(rows, n_units)
+        np.divide(hits, counts, out=block[:, offset::width], where=counts > 0)
+    return block
+
+
+def _operand_features(
+    views, start: int, stop: int, ids: np.ndarray, rows: int, seed: int
+):
+    """Per interval, over its memoizable events: the byte entropy of
+    ``a`` and of ``b``, the distinct-triple fraction and the pair
+    signature."""
+    opcode = views.opcode[start:stop]
+    memo = np.flatnonzero(_IS_MEMO[opcode])
+    memo_ids = ids[memo]
+    counts = np.bincount(memo_ids, minlength=rows)
+    memo_opcode = opcode[memo]
+    a = views.a_i[start:stop][memo]
+    b = views.b_i[start:stop][memo]
+    return (
+        _byte_entropies(a, memo_ids, counts),
+        _byte_entropies(b, memo_ids, counts),
+        _rates(
+            _distinct_triples(memo_ids, memo_opcode, a, b, rows), counts,
+            empty=1.0,
+        ),
+        _rates(
+            _cells(
+                memo_ids, _pair_buckets(memo_opcode, a, b, seed),
+                1 << _PAIR_BUCKET_BITS, rows,
+            ),
+            counts[:, None],
+        ),
+    )
+
+
+def _pc_features(
+    views, start: int, stop: int, ids: np.ndarray, lengths: np.ndarray,
+    seed: int,
+):
+    """Per interval: the recorded-pc fraction and the pc signature."""
+    keys, present = pc_signature_keys(views, start, stop, seed)
+    keys >>= np.uint64(64 - _PC_BUCKET_BITS)
+    buckets = keys.view(np.int64)
+    # Events without a recorded pc land in one extra bucket, dropped.
+    buckets[~present] = 1 << _PC_BUCKET_BITS
+    cells = _cells(ids, buckets, (1 << _PC_BUCKET_BITS) + 1, len(lengths))
+    counts = lengths - cells[:, -1]
+    return counts / lengths, _rates(cells[:, :-1], counts[:, None])
+
+
+def _feature_matrix(
+    views,
+    start: int,
+    stop: int,
+    config: FeatureConfig,
+    prev: np.ndarray,
+    unit_of: np.ndarray,
+    n_units: int,
     resident: Optional[np.ndarray],
 ) -> np.ndarray:
-    """One interval's raw feature row (see module docstring)."""
+    """The raw ``(intervals, dim)`` matrix of ``views[start:stop]`` (see
+    module docstring), one whole-range pass per feature family."""
     n = stop - start
-    opcode = views.opcode[start:stop]
-    mix = np.bincount(opcode, minlength=len(OPCODE_LIST)) / n
+    if not n:
+        return np.empty((0, 0), dtype=np.float64)
+    interval = config.interval
+    rows = -(-n // interval)
+    lengths = np.full(rows, interval, dtype=np.int64)
+    lengths[-1] = n - (rows - 1) * interval
+    ids = np.repeat(np.arange(rows, dtype=np.int64), lengths)
 
-    memo_mask = np.isin(opcode, _MEMO_CODES)
-    memo_idx = np.nonzero(memo_mask)[0]
-    if memo_idx.size:
-        a = views.a_i[start:stop][memo_idx]
-        b = views.b_i[start:stop][memo_idx]
-        entropy_a = _byte_entropy(a)
-        entropy_b = _byte_entropy(b)
-        # Distinct (opcode, a, b) triples over memoizable events: the
-        # per-interval fingerprint of how much value reuse exists.
-        triples = np.stack(
-            (opcode[memo_idx].astype(np.int64), a, b), axis=1
-        )
-        distinct = len(np.unique(triples, axis=0)) / memo_idx.size
-        pair_signature = _pair_signature(opcode[memo_idx], a, b, seed)
-    else:
-        entropy_a = entropy_b = 0.0
-        distinct = 1.0
-        pair_signature = np.zeros(1 << _PAIR_BUCKET_BITS, dtype=np.float64)
-
-    width = 2 if resident is None else 3
-    reuse = np.zeros(width * n_units, dtype=np.float64)
-    window_prev = prev[start:stop]
-    window_unit = unit_of[start:stop]
-    for unit in range(n_units):
-        mine = np.nonzero(window_unit == unit)[0]
-        if not mine.size:
-            continue
-        prior = window_prev[mine]
-        has_prior = prior >= 0
-        short = has_prior & ((mine + start) - prior <= short_distance)
-        reuse[width * unit] = has_prior.mean()
-        reuse[width * unit + 1] = short.mean()
-        if resident is not None:
-            reuse[width * unit + 2] = resident[start:stop][mine].mean()
-
-    keys, present = pc_signature_keys(views, start, stop, seed)
-    present_count = int(present.sum())
-    signature = np.zeros(1 << _PC_BUCKET_BITS, dtype=np.float64)
-    if present_count:
-        buckets = (keys[present] >> np.uint64(64 - _PC_BUCKET_BITS)).astype(
-            np.int64
-        )
-        signature = (
-            np.bincount(buckets, minlength=1 << _PC_BUCKET_BITS)
-            / present_count
-        )
-    pc_fraction = present_count / n
-
-    return np.concatenate((
-        mix,
-        np.array([entropy_a, entropy_b, distinct, pc_fraction]),
+    mix = _cells(ids, views.opcode[start:stop], len(OPCODE_LIST), rows)
+    entropy_a, entropy_b, distinct, pair_signature = _operand_features(
+        views, start, stop, ids, rows, config.seed
+    )
+    pc_fraction, pc_signature = _pc_features(
+        views, start, stop, ids, lengths, config.seed
+    )
+    return np.hstack((
+        mix / lengths[:, None],
+        entropy_a[:, None],
+        entropy_b[:, None],
+        distinct[:, None],
+        pc_fraction[:, None],
         pair_signature,
-        reuse,
-        signature,
+        _reuse_block(
+            ids, start, stop, interval, prev, unit_of, n_units, resident,
+            rows,
+        ),
+        pc_signature,
     ))
 
 
@@ -405,6 +498,8 @@ def interval_features(
     (converted once); the final interval may be shorter
     than ``config.interval`` and its row is normalized by its own
     length, so partial tails cluster with the phase they belong to.
+    ``0 <= start <= stop <= len(batch)``, else
+    :class:`~repro.errors.ConfigurationError`.
 
     ``bank`` (a :class:`~repro.core.bank.MemoTableBank`) enables the
     residency-rate feature family: lookups are restricted to the
@@ -426,40 +521,36 @@ def interval_features(
         )
     if stop is None:
         stop = len(batch)
+    if start < 0:
+        raise ConfigurationError("start must not be negative")
+    if stop > len(batch):
+        raise ConfigurationError("stop must not pass the end of the trace")
     if stop < start:
         raise ConfigurationError("stop must not precede start")
-    views = batch.views()
+    prev, unit_of, ops = prior_lookup_index(
+        batch, operations=None if bank is None else bank.units
+    )
+    outcomes: Optional[np.ndarray] = None
+    resident: Optional[np.ndarray] = None
     if bank is not None:
-        prev, unit_of, ops = prior_lookup_index(
-            batch, operations=bank.units
-        )
-        resident = _residency(batch, bank)
-    else:
-        prev, unit_of, ops = prior_lookup_index(batch)
-        resident = None
-    bounds: List[Tuple[int, int]] = []
-    rows: List[np.ndarray] = []
-    position = start
-    while position < stop:
-        end = min(position + cfg.interval, stop)
-        bounds.append((position, end))
-        rows.append(_interval_row(
-            views, batch, position, end, cfg.seed,
-            prev, unit_of, len(ops), cfg.interval, resident,
-        ))
-        position = end
-    matrix = (
-        np.vstack(rows) if rows else np.empty((0, 0), dtype=np.float64)
+        outcomes = _full_run_outcomes(batch, bank)
+        resident = outcomes == execution.OUTCOME_HIT
+    matrix = _feature_matrix(
+        batch.views(), start, stop, cfg, prev, unit_of, len(ops), resident
     )
     reuse_start = len(OPCODE_LIST) + 4 + (1 << _PAIR_BUCKET_BITS)
     width = 2 if resident is None else 3
     return IntervalFeatures(
         matrix=matrix,
-        bounds=bounds,
+        bounds=[
+            (position, min(position + cfg.interval, stop))
+            for position in range(start, stop, cfg.interval)
+        ],
         config=cfg,
         reuse_columns=(reuse_start, reuse_start + width * len(ops)),
         prev=prev,
         unit_of=unit_of,
         ops=tuple(ops),
+        outcomes=outcomes,
         resident=resident,
     )

@@ -90,6 +90,15 @@ class TestIntervalFeatures:
         assert plain.resident is None
         assert with_bank.resident is not None
 
+    def test_bounds_outside_the_trace_rejected(self, saxpy_trace):
+        batch = execution.as_batch(saxpy_trace)
+        total = len(batch)
+        for start, stop in (
+            (-300, None), (0, total + 1), (total, total + 300),
+        ):
+            with pytest.raises(ConfigurationError):
+                interval_features(batch, start=start, stop=stop)
+
     def test_normalized_scales_reuse_block(self, saxpy_trace):
         config = FeatureConfig(interval=256, reuse_weight=5.0)
         features = interval_features(saxpy_trace, config)
@@ -387,6 +396,25 @@ class TestEstimatePhases:
                 events[warm_start:rep.stop], rep.start - warm_start,
                 tuple(bank.units), policy,
             )
+
+    @pytest.mark.parametrize("policy", list(TrivialPolicy))
+    def test_model_counts_the_full_runs_events(self, policy):
+        """The control variate's model is the full run's own count:
+        its ratio is the unit's hit ratio under every trivial policy,
+        and each window's model covers the events the window measures."""
+        batch = _mixed_trace()
+        estimate = estimate_phases(
+            batch, bank=MemoTableBank.paper_baseline(trivial_policy=policy),
+            plan=self.PLAN,
+        )
+        bank = MemoTableBank.paper_baseline(trivial_policy=policy)
+        execution.dispatch(batch, bank.units)
+        assert estimate.model_hit_ratios == {
+            op: unit.hit_ratio for op, unit in bank.units.items()
+        }
+        for rep in estimate.representatives:
+            for op, (eligible, _) in rep.measured.items():
+                assert rep.model[op][0] == eligible
 
     def test_representative_weights_sum_to_one(self, saxpy_trace):
         estimate = estimate_phases(saxpy_trace, plan=self.PLAN)
