@@ -12,11 +12,10 @@ from _config import BENCH_SCALE, run_once
 
 from repro.analysis.tables import format_ratio, format_table
 from repro.core.config import MemoTableConfig
-from repro.core.memo_table import MemoTable
-from repro.core.multiported import DualIssueModel
 from repro.core.operations import Operation
 from repro.core.unit import MemoizedUnit
 from repro.experiments.common import record_mm_trace
+from repro.experiments.ext_dual_issue import dual_issue
 from repro.isa.opcodes import Opcode
 
 
@@ -41,20 +40,12 @@ def _private_tables(pairs):
     return hits / lookups if lookups else 0.0
 
 
-def _shared_table(pairs):
+def _shared_table(trace):
     """The same streams sharing one 32-entry dual-ported table."""
-    model = DualIssueModel(
-        Operation.FP_DIV,
-        MemoTable(MemoTableConfig(entries=32, associativity=4)),
-        latency=13,
-    )
-    for index in range(0, len(pairs) - 1, 2):
-        a1, b1 = pairs[index]
-        a2, b2 = pairs[index + 1]
-        model.issue_pair(a1, b1, a2, b2)
-    stats = model.shared.stats
-    ratio = stats.hits / stats.lookups if stats.lookups else 0.0
-    return ratio, model.second_slot_hit_ratio, model.speedup
+    issued = dual_issue(trace, latency=13, entries=32)
+    lookups = 2 * issued.pairs
+    ratio = issued.table_hits / lookups if lookups else 0.0
+    return ratio, issued.second_slot_hit_ratio, issued.speedup
 
 
 def test_shared_vs_private_tables(benchmark):
@@ -64,7 +55,7 @@ def test_shared_vs_private_tables(benchmark):
             trace = record_mm_trace(app, "chroms", scale=BENCH_SCALE)
             pairs = _div_operands(trace)
             private = _private_tables(pairs)
-            shared, second_slot, dual_speedup = _shared_table(pairs)
+            shared, second_slot, dual_speedup = _shared_table(trace)
             rows.append((app, private, shared, second_slot, dual_speedup))
         return rows
 

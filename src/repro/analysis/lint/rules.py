@@ -520,8 +520,12 @@ class PerRecordProbeLoopRule(LintRule):
     ``.execute()`` or ``.lookup()`` anywhere else re-creates the scalar
     inner loop the columnar refactor deleted, silently bypassing the
     fused path (and the fused-vs-scalar parity CI asserts).
-    Hazard-style models that genuinely need per-event outcomes route
-    through :func:`repro.core.kernel.probe_one`.
+    Models that need per-event outcomes (the hazard model, the sampling
+    estimator's residency model, ext-dual-issue's table port) take the
+    kernel's outcome column from
+    :func:`repro.core.backend.probe_outcomes`;
+    :func:`repro.core.kernel.probe_one` remains only for the
+    differential harness's scalar leg.
     """
 
     id = "REPRO006"
@@ -564,8 +568,8 @@ class PerRecordProbeLoopRule(LintRule):
                     inner, path,
                     f"per-record `.{inner.func.attr}()` probe inside a "
                     "loop; route the batch through repro.core.kernel "
-                    "(backend.dispatch, or probe_one for models "
-                    "that need per-event outcomes)",
+                    "(backend.dispatch, or backend.probe_outcomes for "
+                    "models that need per-event outcomes)",
                 ))
         return findings
 

@@ -7,8 +7,11 @@ Public surface:
 * :class:`Operation` / :class:`MemoizedUnit` / :class:`PlainUnit` --
   computation units with tables in tandem;
 * :class:`MemoTableBank` -- the imul/fmul/fdiv system of section 3.1;
-* :class:`SharedMemoTable` / :class:`DualIssueModel` -- section 2.3's
-  multi-ported sharing.
+* :class:`ReuseBuffer` / :func:`run_reuse_buffer` -- the Sodani & Sohi
+  comparison of section 1.1.
+
+Every simulator probes these tables through one kernel
+(:mod:`repro.core.kernel`, selected by :mod:`repro.core.backend`).
 """
 
 from .bank import MemoTableBank, PAPER_OPERATIONS
@@ -21,7 +24,6 @@ from .config import (
     TrivialPolicy,
 )
 from .memo_table import BaseMemoTable, InfiniteMemoTable, LookupResult, MemoTable
-from .multiported import DualIssueModel, SharedMemoTable, TableOnlyUnit
 from .operations import Operation, compute, ieee_div, ieee_sqrt
 from .reuse_buffer import ReuseBuffer, run_reuse_buffer
 from .replacement import (
@@ -48,9 +50,6 @@ __all__ = [
     "InfiniteMemoTable",
     "LookupResult",
     "MemoTable",
-    "DualIssueModel",
-    "SharedMemoTable",
-    "TableOnlyUnit",
     "Operation",
     "compute",
     "ReuseBuffer",

@@ -3,13 +3,14 @@
 The kernel module owns *how* a batch is probed; this module owns
 *which* of its two loops runs.  Every front-end (Shade statistics, the
 cycle model, the sampling estimator, the corpus engine, serve workers)
-funnels through :func:`dispatch`, which resolves a backend name and
-calls the kernel directly:
+funnels through :func:`dispatch`, which converts its input to a
+:class:`~repro.isa.columns.ColumnBatch` once (:func:`as_batch`),
+resolves a backend name and hands the batch to the kernel:
 
 ``scalar``
     The event-at-a-time reference loop
     (:func:`repro.core.kernel.run_events_scalar`) -- ground truth,
-    several times slower than ``fused`` on columnar traces.
+    several times slower than ``fused``.
 
 ``fused``
     The opcode-partitioned columnar kernel
@@ -17,8 +18,7 @@ calls the kernel directly:
     partition, operand pairs are deduplicated up front with
     ``np.unique`` so tag compare, value compute and victim selection
     all run over small dense integer tables instead of per-event
-    tuples (the pLUTo "table as precomputed LUT" move).  A plain event
-    iterable has no columnar view and takes the scalar loop.
+    tuples (the pLUTo "table as precomputed LUT" move).
 
 Selection precedence (first match wins):
 
@@ -33,8 +33,10 @@ Selection precedence (first match wins):
 fork/spawn worker pools inherit it.  Unknown names raise
 :class:`UnknownBackendError`.
 
-Models that need each event's outcome get the per-event outcome column
-from :func:`probe_outcomes`, which follows the same selection.
+Models that need each event's outcome (the hazard model, the sampling
+estimator's residency model, ext-dual-issue's table port) get the
+per-event outcome column from :func:`probe_outcomes`, which follows the
+same selection, so no simulator probes a table outside the kernel.
 
 This module is also the sanctioned facade over the kernel: lint rule
 REPRO009 forbids importing :mod:`repro.core.kernel` from outside
@@ -54,7 +56,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .. import obs
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from . import kernel
 from .kernel import (  # noqa: F401  (facade re-exports; see REPRO009)
     KERNEL_FAULTS,
@@ -188,6 +190,7 @@ def dispatch(
 ) -> KernelReport:
     """Run ``events`` through ``units`` on the selected backend.
 
+    ``events`` is converted to a batch once (:func:`as_batch`), and
     ``backend`` overrides the selection for this call only.  With
     ``machine`` (a :class:`~repro.arch.latency.ProcessorModel`)
     the pass also charges cycles: uncovered memoizable operations cost
@@ -195,13 +198,22 @@ def dispatch(
     costs ``fp_add_latency`` and everything else one cycle -- the
     section 3.3 accounting.  Without it, only statistics accumulate
     (the Shade-style run).  ``start``/``stop`` select an index slice
-    of the trace.  With metrics enabled, the run is
-    attributed to its backend: a ``backend.selected`` gauge keyed by
-    name, a ``backend.<name>.dispatches`` counter and a
+    of the trace; ``0 <= start <= stop <= len(trace)``, else
+    :class:`~repro.errors.ConfigurationError`.  With metrics enabled,
+    the run is attributed to its backend: a ``backend.selected`` gauge
+    keyed by name, a ``backend.<name>.dispatches`` counter and a
     ``backend.<name>.run`` span, so ``repro stats`` shows which
     backend served a run.
     """
     name = resolve(backend)
+    batch = as_batch(events)
+    if stop is None:
+        stop = len(batch)
+    if not 0 <= start <= stop <= len(batch):
+        raise ConfigurationError(
+            f"slice [{start}:{stop}] is not within the {len(batch)}-event "
+            "trace"
+        )
     instrumented = obs.enabled()
     if instrumented:
         reg = obs.registry()
@@ -210,12 +222,9 @@ def dispatch(
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
     with obs.span("kernel.run"):
-        # A plain event iterable has no columnar view: under either
-        # name it takes the reference loop.
-        batch = as_batch(events) if name == "fused" else None
-        if batch is None:
+        if name == "scalar":
             report = kernel.run_events_scalar(
-                events,
+                batch,
                 units,
                 machine=machine,
                 hierarchy=hierarchy,
@@ -233,7 +242,7 @@ def dispatch(
                 fp_add_latency,
                 validate,
                 start,
-                len(batch) if stop is None else stop,
+                stop,
             )
     if instrumented:
         reg.record_span(

@@ -5,11 +5,14 @@ MEMO-TABLE and count" (sections 2-4).  Historically that probe sequence
 was re-implemented as a per-record Python loop in each front-end
 (``simulator/shade.py``, ``simulator/cpu.py``, ``simulator/pipeline.py``
 and the corpus replay path); this module is the single shared
-implementation, with two entry points:
+implementation, with two entry points over one input, a columnar
+:class:`~repro.isa.columns.ColumnBatch` (:func:`as_batch` is the one
+converter: a batch as-is, a Trace's columns, any other event iterable
+converted once):
 
-* :func:`_run_batch` -- the **fused** path.  A columnar
-  :class:`~repro.isa.columns.ColumnBatch` is partitioned by opcode with
-  numpy, and :func:`_probe_partition` picks each partition's tier.  In
+* :func:`_run_batch` -- the **fused** path.  The batch is partitioned
+  by opcode with numpy, and :func:`_probe_partition` picks each
+  partition's tier.  In
   the pair-id loop, ``np.unique`` maps every event to a dense **pair
   id** (one integer per distinct tag pair, the pLUTo "table as
   precomputed lookup structure" move), so set index and commutative
@@ -25,16 +28,17 @@ implementation, with two entry points:
   the final table and charges the counts without decoding the
   partition or running the loop.
 * :func:`run_events_scalar` -- the **scalar reference** path: the
-  classic event-at-a-time loop over ``unit.execute``.  CI asserts the
-  two produce bit-identical :class:`~repro.core.stats.MemoStats` on
-  every bundled program.
+  classic event-at-a-time loop over ``unit.execute``, walking the
+  batch's event view.  CI asserts the two produce bit-identical
+  :class:`~repro.core.stats.MemoStats` on every bundled program.
 
 :func:`repro.core.backend.dispatch` calls one or the other, as the
 ``fused`` and ``scalar`` backends; ``repro <experiment> --backend
 NAME`` or the ``REPRO_BACKEND`` environment variable picks one at
 runtime.  Models that need each event's outcome (the hazard-aware
-pipeline, the sampling estimator's residency model) get a per-event
-outcome column from either entry point's ``outcomes`` argument, through
+pipeline, the sampling estimator's residency model, ext-dual-issue's
+table port) get a per-event outcome column from either entry point's
+``outcomes`` argument, through
 :func:`repro.core.backend.probe_outcomes`.
 
 Batching by opcode is sound because each operation class owns a private
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -114,18 +118,16 @@ KERNEL_FAULTS = (
 _active_fault: Optional[str] = None
 
 
-def as_batch(events) -> Optional[ColumnBatch]:
-    """The columnar view of ``events`` if one is available.
-
-    A :class:`~repro.isa.trace.Trace` hands over its columns; a
-    :class:`ColumnBatch` is returned as-is; plain event sequences
-    return None (callers fall back to the scalar path)."""
+def as_batch(events) -> ColumnBatch:
+    """The columnar view of ``events``: a :class:`ColumnBatch` as-is,
+    a :class:`~repro.isa.trace.Trace`'s columns, and any other event
+    iterable converted once with :meth:`ColumnBatch.from_events`."""
     if isinstance(events, ColumnBatch):
         return events
     columns = getattr(events, "columns", None)
     if callable(columns):
         return columns()
-    return None
+    return ColumnBatch.from_events(events)
 
 
 def values_match(computed, traced, rel: float = 1e-12) -> bool:
@@ -163,9 +165,10 @@ class KernelReport:
 def probe_one(unit, a, b=0.0):
     """Scalar probe of one unit (= ``unit.execute``).
 
-    Exists so event-walking references that need per-event outcomes
-    (the hazard model's event loop, the differential harness) still
-    route their probes through the kernel module."""
+    Exists so the differential harness's scalar leg, which walks
+    events one at a time, still routes its probes through the kernel
+    module; models that need per-event outcomes take the whole column
+    from :func:`repro.core.backend.probe_outcomes`."""
     return unit.execute(a, b)
 
 
@@ -806,7 +809,7 @@ def _probe_infinite(unit, table, np_a, np_b, outcomes=None):
 
 
 def run_events_scalar(
-    events: Iterable,
+    batch: ColumnBatch,
     units: Optional[Dict[Operation, object]],
     *,
     machine=None,
@@ -821,15 +824,11 @@ def run_events_scalar(
 
     This is the consolidation of the per-record loops the simulator
     front-ends used to carry; it stays as the ground truth the fused
-    path is tested against, and as the fallback for plain event
-    iterables.  ``start``/``stop`` select an index slice of
-    ``events``, which must then support ``len`` and indexing.
-    ``outcomes``, when given, receives each probed event's outcome
-    code at its position in the slice, as :func:`_run_batch`'s does."""
-    if start or stop is not None:
-        indexed = events
-        end = len(indexed) if stop is None else stop
-        events = (indexed[i] for i in range(start, end))
+    path is tested against.  It walks the batch's event view over
+    ``[start:stop]``.  ``outcomes``, when given, receives each probed
+    event's outcome code at its position in the slice, as
+    :func:`_run_batch`'s does."""
+    events = batch.to_events()[start:stop]
     counts: Dict[Opcode, int] = {}
     cycles_by_opcode: Dict[Opcode, int] = {}
     instructions = 0
@@ -1066,13 +1065,11 @@ def replay_infinite(events) -> Tuple[Dict[int, int], int, int]:
 
     Returns ``(per-pc execution counts, hits, total memoizable ops)`` --
     the reuse upper bound the static analyzer cross-validates against
-    (``repro analyze --check``).  Column-backed traces take a columnar
-    path; anything else replays through real
-    :class:`~repro.core.memo_table.InfiniteMemoTable` objects.
+    (``repro analyze --check``).  Each partition's tag pairs go through
+    one set, as an :class:`~repro.core.memo_table.InfiniteMemoTable`
+    with FULL tags would hold them.
     """
     batch = as_batch(events)
-    if batch is None:
-        return _replay_infinite_scalar(events)
     views = batch.views()
     counts: Dict[int, int] = {}
     hits = 0
@@ -1127,33 +1124,4 @@ def replay_infinite(events) -> Tuple[Dict[int, int], int, int]:
                     hits += 1
                 else:
                     add((ta, tb))
-    return counts, hits, total
-
-
-def _replay_infinite_scalar(events) -> Tuple[Dict[int, int], int, int]:
-    """Reference implementation of :func:`replay_infinite`."""
-    tables: Dict[Operation, InfiniteMemoTable] = {}
-    counts: Dict[int, int] = {}
-    hits = 0
-    total = 0
-    for event in events:
-        operation = event.opcode.operation
-        if operation is None:
-            continue
-        table = tables.get(operation)
-        if table is None:
-            table = InfiniteMemoTable(
-                operand_kind=operation.operand_kind,
-                tag_mode=TagMode.FULL,
-                commutative=operation.commutative,
-            )
-            tables[operation] = table
-        found = table.lookup(event.a, event.b)
-        if found.hit:
-            hits += 1
-        else:
-            table.insert(event.a, event.b, event.result)
-        if event.pc is not None:
-            counts[event.pc] = counts.get(event.pc, 0) + 1
-        total += 1
     return counts, hits, total

@@ -22,7 +22,6 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..isa.columns import ColumnBatch
 from ..isa.opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode
 from ..isa.trace import TraceEvent
 from .kernel import _F_PC, _decode_partition, as_batch
@@ -144,15 +143,13 @@ def run_reuse_buffer(
     classes the recorder doesn't stamp, like loop overhead) are counted
     in ``report.skipped_no_pc`` -- for a faithful comparison record the
     workload with sites enabled.  Opcode, pc and operands are read from
-    the trace's columns, each operand as the Python value of its own
-    event's type; a plain event sequence is converted once.
+    the trace's columns (:func:`~repro.core.kernel.as_batch`), each
+    operand as the Python value of its own event's type.
     """
     if buffer is None:
         buffer = ReuseBuffer()
     report = ReuseBufferReport()
     batch = as_batch(events)
-    if batch is None:
-        batch = ColumnBatch.from_events(events)
     views = batch.views()
     idx = np.flatnonzero(
         np.isin(views.opcode, [OPCODE_INDEX[opcode] for opcode in classes])

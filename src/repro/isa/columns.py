@@ -13,10 +13,11 @@ append each operation to a :class:`ColumnAccumulator`, whose
 :meth:`~ColumnAccumulator.batch` turns the float64 operand buffers into
 int64 bit columns with one reinterpretation.  :class:`TraceEvent`
 objects exist only as the event view (:meth:`ColumnBatch.to_events`)
-that the scalar reference, the oracle and the hazard model's reference
-loop walk; :meth:`ColumnBatch.append` / :meth:`ColumnBatch.from_events`
-is the one event-to-column converter, for traces that arrive as events
-(the text format, generated test cases).
+that the scalar reference and the oracle walk;
+:meth:`ColumnBatch.append` / :meth:`ColumnBatch.from_events` is the one
+event-to-column converter, for traces that arrive as events (the text
+format, generated test cases), and :func:`repro.core.kernel.as_batch`
+calls it once for any simulator handed a plain event iterable.
 
 The columns are the binary trace format's (:mod:`repro.isa.binfmt`), so
 a batch serializes to blocks verbatim:
@@ -109,14 +110,15 @@ class ColumnBatch:
     A batch may grow (``append``, ``extend_batch``), but its columns
     are immutable once probed: nothing rewrites an existing event.  The
     cached views and the probe memo the kernel keeps with them
-    (:meth:`views`) are derived from the columns; they are rebuilt, and
-    the memo dropped, when the batch grows, and an in-place write would
-    leave them stale."""
+    (:meth:`views`), and the event view (:meth:`to_events`), are
+    derived from the columns; they are rebuilt, and the memo dropped,
+    when the batch grows, and an in-place write would leave them
+    stale."""
 
     __slots__ = (
         "opcode_col", "flags_col", "a_col", "b_col", "result_col",
         "address_col", "pc_col", "dst_col", "src_offsets", "srcs_col",
-        "wide", "_views",
+        "wide", "_views", "_events",
     )
 
     def __init__(self) -> None:
@@ -134,6 +136,7 @@ class ColumnBatch:
         #: index -> (a, b, result) for events the fixed columns cannot hold.
         self.wide: Dict[int, Tuple] = {}
         self._views: Optional[_Views] = None
+        self._events: Optional[List[TraceEvent]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -265,10 +268,8 @@ class ColumnBatch:
         return tuple(self.srcs_col[lo:hi])
 
     def __getitem__(self, index: int) -> TraceEvent:
-        # Indexing parity with list-backed traces: the scalar backend's
-        # sliced dispatch (and anything else that windows a trace by
-        # position) does events[i], which used to TypeError on a
-        # ColumnBatch even though event(i) existed.
+        # Indexing parity with list-backed traces: code that windows a
+        # trace by position does events[i].
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
@@ -290,9 +291,17 @@ class ColumnBatch:
         )
 
     def to_events(self) -> List[TraceEvent]:
-        """Materialize the whole batch (the bulk inverse of append).
+        """The event view: the whole batch materialized (the bulk
+        inverse of append) on first use and cached until the batch
+        grows, for the code that walks events one at a time (the
+        scalar probe loop, the oracle).  Callers share the list and
+        must not modify it."""
+        if self._events is None or len(self._events) != len(self):
+            self._events = self._materialize()
+        return self._events
 
-        Columns convert to Python values in bulk (float bit patterns
+    def _materialize(self) -> List[TraceEvent]:
+        """Columns convert to Python values in bulk (float bit patterns
         reinterpret exactly, so NaN payloads survive); only integer and
         wide operands are patched event by event."""
         import numpy as np

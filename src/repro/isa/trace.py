@@ -63,7 +63,8 @@ class Trace:
 
     The recorder, the ISA machine and the corpus build traces from
     columns; ``Trace(events)`` converts an event sequence once.  The
-    event view (:attr:`events`, iteration, indexing) is materialized on
+    event view (:attr:`events`, iteration, indexing) is the batch's
+    (:meth:`~repro.isa.columns.ColumnBatch.to_events`), materialized on
     first use and cached, for the code that walks events one at a time.
     """
 
@@ -79,14 +80,11 @@ class Trace:
 
             columns = ColumnBatch.from_events(events or ())
         self._columns = columns
-        self._events: Optional[List[TraceEvent]] = None
 
     @property
     def events(self) -> List[TraceEvent]:
         """The event view (materialized from the columns on first use)."""
-        if self._events is None:
-            self._events = self._columns.to_events()
-        return self._events
+        return self._columns.to_events()
 
     def columns(self) -> "ColumnBatch":
         """The columnar trace."""

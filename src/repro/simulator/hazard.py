@@ -21,17 +21,19 @@ This model executes a dependency-annotated trace (the recorder attaches
   *release the iterative unit immediately* (the unit "is aborted and
   signals it is free", section 2.2).
 
-A columnar trace runs as one pass over its
-:class:`~repro.isa.columns.ColumnBatch`: the bank probes every opcode
-partition at once through the kernel (:func:`repro.core.backend.probe_outcomes`
-hands back each event's hit, miss or bypass -- each unit sees its own
-subsequence in trace order, so the outcomes are exact), the cache
-hierarchy is walked once over the load/store column, numpy resolves
-each source operand to the latest earlier event writing it, and one
-sequential loop over int lists schedules issue.  The event-walking loop
-is the reference: it runs under the ``scalar`` backend and for plain
-event iterables, as the scalar probe loop does, and tests require equal
-reports from both.
+Every trace runs as one pass over its
+:class:`~repro.isa.columns.ColumnBatch` (a plain event iterable is
+converted once): the bank probes every opcode partition at once through
+the kernel (:func:`repro.core.backend.probe_outcomes` hands back each
+event's hit, miss or bypass -- each unit sees its own subsequence in
+trace order, so the outcomes are exact), the cache hierarchy is walked
+once over the load/store column, numpy resolves each source operand to
+the latest earlier event writing it, and one sequential loop over int
+lists schedules issue.  The backend selection picks only who fills the
+outcome column (the scalar probe loop under ``scalar``); the schedule
+loop is the same.  The event-walking loop this pass replaced is the
+tests' reference (``tests/hazard_reference.py``), and they require
+equal reports and bank states from both.
 """
 
 from __future__ import annotations
@@ -131,109 +133,10 @@ class HazardModel:
                         f"the bank with latencies=machine.latencies()"
                     )
 
-    def _latency(self, event: TraceEvent) -> int:
-        """Latency of one event on this machine (no memoization)."""
-        opcode = event.opcode
-        operation = opcode.operation
-        if operation is not None:
-            return self.machine.latency(operation)
-        if opcode.is_memory:
-            return self.hierarchy.access(event.address or 0)
-        if opcode is Opcode.FADD:
-            return self.fp_add_latency
-        return 1
-
     def run(self, events: Iterable[TraceEvent]) -> HazardReport:
         """Execute ``events`` (a Trace, a ColumnBatch or any event
-        iterable) and report its timing.  Columnar traces take the
-        columnar pass unless the ``scalar`` backend is selected."""
-        batch: Optional[ColumnBatch] = None
-        if execution.resolve() != "scalar":
-            batch = execution.as_batch(events)
-        if batch is None:
-            return self._run_events(events)
-        return self._run_columns(batch)
-
-    def _run_events(self, events: Iterable[TraceEvent]) -> HazardReport:
-        """The event-walking reference: one event, one probe at a time."""
-        report = HazardReport(
-            machine=self.machine.name, issue_width=self.issue_width
-        )
-        ready: Dict[int, int] = {}          # value id -> cycle available
-        unit_free: Dict[Operation, int] = {}  # iterative unit -> free cycle
-        bank = self.bank
-        cycle = 0            # cycle of the previous issue (in-order floor)
-        slots_left = self.issue_width
-        last_completion = 0
-
-        for event in events:
-            report.instructions += 1
-            operation = event.opcode.operation
-
-            # Resolve the execution latency (memoized or not) first; the
-            # lookup happens in parallel with issue, so a hit is known
-            # when the operation would enter the unit.  This reference
-            # probes one event at a time (execution.probe_one); the
-            # columnar pass gets the same outcomes in opcode batches.
-            hit = False
-            if operation is not None and bank is not None and bank.supports(
-                operation
-            ):
-                outcome = execution.probe_one(
-                    bank.units[operation], event.a, event.b
-                )
-                latency = outcome.cycles
-                hit = outcome.hit
-            else:
-                latency = self._latency(event)
-
-            # In-order issue: no earlier than the previous instruction.
-            earliest = cycle
-            if slots_left == 0:
-                earliest = cycle + 1
-
-            # RAW hazard: wait for source values.
-            operand_ready = 0
-            for src in event.srcs:
-                when = ready.get(src, 0)
-                if when > operand_ready:
-                    operand_ready = when
-            raw_wait = max(0, operand_ready - earliest)
-
-            # Structural hazard: iterative unit still busy.  A memo hit
-            # bypasses the unit entirely (the unit is aborted/free).
-            structural_wait = 0
-            uses_iterative = (
-                operation in NON_PIPELINED and not hit
-            )
-            if uses_iterative:
-                free_at = unit_free.get(operation, 0)
-                structural_wait = max(0, free_at - (earliest + raw_wait))
-
-            issue_at = earliest + raw_wait + structural_wait
-            if issue_at > cycle:
-                slots_left = self.issue_width
-            slots_left -= 1
-            cycle = issue_at
-
-            completion = issue_at + latency
-            if event.dst is not None:
-                ready[event.dst] = completion
-            if uses_iterative:
-                unit_free[operation] = completion
-            if completion > last_completion:
-                last_completion = completion
-
-            report.raw_stall_cycles += raw_wait
-            report.structural_stall_cycles += structural_wait
-            report.issue_slots_used += 1
-
-        report.total_cycles = last_completion
-        if bank is not None:
-            report.hit_ratios = {
-                op: unit.hit_ratio for op, unit in bank.units.items()
-            }
-        return report
+        iterable, converted once) and report its timing."""
+        return self._run_columns(execution.as_batch(events))
 
     def _latency_columns(self, batch: ColumnBatch) -> Tuple[list, list]:
         """Per event: its execution latency on the modelled machine, and the
@@ -294,8 +197,8 @@ class HazardModel:
         return latency.tolist(), unit.tolist()
 
     def _run_columns(self, batch: ColumnBatch) -> HazardReport:
-        """The columnar pass: the same report as :meth:`_run_events` on
-        the same trace."""
+        """The columnar pass: the kernel's outcome column, one hierarchy
+        walk, numpy producer resolution and one schedule loop."""
         n = len(batch)
         report = HazardReport(
             machine=self.machine.name,
@@ -413,8 +316,10 @@ def hazard_speedup(
     """Convenience: run a trace with and without MEMO-TABLES.
 
     Returns baseline/memoized cycle counts and their ratio under the
-    hazard-aware model.  ``events`` must be re-iterable (a list/Trace).
+    hazard-aware model.  ``events`` is converted once, so a one-shot
+    iterable serves both runs.
     """
+    events = execution.as_batch(events)
     baseline = HazardModel(machine, issue_width=issue_width).run(events)
     bank = MemoTableBank.paper_baseline(
         operations=memoized, latencies=machine.latencies()

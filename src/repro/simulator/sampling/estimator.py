@@ -336,10 +336,10 @@ def estimate_phases(
 ) -> PhaseEstimate:
     """Phase-weighted hit-ratio estimate of ``events``.
 
-    ``events`` is anything with a columnar view (a
-    :class:`~repro.isa.trace.Trace`, a
-    :class:`~repro.isa.columns.ColumnBatch`) or a plain event sequence
-    (converted once).  ``bank`` supplies the table geometry (fresh
+    ``events`` is a :class:`~repro.isa.trace.Trace`, a
+    :class:`~repro.isa.columns.ColumnBatch` or a plain event sequence,
+    taken as :func:`repro.core.backend.as_batch` converts it.  ``bank``
+    supplies the table geometry (fresh
     paper baseline by default); it is flushed before every
     representative so phase order cannot leak state between windows.
     ``bound_warmup=False`` skips the infinite-table replay (no error
@@ -350,10 +350,6 @@ def estimate_phases(
     if bank is None:
         bank = MemoTableBank.paper_baseline()
     batch = execution.as_batch(events)
-    if batch is None:
-        from ...isa.columns import ColumnBatch
-
-        batch = ColumnBatch.from_events(events)
     total = len(batch)
     if not total:
         raise ConfigurationError("cannot estimate phases of an empty trace")

@@ -492,10 +492,10 @@ def interval_features(
 ) -> IntervalFeatures:
     """Chop ``batch[start:stop]`` into intervals and fingerprint each.
 
-    ``batch`` is a :class:`~repro.isa.columns.ColumnBatch` (or anything
-    with a compatible ``views()``), a
-    :class:`~repro.isa.trace.Trace`, or a plain event sequence
-    (converted once); the final interval may be shorter
+    ``batch`` is a :class:`~repro.isa.columns.ColumnBatch`, a
+    :class:`~repro.isa.trace.Trace` or a plain event sequence, taken
+    as :func:`repro.core.backend.as_batch` converts it; the final
+    interval may be shorter
     than ``config.interval`` and its row is normalized by its own
     length, so partial tails cluster with the phase they belong to.
     ``0 <= start <= stop <= len(batch)``, else
@@ -509,16 +509,7 @@ def interval_features(
     them without a second pass.
     """
     cfg = config if config is not None else FeatureConfig()
-    # Accept the same trace shapes estimate_phases does: a columnar
-    # view when one exists, otherwise a one-time event conversion (a
-    # plain Trace used to AttributeError on .views()).
-    if not hasattr(batch, "views"):
-        from ...isa.columns import ColumnBatch
-
-        coerced = execution.as_batch(batch)
-        batch = (
-            coerced if coerced is not None else ColumnBatch.from_events(batch)
-        )
+    batch = execution.as_batch(batch)
     if stop is None:
         stop = len(batch)
     if start < 0:

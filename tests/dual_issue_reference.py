@@ -1,25 +1,33 @@
-"""Shared multi-ported MEMO-TABLES (section 2.3).
+"""The reference dual-issue model for ext-dual-issue (section 2.3).
 
 When a processor duplicates a computation unit, a table per unit lets
 the same calculation be performed -- and stored -- twice.  The paper's
 fix is one larger multi-ported table shared by the duplicated units, and
 it further suggests replacing a second divider outright with an
-interface to the shared table.  This module models both:
+interface to the shared table.  This module models both the direct way,
+one pair of probes at a time:
 
 * :class:`SharedMemoTable` -- a port-arbitrated wrapper around one table
   serving several units, counting port conflicts per cycle;
 * :class:`TableOnlyUnit` -- a "unit" that is nothing but a table port:
-  hits complete in a cycle, misses stall until the real unit is free.
+  hits complete in a cycle, misses stall until the real unit is free;
+* :class:`DualIssueModel` -- two divides per cycle, the second on the
+  table port.
+
+Production (:func:`repro.experiments.ext_dual_issue.dual_issue`) takes
+the same outcomes as one kernel outcome column of a CACHE_ALL unit and
+does the cycle arithmetic with numpy; the tests require both to report
+equal pairs, second-slot hits, table hits and cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from .memo_table import BaseMemoTable, LookupResult
-from .operations import Operation, compute
-from .stats import UnitStats
+from repro.core.memo_table import BaseMemoTable, LookupResult
+from repro.core.operations import Operation, compute
+from repro.core.stats import UnitStats
 
 __all__ = ["SharedMemoTable", "TableOnlyUnit", "DualIssueModel"]
 

@@ -23,6 +23,7 @@ from repro.core import kernel
 from repro.core.bank import MemoTableBank
 from repro.core.config import MemoTableConfig
 from repro.core.operations import Operation
+from repro.errors import ConfigurationError
 from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
 from repro.isa.programs import PROGRAMS
@@ -154,38 +155,85 @@ FRONT_ENDS = {
 
 
 class TestOneRoad:
-    """Every front-end runs on the selected backend, the one way:
-    ``use_backend("scalar")`` sends each down its event-at-a-time
-    reference, and the default down the columnar kernel."""
+    """Every front-end runs on the selected backend, the one way, from
+    any input: ``use_backend("scalar")`` sends each through the scalar
+    probe loop only, and the default through the columnar kernel
+    only."""
+
+    def _taken(self, monkeypatch, front_end, selected, convert):
+        taken = []
+        for name in ("run_events_scalar", "_run_batch"):
+            def counting(*args, _original=getattr(kernel, name), _name=name,
+                         **kwargs):
+                taken.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(kernel, name, counting)
+        machine = reference_machine("saxpy", 64)
+        machine.run(max_steps=100_000)
+        with execution.use_backend(selected):
+            FRONT_ENDS[front_end](convert(machine.trace))
+        expected = {"_run_batch"} if selected is None else {"run_events_scalar"}
+        assert taken and set(taken) == expected
 
     @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
     @pytest.mark.parametrize("selected", ["scalar", None])
     def test_front_end_takes_the_selected_path(
         self, monkeypatch, front_end, selected
     ):
-        taken = []
-        for owner, name in (
-            (kernel, "run_events_scalar"),
-            (kernel, "_run_batch"),
-            (HazardModel, "_run_events"),
-        ):
-            def counting(*args, _original=getattr(owner, name), _name=name,
-                         **kwargs):
-                taken.append(_name)
-                return _original(*args, **kwargs)
+        self._taken(monkeypatch, front_end, selected, lambda trace: trace)
 
-            monkeypatch.setattr(owner, name, counting)
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    @pytest.mark.parametrize("selected", ["scalar", None])
+    def test_plain_list_takes_the_selected_path(
+        self, monkeypatch, front_end, selected
+    ):
+        self._taken(monkeypatch, front_end, selected, list)
+
+
+class TestDispatchSlice:
+    """``dispatch`` runs ``0 <= start <= stop <= len`` slices only, on
+    either backend, and rejects every other slice before probing."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
         machine = reference_machine("saxpy", 64)
         machine.run(max_steps=100_000)
-        with execution.use_backend(selected):
-            FRONT_ENDS[front_end](machine.trace)
-        if selected is None:
-            expected = {"_run_batch"}
-        elif front_end == "hazard":
-            expected = {"_run_events"}
-        else:
-            expected = {"run_events_scalar"}
-        assert taken and set(taken) == expected
+        return execution.as_batch(machine.trace)
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0, 810), (-10, None), (715, 720), (20, 10), (-1, 5), (0, -1)],
+        ids=["stop-past-end", "negative-start", "start-past-end",
+             "stop-before-start", "negative-start-with-stop",
+             "negative-stop"],
+    )
+    @pytest.mark.parametrize("backend", ["scalar", "fused"])
+    def test_bad_slice_rejected(self, batch, monkeypatch, backend, start,
+                                stop):
+        assert len(batch) == 710
+        ran = []
+        for name in ("run_events_scalar", "_run_batch"):
+            monkeypatch.setattr(kernel, name, lambda *a, **k: ran.append(a))
+        bank = MemoTableBank.paper_baseline(operations=ALL_OPERATIONS)
+        with pytest.raises(ConfigurationError, match="slice"):
+            execution.dispatch(
+                batch, bank.units, backend=backend, start=start, stop=stop
+            )
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "start, stop", [(0, None), (0, 710), (20, 20), (700, 710), (5, 400)]
+    )
+    @pytest.mark.parametrize("backend", ["scalar", "fused"])
+    def test_good_slice_counts_its_events(self, batch, backend, start, stop):
+        bank = MemoTableBank.paper_baseline(operations=ALL_OPERATIONS)
+        report = execution.dispatch(
+            batch, bank.units, backend=backend, start=start, stop=stop
+        )
+        end = len(batch) if stop is None else stop
+        assert report.instructions == end - start
+        assert sum(report.counts.values()) == end - start
 
 
 class TestProbeOutcomes:
@@ -301,10 +349,7 @@ class TestFusedTargetedParity:
             config=config, operations=ALL_OPERATIONS
         )
         for events in runs:
-            # Columnar input, so the fused side runs its pair-id loop
-            # rather than degrading to the scalar one.
             batch = ColumnBatch.from_events(events)
-            assert execution.as_batch(batch) is not None
             execution.dispatch(batch, bank.units, backend=backend)
         return _fingerprint(bank)
 

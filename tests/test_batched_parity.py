@@ -8,9 +8,9 @@ reference, each side selected with ``use_backend`` or pinned with
 ``dispatch(..., backend=...)``, requiring exactly equal ``MemoStats`` /
 ``UnitStats`` counters, opcode breakdowns, cycle totals and final
 table contents.  NaN-carrying
-values are compared by bit pattern, never by ``==``.  Every input is
-columnar: a plain event list would send the fast backend down its
-scalar degrade path and compare the scalar loop with itself.
+values are compared by bit pattern, never by ``==``.  Both backends
+take the same columns (``dispatch`` converts any input once); the
+scalar one walks their event view.
 
 CI runs this module once per backend (the backend-matrix job) as the
 parity gate required by the columnar-pipeline acceptance criteria.
@@ -33,7 +33,7 @@ from repro.core.config import (
     TagMode,
     TrivialPolicy,
 )
-from repro.core.memo_table import MemoTable
+from repro.core.memo_table import InfiniteMemoTable, MemoTable
 from repro.core.operations import Operation
 from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
@@ -44,6 +44,9 @@ from repro.simulator.hazard import HazardModel
 from repro.simulator.pipeline import CycleModel
 from repro.simulator.shade import ShadeSimulator
 from repro.verify import faults
+from repro.verify.fuzz import TraceFuzzer
+
+from .hazard_reference import ReferenceHazardModel
 
 ALL_OPERATIONS = tuple(Operation)
 
@@ -176,9 +179,6 @@ def traces():
 
 
 def _run_both(events, make_bank, backend="fused", **kwargs):
-    # The fast side must see a columnar view, or it silently degrades
-    # to the scalar loop and the comparison proves nothing.
-    assert execution.as_batch(events) is not None
     backend_bank = make_bank()
     scalar_bank = make_bank()
     with execution.use_backend(backend):
@@ -487,13 +487,54 @@ class TestCorpusRoundTripParity:
         assert fingerprints[0] == fingerprints[1]
 
 
+def _replay_infinite_reference(events):
+    """The event-walking reference of ``kernel.replay_infinite``: real
+    per-class infinite tables, one lookup per event."""
+    tables = {}
+    counts = {}
+    hits = 0
+    total = 0
+    for event in events:
+        operation = event.opcode.operation
+        if operation is None:
+            continue
+        table = tables.get(operation)
+        if table is None:
+            table = InfiniteMemoTable(
+                operand_kind=operation.operand_kind,
+                tag_mode=TagMode.FULL,
+                commutative=operation.commutative,
+            )
+            tables[operation] = table
+        found = table.lookup(event.a, event.b)
+        if found.hit:
+            hits += 1
+        else:
+            table.insert(event.a, event.b, event.result)
+        if event.pc is not None:
+            counts[event.pc] = counts.get(event.pc, 0) + 1
+        total += 1
+    return counts, hits, total
+
+
 class TestReplayInfiniteParity:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_matches_scalar_reference(self, traces, name):
         events = traces[name]
         assert kernel.replay_infinite(events) == (
-            kernel._replay_infinite_scalar(events)
+            _replay_infinite_reference(events)
         )
+
+    def test_matches_reference_on_fuzzed_traces(self):
+        # Fuzzer cases carry edge operands (NaN payloads, -0.0, int64
+        # corners, mixed int/float triples) as plain event lists.
+        for seed in range(40):
+            fuzzer = TraceFuzzer(seed=seed)
+            for _ in range(25):
+                events = fuzzer.next_case().events
+                assert kernel.replay_infinite(events) == (
+                    _replay_infinite_reference(events)
+                ), seed
 
 
 def _fresh(events):
@@ -613,13 +654,15 @@ class TestProbeMemo:
         for machine in (FAST_DESIGN, SLOW_DESIGN):
             del loop_runs[:]
             hazard = []
-            for trace in (batch, events):  # columnar pass, event reference
+            for model_type, trace in (
+                (HazardModel, batch), (ReferenceHazardModel, events)
+            ):
                 bank = MemoTableBank.paper_baseline(
                     operations=ALL_OPERATIONS,
                     latencies=machine.latencies(),
                 )
                 with execution.use_backend("fused"):
-                    hazard.append(HazardModel(machine, bank=bank).run(trace))
+                    hazard.append(model_type(machine, bank=bank).run(trace))
             assert hazard[0] == hazard[1]
             assert loop_runs == []
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.static.memo import reference_machine
 from repro.arch.latency import FAST_DESIGN, SLOW_DESIGN
 from repro.core.bank import MemoTableBank
 from repro.core.operations import Operation
@@ -114,6 +115,20 @@ class TestMemoizationEffects:
             SLOW_DESIGN, chain, memoized=(Operation.FP_DIV,)
         )
         assert result["speedup"] > 3.0
+
+    @pytest.mark.parametrize("machine", [FAST_DESIGN, SLOW_DESIGN],
+                             ids=lambda m: m.name)
+    def test_one_shot_iterable_equals_list(self, machine):
+        # Both runs read one conversion: a generator's memoized run
+        # does not see an exhausted trace.
+        program = reference_machine("memo_showcase", 256)
+        program.run(max_steps=1_000_000)
+        events = list(program.trace)
+        expected = hazard_speedup(machine, events)
+        assert expected["memo_cycles"] > 0
+        assert expected["speedup"] > 1.0
+        assert hazard_speedup(machine, iter(events)) == expected
+        assert hazard_speedup(machine, (e for e in events)) == expected
 
     def test_kernel_trace_end_to_end(self, small_image):
         recorder = OperationRecorder()

@@ -1,12 +1,12 @@
 """The columnar hazard pass against the event-walking reference.
 
-``HazardModel.run`` runs a columnar trace as one pass over its
+``HazardModel.run`` runs every trace as one pass over its
 ``ColumnBatch`` -- the kernel's per-event outcome column, one cache
-hierarchy walk, numpy producer resolution and one schedule loop -- and
-keeps the event loop as the reference it runs for plain event
-iterables and under the ``scalar`` backend.  Both must produce equal
-reports, every field, and leave the bank in the same state: the same
-statistics and the same table contents.
+hierarchy walk, numpy producer resolution and one schedule loop -- under
+both backends.  The event loop it replaced is
+``tests/hazard_reference.py``, which probes one event at a time.  Both
+must produce equal reports, every field, and leave the bank in the same
+state: the same statistics and the same table contents.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.analysis.static.memo import reference_machine
 from repro.arch.latency import FAST_DESIGN, SLOW_DESIGN
 from repro.core import backend as execution
+from repro.core import kernel
 from repro.core.bank import MemoTableBank
 from repro.core.config import (
     MemoTableConfig,
@@ -35,6 +36,8 @@ from repro.verify.differential import (
     _bank_fingerprint,
 )
 from repro.workloads.khoros import SPEEDUP_APPS
+
+from .hazard_reference import ReferenceHazardModel
 
 MACHINES = (FAST_DESIGN, SLOW_DESIGN)
 WIDTHS = (1, 2, 3)
@@ -71,12 +74,16 @@ def _paper_bank(machine, operations=ALL_OPERATIONS):
 
 
 def _assert_columns_match_events(machine, trace, width, make_bank=None):
-    """Run ``trace`` columnar and as plain events on fresh banks."""
+    """Run ``trace``'s columns through the model and its events
+    through the reference, on fresh banks."""
     reports, banks = [], []
-    for events in (trace.columns(), trace.events):
+    for model_type, events in (
+        (HazardModel, trace.columns()),
+        (ReferenceHazardModel, trace.events),
+    ):
         bank = make_bank() if make_bank is not None else None
         with execution.use_backend("fused"):
-            model = HazardModel(machine, bank=bank, issue_width=width)
+            model = model_type(machine, bank=bank, issue_width=width)
             reports.append(model.run(events))
         banks.append(bank)
     columnar, reference = reports
@@ -135,19 +142,25 @@ def test_ext_hazard_traces(app):
                 )
 
 
-def test_scalar_backend_walks_events(program_traces, monkeypatch):
+def test_scalar_backend_fills_the_outcome_column(program_traces, monkeypatch):
+    # Under ``scalar`` the same columnar pass runs; only its outcome
+    # column comes from the scalar probe loop.
     trace = program_traces["memo_showcase", 64]
     expected = _assert_columns_match_events(
         FAST_DESIGN, trace, 2, _paper_bank(FAST_DESIGN)
     )
+    taken = []
+    for name in ("run_events_scalar", "_run_batch"):
+        def counting(*args, _original=getattr(kernel, name), _name=name,
+                     **kwargs):
+            taken.append(_name)
+            return _original(*args, **kwargs)
 
-    def refuse(self, batch):
-        raise AssertionError("the scalar backend took the columnar pass")
-
-    monkeypatch.setattr(HazardModel, "_run_columns", refuse)
+        monkeypatch.setattr(kernel, name, counting)
     with execution.use_backend("scalar"):
         bank = _paper_bank(FAST_DESIGN)()
         report = HazardModel(FAST_DESIGN, bank=bank, issue_width=2).run(trace)
+    assert taken == ["run_events_scalar"]
     assert report == expected
 
 

@@ -1,14 +1,15 @@
-"""Parity: hazard model's per-event probes vs. every batch backend.
+"""Parity: the hazard model's probes vs. every batch backend.
 
 The hazard-aware pipeline model must resolve each event's hit/miss
-before the next issues.  Given a plain event list, as here, it runs its
-event-walking reference, which probes through ``kernel.probe_one`` one
-event at a time (``tests/test_hazard_columns.py`` covers its columnar
-pass).  The fused backend reorders work into per-opcode columns and
-dense pair ids.  Every backend must leave a bank in the identical state
--- same statistics, same table contents -- for the same trace, or the
-hazard model's hit ratios (and therefore its stall accounting) silently
-drift from the headline results.
+before the next issues.  Its event-walking reference
+(``tests/hazard_reference.py``) probes through ``probe_one`` one event
+at a time; the model itself takes the kernel's outcome column; the
+fused backend reorders work into per-opcode columns and dense pair ids.
+Every one must leave a bank in the identical state -- same statistics,
+same table contents -- for the same trace, and the model must report
+what the reference reports, or the hazard model's hit ratios (and
+therefore its stall accounting) silently drift from the headline
+results.
 """
 
 import pytest
@@ -27,6 +28,8 @@ from repro.verify.differential import (
     canonicalize,
 )
 from repro.verify.fuzz import TraceFuzzer
+
+from .hazard_reference import ReferenceHazardModel
 
 BACKENDS = execution.names()
 
@@ -48,6 +51,18 @@ def _bank(machine, config):
     )
 
 
+def _reference_bank(machine, config, events):
+    """The bank the event-walking reference leaves; the model must
+    leave the same bank and report what the reference reports."""
+    reference_bank = _bank(machine, config)
+    expected = ReferenceHazardModel(machine, bank=reference_bank).run(events)
+    model_bank = _bank(machine, config)
+    assert HazardModel(machine, bank=model_bank).run(events) == expected
+    assert _bank_fingerprint(model_bank) == _bank_fingerprint(reference_bank)
+    assert _bank_contents(model_bank) == _bank_contents(reference_bank)
+    return reference_bank
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("machine", [FAST_DESIGN, SLOW_DESIGN],
                          ids=lambda m: m.name)
@@ -56,8 +71,7 @@ def test_hazard_probe_sequence_matches_every_backend(machine, seed, backend):
     events = _fuzzed_events(seed)
     config = MemoTableConfig(entries=16, associativity=4)
 
-    hazard_bank = _bank(machine, config)
-    HazardModel(machine, bank=hazard_bank).run(events)
+    hazard_bank = _reference_bank(machine, config, events)
 
     backend_bank = _bank(machine, config)
     execution.dispatch(
@@ -84,8 +98,7 @@ def test_hazard_probe_sequence_matches_every_backend(machine, seed, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_hazard_parity_across_table_shapes(config, backend):
     events = _fuzzed_events(seed=5)
-    hazard_bank = _bank(FAST_DESIGN, config)
-    HazardModel(FAST_DESIGN, bank=hazard_bank).run(events)
+    hazard_bank = _reference_bank(FAST_DESIGN, config, events)
 
     backend_bank = _bank(FAST_DESIGN, config)
     execution.dispatch(

@@ -1,11 +1,13 @@
-"""Tests for shared multi-ported tables and the table-as-unit model."""
+"""Tests for the reference model of shared multi-ported tables and the
+table-as-unit (``tests/dual_issue_reference.py``)."""
 
 import pytest
 
 from repro.core.config import MemoTableConfig
 from repro.core.memo_table import MemoTable
-from repro.core.multiported import DualIssueModel, SharedMemoTable, TableOnlyUnit
 from repro.core.operations import Operation
+
+from .dual_issue_reference import DualIssueModel, SharedMemoTable, TableOnlyUnit
 
 
 def _table():

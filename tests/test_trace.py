@@ -64,6 +64,21 @@ class TestTraceContainer:
         trace = Trace([TraceEvent(Opcode.NOP), TraceEvent(Opcode.BRANCH)])
         assert trace[1].opcode is Opcode.BRANCH
 
+    def test_event_view_is_the_batch_view_until_it_grows(self):
+        # One cached event view per batch: the trace shares it, and an
+        # appended event makes a new one that holds it.
+        trace = Trace([TraceEvent(Opcode.NOP), TraceEvent(Opcode.BRANCH)])
+        batch = trace.columns()
+        view = trace.events
+        assert batch.to_events() is view
+        batch.append(TraceEvent(Opcode.FMUL, 2.0, 3.0, 6.0))
+        grown = trace.events
+        assert grown is not view and len(view) == 2
+        assert [e.opcode for e in grown] == [
+            Opcode.NOP, Opcode.BRANCH, Opcode.FMUL
+        ]
+        assert batch.to_events() is grown
+
 
 class TestSerialization:
     def test_roundtrip_float_exact_bits(self):
