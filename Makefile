@@ -16,10 +16,10 @@ install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backends.py
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sampling.py
 
@@ -41,52 +41,52 @@ bench-sampling:
 
 # Regenerate every table and figure of the paper (plus extensions).
 reproduce:
-	$(PYTHON) -m repro.cli all
+	PYTHONPATH=src $(PYTHON) -m repro.cli all
 
 # Same, with paper-vs-measured columns where reference data exists.
 compare:
-	$(PYTHON) -m repro.cli all --compare
+	PYTHONPATH=src $(PYTHON) -m repro.cli all --compare
 
 # Pre-record every trace the experiments replay into the persistent
 # corpus, then verify the store.  Later `repro all` runs (serial or
 # --jobs N) replay from disk instead of re-recording.
 corpus:
-	$(PYTHON) -m repro.cli corpus record --jobs $(JOBS) --dir $(CORPUS_DIR)
-	$(PYTHON) -m repro.cli corpus verify --dir $(CORPUS_DIR)
+	PYTHONPATH=src $(PYTHON) -m repro.cli corpus record --jobs $(JOBS) --dir $(CORPUS_DIR)
+	PYTHONPATH=src $(PYTHON) -m repro.cli corpus verify --dir $(CORPUS_DIR)
 
 examples:
 	for script in examples/*.py; do \
 		echo "== $$script"; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 # Repo-invariant linter (always available) plus ruff/mypy when installed.
 lint:
-	$(PYTHON) -m repro.cli lint
+	PYTHONPATH=src $(PYTHON) -m repro.cli lint
 	-$(PYTHON) -m ruff check src tests || true
 	-$(PYTHON) -m mypy || true
 
 # Static dataflow analysis with dynamic cross-validation (the CI gate).
 analyze:
-	$(PYTHON) -m repro.cli analyze --check
+	PYTHONPATH=src $(PYTHON) -m repro.cli analyze --check
 
 # Race & filesystem-atomicity analyzer over the service/corpus layer:
 # the tree must be clean and the checked-in regression fixtures must
 # still be caught (both halves gate CI).
 analyze-concurrency:
-	$(PYTHON) -m repro.cli analyze --concurrency
-	! $(PYTHON) -m repro.cli analyze --concurrency tests/fixtures/concurrency >/dev/null 2>&1
+	PYTHONPATH=src $(PYTHON) -m repro.cli analyze --concurrency
+	! PYTHONPATH=src $(PYTHON) -m repro.cli analyze --concurrency tests/fixtures/concurrency >/dev/null 2>&1
 	@echo "analyze-concurrency ok (tree clean, fixtures caught)"
 
 # Mutation smoke: the differential harness must catch every planted
 # kernel fault and stay silent on the clean tree (the PR-time gate).
 verify:
-	$(PYTHON) -m repro.cli verify smoke
-	$(PYTHON) -m repro.cli verify replay
+	PYTHONPATH=src $(PYTHON) -m repro.cli verify smoke
+	PYTHONPATH=src $(PYTHON) -m repro.cli verify replay
 
 # Full fuzz campaign (the nightly gate; ~2 min at the default budget).
 verify-fuzz:
-	$(PYTHON) -m repro.cli verify fuzz --budget $(FUZZ_BUDGET) --seed $(FUZZ_SEED)
+	PYTHONPATH=src $(PYTHON) -m repro.cli verify fuzz --budget $(FUZZ_BUDGET) --seed $(FUZZ_SEED)
 
 # Observability smoke: run a bundled program with metrics enabled,
 # schema-validate the snapshot, and check the Prometheus rendering

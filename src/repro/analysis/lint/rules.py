@@ -755,8 +755,9 @@ class KernelImportRule(LintRule):
 
     Every other layer selects an execution path through the backend
     facade (:mod:`repro.core.backend`), which re-exports the kernel
-    helpers front-ends legitimately need (``probe_one``,
-    ``values_match``, ``replay_infinite``, the fault-injection seam).
+    helpers front-ends legitimately need (``as_batch``,
+    ``probe_outcomes`` and its outcome codes, ``probe_one``, the
+    fault-injection seam).
     A direct kernel import bypasses backend selection -- the module
     would keep running the fused path no matter what ``--backend``,
     ``REPRO_BACKEND`` or a serve job spec asked for, and its runs would

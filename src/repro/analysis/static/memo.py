@@ -483,11 +483,35 @@ def measure_infinite_hit_ratio(
     """Replay a machine's trace through per-class infinite MEMO-TABLES.
 
     Returns ``(per-pc execution counts, hits, total memoizable ops)``.
-    The replay itself is the kernel's columnar one.
+    The replay is one kernel dispatch into an infinite bank over every
+    operation under CACHE_ALL, so each memoizable event, trivial or not,
+    is one lookup; the per-pc counts come from the trace's pc column.
     """
-    from ...core.backend import replay_infinite
+    import numpy as np
 
-    return replay_infinite(machine.trace)
+    from ...core import backend as execution
+    from ...core.bank import MemoTableBank
+    from ...core.config import TrivialPolicy
+    from ...isa.columns import _F_PC
+    from ...isa.opcodes import MEMOIZABLE_OPCODES, OPCODE_INDEX
+
+    batch = execution.as_batch(machine.trace)
+    bank = MemoTableBank.infinite(tuple(Operation), TrivialPolicy.CACHE_ALL)
+    execution.dispatch(batch, bank.units)
+    views = batch.views()
+    memoizable = np.isin(
+        views.opcode, [OPCODE_INDEX[opcode] for opcode in MEMOIZABLE_OPCODES]
+    )
+    stamped = np.bitwise_and(views.flags, _F_PC) != 0
+    pcs, pc_counts = np.unique(
+        views.pc[memoizable & stamped], return_counts=True
+    )
+    units = bank.units.values()
+    return (
+        dict(zip(pcs.tolist(), pc_counts.tolist())),
+        sum(unit.table.stats.hits for unit in units),
+        sum(unit.stats.operations for unit in units),
+    )
 
 
 def check_program(

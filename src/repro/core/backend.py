@@ -10,15 +10,21 @@ resolves a backend name and hands the batch to the kernel:
 ``scalar``
     The event-at-a-time reference loop
     (:func:`repro.core.kernel.run_events_scalar`) -- ground truth,
-    several times slower than ``fused``.
+    several times slower than ``fused``, and the one loop that
+    validates delivered values against the trace: a
+    ``dispatch(..., validate=True)`` runs it whatever the selection.
 
 ``fused``
     The opcode-partitioned columnar kernel
-    (:func:`repro.core.kernel._run_batch`) -- the default.  Per opcode
-    partition, operand pairs are deduplicated up front with
-    ``np.unique`` so tag compare, value compute and victim selection
-    all run over small dense integer tables instead of per-event
-    tuples (the pLUTo "table as precomputed LUT" move).
+    (:func:`repro.core.kernel._run_batch`) -- the default.  Each opcode
+    partition takes the loop of its table's class: for a
+    :class:`~repro.core.memo_table.MemoTable`, operand pairs are
+    deduplicated up front with ``np.unique`` so tag compare, value
+    compute and victim selection all run over small dense integer
+    tables instead of per-event tuples (the pLUTo "table as
+    precomputed LUT" move); an
+    :class:`~repro.core.memo_table.InfiniteMemoTable` takes a tag dict
+    loop.
 
 Selection precedence (first match wins):
 
@@ -41,9 +47,8 @@ same selection, so no simulator probes a table outside the kernel.
 This module is also the sanctioned facade over the kernel: lint rule
 REPRO009 forbids importing :mod:`repro.core.kernel` from outside
 ``repro.core``, so the kernel helpers front-ends legitimately need
-(:func:`probe_one`, the outcome codes, :func:`values_match`,
-:func:`replay_infinite`, the fault-injection seam) are re-exported
-here.
+(:func:`as_batch`, :func:`probe_one`, the outcome codes, the
+fault-injection seam) are re-exported here.
 """
 
 from __future__ import annotations
@@ -66,8 +71,6 @@ from .kernel import (  # noqa: F401  (facade re-exports; see REPRO009)
     KernelReport,
     as_batch,
     probe_one,
-    replay_infinite,
-    values_match,
 )
 
 __all__ = [
@@ -87,9 +90,7 @@ __all__ = [
     "as_batch",
     "probe_one",
     "probe_outcomes",
-    "replay_infinite",
     "trivial_mask",
-    "values_match",
     "active_fault",
     "set_active_fault",
 ]
@@ -199,13 +200,19 @@ def dispatch(
     section 3.3 accounting.  Without it, only statistics accumulate
     (the Shade-style run).  ``start``/``stop`` select an index slice
     of the trace; ``0 <= start <= stop <= len(trace)``, else
-    :class:`~repro.errors.ConfigurationError`.  With metrics enabled,
-    the run is attributed to its backend: a ``backend.selected`` gauge
-    keyed by name, a ``backend.<name>.dispatches`` counter and a
+    :class:`~repro.errors.ConfigurationError`.  ``validate`` compares
+    each delivered value with the traced result and counts the
+    ``mismatches``; only the scalar loop does that, so a validating
+    dispatch runs ``scalar`` once the selection has resolved (an
+    unknown name still raises).  With metrics enabled, the run is
+    attributed to the backend that served it: a ``backend.selected``
+    gauge keyed by name, a ``backend.<name>.dispatches`` counter and a
     ``backend.<name>.run`` span, so ``repro stats`` shows which
     backend served a run.
     """
     name = resolve(backend)
+    if validate:
+        name = "scalar"
     batch = as_batch(events)
     if stop is None:
         stop = len(batch)
@@ -235,14 +242,7 @@ def dispatch(
             )
         else:
             report = kernel._run_batch(
-                batch,
-                units,
-                machine,
-                hierarchy,
-                fp_add_latency,
-                validate,
-                start,
-                stop,
+                batch, units, machine, hierarchy, fp_add_latency, start, stop
             )
     if instrumented:
         reg.record_span(
@@ -268,9 +268,7 @@ def probe_outcomes(batch, units) -> np.ndarray:
     if resolve() == "scalar":
         kernel.run_events_scalar(batch, units, outcomes=outcomes)
     else:
-        kernel._run_batch(
-            batch, units, None, None, 3, False, 0, len(batch), outcomes
-        )
+        kernel._run_batch(batch, units, None, None, 3, 0, len(batch), outcomes)
     return outcomes
 
 

@@ -12,7 +12,7 @@ converted once):
 
 * :func:`_run_batch` -- the **fused** path.  The batch is partitioned
   by opcode with numpy, and :func:`_probe_partition` picks each
-  partition's tier.  In
+  partition's loop from its table's class.  In
   the pair-id loop, ``np.unique`` maps every event to a dense **pair
   id** (one integer per distinct tag pair, the pLUTo "table as
   precomputed lookup structure" move), so set index and commutative
@@ -26,20 +26,24 @@ converted once):
   the same partition into an equally configured fresh table -- another
   experiment, another machine's latencies, the hazard pass -- rebuilds
   the final table and charges the counts without decoding the
-  partition or running the loop.
+  partition or running the loop.  An
+  :class:`~repro.core.memo_table.InfiniteMemoTable` takes the tag dict
+  loop instead, under the same policy and tag rules.
 * :func:`run_events_scalar` -- the **scalar reference** path: the
   classic event-at-a-time loop over ``unit.execute``, walking the
   batch's event view.  CI asserts the two produce bit-identical
-  :class:`~repro.core.stats.MemoStats` on every bundled program.
+  :class:`~repro.core.stats.MemoStats` on every bundled program.  It
+  is also the one validating loop: with ``validate`` it compares each
+  delivered value with the traced result.
 
 :func:`repro.core.backend.dispatch` calls one or the other, as the
 ``fused`` and ``scalar`` backends; ``repro <experiment> --backend
 NAME`` or the ``REPRO_BACKEND`` environment variable picks one at
-runtime.  Models that need each event's outcome (the hazard-aware
-pipeline, the sampling estimator's residency model, ext-dual-issue's
-table port) get a per-event outcome column from either entry point's
-``outcomes`` argument, through
-:func:`repro.core.backend.probe_outcomes`.
+runtime, and a validating dispatch always runs the scalar one.
+Models that need each event's outcome (the hazard-aware pipeline, the
+sampling estimator's residency model, ext-dual-issue's table port) get
+a per-event outcome column from either entry point's ``outcomes``
+argument, through :func:`repro.core.backend.probe_outcomes`.
 
 Batching by opcode is sound because each operation class owns a private
 MEMO-TABLE: per-table outcomes depend only on that operation's
@@ -75,9 +79,7 @@ __all__ = [
     "OUTCOME_MISS",
     "run_events_scalar",
     "probe_one",
-    "replay_infinite",
     "as_batch",
-    "values_match",
 ]
 
 # Flag bits mirrored from repro.isa.columns (kept numeric to avoid
@@ -216,27 +218,27 @@ def _set_indices(config, np_a, np_b, mask: Optional[int] = None):
     )
 
 
-def _probe_partition(unit, batch, views, idx, validate, outcomes, partition):
+def _probe_partition(unit, batch, views, idx, outcomes, partition):
     """Present one opcode partition of ``batch`` -- the events at
     ``idx`` -- to its memoized unit.
 
-    Returns ``(base_cycles, memo_cycles, mismatches)``.  All unit and
-    table statistics land exactly where ``unit.execute`` would put them.
-    This is the one place that picks a partition's tier:
+    Returns ``(base_cycles, memo_cycles)``.  All unit and table
+    statistics land exactly where ``unit.execute`` would put them.
+    This is the one place that picks a partition's tier, from the
+    table's class alone (every replacement policy, trivial-operation
+    policy and tag mode included):
 
-    * finite :class:`~repro.core.memo_table.MemoTable` under any
-      replacement policy, trivial-operation policy and tag mode -- a
-      replay of the batch's probe memo (:func:`_replay_fused`) when
+    * :class:`~repro.core.memo_table.MemoTable` -- a replay of the
+      batch's probe memo (:func:`_replay_fused`) when
       :func:`_memo_key` admits one and the memo holds it, else the
       pair-id loop (:func:`_probe_fused`), whose run the memo then
       keeps when :func:`_memo_key` admits it;
-    * :class:`~repro.core.memo_table.InfiniteMemoTable` under EXCLUDE
-      with FULL tags -- the tag dict loop (:func:`_probe_infinite`);
-    * anything else -- validation runs, custom table classes, operands
-      that are not all of the table's kind (mixed int/float partitions,
-      wide ones whose operands do not fit the kind's dtype), infinite
-      tables under other policies or tag modes -- loops
-      ``unit.execute`` and is therefore correct by construction.
+    * :class:`~repro.core.memo_table.InfiniteMemoTable` -- the tag dict
+      loop (:func:`_probe_infinite`);
+    * any other class, or a partition whose operands are not all of the
+      table's kind (mixed int/float partitions, wide ones whose
+      operands do not fit the kind's dtype) -- loops ``unit.execute``
+      and is therefore correct by construction.
 
     The memo is consulted before any operand is read, so a replayed
     partition is never decoded; the two loops read operand arrays
@@ -266,14 +268,7 @@ def _probe_partition(unit, batch, views, idx, validate, outcomes, partition):
     table = unit.table
     table_type = type(table)
     counts = None
-    if not validate and (
-        table_type is MemoTable
-        or (
-            table_type is InfiniteMemoTable
-            and unit.trivial_policy is TrivialPolicy.EXCLUDE
-            and table.config.tag_mode is TagMode.FULL
-        )
-    ):
+    if table_type is MemoTable or table_type is InfiniteMemoTable:
         key = (
             _memo_key(unit, table, partition)
             if table_type is MemoTable else None
@@ -303,20 +298,16 @@ def _probe_partition(unit, batch, views, idx, validate, outcomes, partition):
     if counts is not None:
         out = _charge(unit, table, *counts)
     else:
-        a_values, b_values, results = _decode_partition(
-            batch, views, idx, validate
-        )
+        a_values, b_values, _ = _decode_partition(batch, views, idx, False)
         execute = unit.execute
-        base = memo = mismatches = 0
+        base = memo = 0
         for i, (a, b) in enumerate(zip(a_values, b_values)):
             outcome = execute(a, b)
             base += outcome.base_cycles
             memo += outcome.cycles
-            if validate and not values_match(outcome.value, results[i]):
-                mismatches += 1
             if outcomes is not None:
                 outcomes[i] = _outcome_code(outcome)
-        out = base, memo, mismatches
+        out = base, memo
     if instrumented:
         reg = obs.registry()
         name = unit.operation.name
@@ -334,7 +325,7 @@ def _probe_partition(unit, batch, views, idx, validate, outcomes, partition):
 
 
 def _charge(unit, table, n, n_trivial, lookups, hits, commutative_hits,
-            insertions, evictions) -> Tuple[int, int, int]:
+            insertions, evictions) -> Tuple[int, int]:
     """Bulk cycle accounting and counter updates for one partition,
     from the seven counts a fast loop (or a replayed one) returns.
 
@@ -367,7 +358,7 @@ def _charge(unit, table, n, n_trivial, lookups, hits, commutative_hits,
     unit_stats.trivial += n_trivial
     unit_stats.cycles_base += base
     unit_stats.cycles_memo += memo
-    return base, memo, 0
+    return base, memo
 
 
 def _outcome_code(outcome) -> int:
@@ -377,13 +368,14 @@ def _outcome_code(outcome) -> int:
     return OUTCOME_BYPASS if outcome.trivial else OUTCOME_MISS
 
 
-def _fill_outcomes(outcomes, bypass_mask, missed) -> None:
+def _fill_outcomes(outcomes, policy, trivial_arr, missed) -> None:
     """Write a fast loop's outcome codes: every event a hit, except the
-    bypassed ones (``bypass_mask``, or None) and the ``missed`` event
-    positions the loop recorded on its miss path."""
+    trivial ones under EXCLUDE (``trivial_arr``), which bypassed the
+    table, and the ``missed`` event positions the loop recorded on its
+    miss path."""
     outcomes[:] = OUTCOME_HIT
-    if bypass_mask is not None:
-        outcomes[bypass_mask] = OUTCOME_BYPASS
+    if policy is TrivialPolicy.EXCLUDE:
+        outcomes[trivial_arr] = OUTCOME_BYPASS
     if len(missed):
         outcomes[missed] = OUTCOME_MISS
 
@@ -716,11 +708,7 @@ def _probe_fused(unit, table, np_a, np_b, outcomes=None):
     table._clock = clock
     if record:
         _fill_outcomes(
-            outcomes,
-            trivial_arr
-            if kept_np is not None
-            and unit.trivial_policy is TrivialPolicy.EXCLUDE
-            else None,
+            outcomes, unit.trivial_policy, trivial_arr,
             missed if kept_np is None else kept_np[missed],
         )
 
@@ -757,33 +745,45 @@ def _probe_fused(unit, table, np_a, np_b, outcomes=None):
 
 
 def _probe_infinite(unit, table, np_a, np_b, outcomes=None):
-    """The tag dict loop (EXCLUDE policy, FULL tags, InfiniteMemoTable):
-    every distinct pair stays resident, so a probe is one dict lookup
-    and a miss one dict store."""
+    """The tag dict loop (InfiniteMemoTable; every trivial policy and
+    tag mode): every distinct tag stays resident, so a probe is one
+    dict lookup and a miss one dict store.
+
+    Tags are what the table's own key function builds: full values for
+    integer tables, and for float tables the operands' bit patterns, or
+    their 52-bit mantissas under MANTISSA tags.  Trivial operations
+    follow :func:`_probe_fused`'s rules: they skip the loop under
+    EXCLUDE and INTEGRATED (the caller's accounting makes them
+    early-outs or one-cycle hits) and probe like any other operation
+    under CACHE_ALL.  Returns the seven counts :func:`_charge` takes."""
+    config = table.config
+    policy = unit.trivial_policy
     trivial_arr = _trivial_mask(unit.operation, np_a, np_b)
     n_trivial = int(trivial_arr.sum())
     a_list, b_list = np_a.tolist(), np_b.tolist()
-    if table.config.operand_kind is OperandKind.INT:
+    if config.operand_kind is OperandKind.INT:
         tags_a, tags_b = a_list, b_list
     else:
-        tags_a = np_a.view(np.uint64).tolist()
-        tags_b = np_b.view(np.uint64).tolist()
+        bits_a, bits_b = np_a.view(np.uint64), np_b.view(np.uint64)
+        if config.tag_mode is TagMode.MANTISSA:
+            mantissa = np.uint64(_MANT_MASK)
+            bits_a, bits_b = bits_a & mantissa, bits_b & mantissa
+        tags_a, tags_b = bits_a.tolist(), bits_b.tolist()
     tag_pairs = list(zip(tags_a, tags_b))
-    commutative = table.config.commutative
+    commutative = config.commutative
     compute_op = compute_function(unit.operation)
     n = len(a_list)
-    # Trivial events only count cycles, so the probe loop walks just the
-    # non-trivial positions (order within the opcode is preserved).
-    if n_trivial:
-        iter_idx = np.nonzero(~trivial_arr)[0].tolist()
-    else:
-        iter_idx = range(n)
+    # The probe loop walks just the probing positions (order within the
+    # opcode is preserved).
+    kept_np = None
+    if n_trivial and policy is not TrivialPolicy.CACHE_ALL:
+        kept_np = np.flatnonzero(~trivial_arr)
     record = outcomes is not None
     missed: List[int] = []
     lookups = hits = commutative_hits = insertions = 0
     entries = table._entries
     get = entries.get
-    for i in iter_idx:
+    for i in range(n) if kept_np is None else kept_np.tolist():
         lookups += 1
         tag = tag_pairs[i]
         found = get(tag)
@@ -801,7 +801,7 @@ def _probe_infinite(unit, table, np_a, np_b, outcomes=None):
         insertions += 1
         entries[tag] = (value, (a, b))
     if record:
-        _fill_outcomes(outcomes, trivial_arr if n_trivial else None, missed)
+        _fill_outcomes(outcomes, policy, trivial_arr, missed)
     return n, n_trivial, lookups, hits, commutative_hits, insertions, 0
 
 
@@ -827,7 +827,9 @@ def run_events_scalar(
     path is tested against.  It walks the batch's event view over
     ``[start:stop]``.  ``outcomes``, when given, receives each probed
     event's outcome code at its position in the slice, as
-    :func:`_run_batch`'s does."""
+    :func:`_run_batch`'s does.  With ``validate``, every delivered value
+    is compared with the event's traced result (:func:`values_match`)
+    and the report counts the ``mismatches``."""
     events = batch.to_events()[start:stop]
     counts: Dict[Opcode, int] = {}
     cycles_by_opcode: Dict[Opcode, int] = {}
@@ -954,7 +956,6 @@ def _run_batch(
     machine,
     hierarchy,
     fp_add_latency: int,
-    validate: bool,
     start: int,
     stop: int,
     outcomes=None,
@@ -975,7 +976,6 @@ def _run_batch(
     }
     cycle_mode = machine is not None
     base_total = memo_total = 0
-    mismatches = 0
     cycles_by_opcode: Dict[Opcode, int] = {}
 
     for opcode, count in counts.items():
@@ -993,12 +993,11 @@ def _run_batch(
         relative = np.nonzero(opcode_codes == OPCODE_INDEX[opcode])[0]
         idx = relative + start if start else relative
         part = None if outcomes is None else np.empty(len(idx), np.uint8)
-        base, memo, bad = _probe_partition(
-            unit, batch, views, idx, validate, part, (opcode, start, stop)
+        base, memo = _probe_partition(
+            unit, batch, views, idx, part, (opcode, start, stop)
         )
         if part is not None:
             outcomes[relative] = part
-        mismatches += bad
         if cycle_mode:
             base_total += base
             memo_total += memo
@@ -1050,78 +1049,7 @@ def _run_batch(
     return KernelReport(
         instructions=int(stop - start),
         counts=counts,
-        mismatches=mismatches,
         base_cycles=base_total,
         memo_cycles=memo_total,
         cycles_by_opcode=cycles_by_opcode,
     )
-
-
-# -- infinite-table replay (reuse upper bound) ------------------------------
-
-
-def replay_infinite(events) -> Tuple[Dict[int, int], int, int]:
-    """Replay memoizable events through per-class infinite MEMO-TABLES.
-
-    Returns ``(per-pc execution counts, hits, total memoizable ops)`` --
-    the reuse upper bound the static analyzer cross-validates against
-    (``repro analyze --check``).  Each partition's tag pairs go through
-    one set, as an :class:`~repro.core.memo_table.InfiniteMemoTable`
-    with FULL tags would hold them.
-    """
-    batch = as_batch(events)
-    views = batch.views()
-    counts: Dict[int, int] = {}
-    hits = 0
-    total = 0
-    count_list = np.bincount(views.opcode, minlength=len(OPCODE_LIST)).tolist()
-    from ..arch.ieee754 import float64_to_bits
-
-    for code, count in enumerate(count_list):
-        if not count:
-            continue
-        opcode = OPCODE_LIST[code]
-        operation = opcode.operation
-        if operation is None:
-            continue
-        total += count
-        idx = np.nonzero(views.opcode == code)[0]
-        flags = views.flags[idx]
-        pc_mask = np.bitwise_and(flags, _F_PC) != 0
-        if pc_mask.any():
-            pcs, pc_counts = np.unique(
-                views.pc[idx][pc_mask], return_counts=True
-            )
-            for pc, pc_count in zip(pcs.tolist(), pc_counts.tolist()):
-                counts[pc] = counts.get(pc, 0) + pc_count
-        int_kind = operation.operand_kind is OperandKind.INT
-        np_a, np_b = _partition_arrays(batch, views, idx, int_kind)
-        if np_a is not None:
-            if not int_kind:
-                np_a, np_b = np_a.view(np.uint64), np_b.view(np.uint64)
-            tags_a, tags_b = np_a.tolist(), np_b.tolist()
-        else:
-            a_values, b_values, _ = _decode_partition(
-                batch, views, idx, False
-            )
-            if int_kind:
-                tags_a = [int(a) for a in a_values]
-                tags_b = [int(b) for b in b_values]
-            else:
-                tags_a = [float64_to_bits(float(a)) for a in a_values]
-                tags_b = [float64_to_bits(float(b)) for b in b_values]
-        seen = set()
-        add = seen.add
-        if operation.commutative:
-            for ta, tb in zip(tags_a, tags_b):
-                if (ta, tb) in seen or (tb, ta) in seen:
-                    hits += 1
-                else:
-                    add((ta, tb))
-        else:
-            for ta, tb in zip(tags_a, tags_b):
-                if (ta, tb) in seen:
-                    hits += 1
-                else:
-                    add((ta, tb))
-    return counts, hits, total

@@ -98,19 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-cold-start",
-        action="store_true",
-        help="disable the cold-start residency correction",
-    )
-    parser.add_argument(
-        "--no-control-variate",
-        action="store_true",
-        help=(
-            "disable the residency-model control variate (plain "
-            "weighted window average)"
-        ),
-    )
-    parser.add_argument(
         "--compare-full",
         action="store_true",
         help="also simulate the full trace and report per-unit abs error",
@@ -154,8 +141,6 @@ def main_sample(argv: Optional[List[str]] = None) -> int:
                 warmup=args.warmup,
                 seed=args.seed,
                 samples_per_phase=args.samples_per_phase,
-                correct_cold_start=not args.no_cold_start,
-                control_variate=not args.no_control_variate,
             )
             # use_backend rejects an unknown name before the run.
             with execution.use_backend(args.backend):

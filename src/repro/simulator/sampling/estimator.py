@@ -42,8 +42,8 @@ lookups split into two populations.  Pairs that *never* occurred
 before the slice miss in the full run too -- truncated warm-up already
 simulates them faithfully.  Pairs that did occur earlier in the trace
 and that the full run serves from its table are cold in the truncated
-run only because of the truncation; ``plan.correct_cold_start``
-(default on) counts them back as hits.  Key identity follows the
+run only because of the truncation; the cold-start correction
+counts them back as hits.  Key identity follows the
 default table semantics -- full-value keys, trivial operands excluded
 from lookups, commutative operand matching where the operation
 declares it (:func:`~.features.prior_lookup_index`) -- and the bound
@@ -51,13 +51,12 @@ above still brackets the corrected estimate: the correction moves the
 point estimate from the "all unknown lookups miss" end of the bracket
 toward the "resident pairs hit" end.
 
-The control variate: with ``plan.control_variate`` (default on) the
-estimate becomes
+The control variate: the estimate is
 
     model(full trace) + sum over windows of
         weight * (measured(window) - model(window))
 
-instead of a pure weighted window average, where the model counts
+rather than a pure weighted window average, where the model counts
 each unit's events by their outcome in the residency model's full run:
 an event is eligible unless it bypassed the table (a trivial operation
 under EXCLUDE) and a hit when that run hit it (under INTEGRATED a
@@ -69,6 +68,16 @@ events as its measured ``lookups + trivial_hits``.  Where the windows
 measure what the full run did the residuals vanish and sampling
 variance with them; where they do not (misses a window's truncated
 warm-up causes) the residuals carry the difference.
+
+For an LRU table with FULL tags under EXCLUDE or INTEGRATED the
+residuals always vanish.  A window lookup hits in the truncated run
+exactly when the full run hits it and its previous same-key lookup
+lies inside the warm-up slice: its set has then seen the same distinct
+keys since that lookup in both runs.  The cold-start correction adds
+back exactly the full-run hits whose previous lookup lies before the
+slice, so every window's measured counts equal its model's and the
+estimate is the full run's exact ratio.  FIFO and MANTISSA tables can
+differ.
 
 All simulation follows the process-wide backend selection (``scalar``
 | ``fused``; scope one with ``use_backend``) and stays bit-identical
@@ -117,15 +126,6 @@ class PhasePlan:
         representative plus seeded extra members, stratified so
         within-phase variance averages out instead of riding on one
         interval.
-    ``correct_cold_start``
-        Count window lookups whose operand pair occurred before the
-        warm-up slice and that the full run hits as hits instead of
-        cold misses (see module docstring).
-    ``control_variate``
-        Anchor the estimate on the residency model of the full trace
-        and let the simulated windows contribute only their
-        measured-minus-model residuals (see module docstring).  Off,
-        the estimate is the plain weighted window average.
 
     The defaults are the plan ``repro sample`` and serve's ``sample``
     jobs run.
@@ -136,8 +136,6 @@ class PhasePlan:
     warmup: int = 500
     seed: int = 0
     samples_per_phase: int = 4
-    correct_cold_start: bool = True
-    control_variate: bool = True
 
     def __post_init__(self) -> None:
         if self.phases <= 0:
@@ -165,11 +163,10 @@ class RepresentativeWindow:
     #: bounding is off or on a phase's extra windows).
     oracle: Dict[Operation, Tuple[int, int]] = field(default_factory=dict)
     #: Per-unit count of window lookups counted back as hits by the
-    #: cold-start correction (empty when the correction is off).
+    #: cold-start correction (units with none are left out).
     cold_corrections: Dict[Operation, int] = field(default_factory=dict)
     #: Per-unit ``(eligible_lookups, hits)`` the residency model
-    #: predicts for this window (empty when the control variate is
-    #: off).
+    #: predicts for this window.
     model: Dict[Operation, Tuple[int, int]] = field(default_factory=dict)
 
 
@@ -193,8 +190,7 @@ class PhaseEstimate:
     hit_ratios: Dict[Operation, float]
     #: Upper bound on per-unit estimate undershoot from truncated warm-up.
     warmup_error_bound: Dict[Operation, float]
-    #: The residency model's own full-trace hit-ratio per unit (empty
-    #: when the control variate is off).
+    #: The residency model's own full-trace hit-ratio per unit.
     model_hit_ratios: Dict[Operation, float] = field(default_factory=dict)
 
     @property
@@ -233,8 +229,6 @@ class PhaseEstimate:
                 "warmup": self.plan.warmup,
                 "seed": self.plan.seed,
                 "samples_per_phase": self.plan.samples_per_phase,
-                "correct_cold_start": self.plan.correct_cold_start,
-                "control_variate": self.plan.control_variate,
             },
             "backend": self.backend,
             "events_total": self.events_total,
@@ -373,10 +367,7 @@ def estimate_phases(
         # residency-rate feature columns; reuse them verbatim.
         prev, unit_of = features.prev, features.unit_of
         unit_ops, resident = features.ops, features.resident
-        if plan.control_variate:
-            model_events = _model_events(
-                batch, unit_ops, features.outcomes
-            )
+        model_events = _model_events(batch, unit_ops, features.outcomes)
         simulated = 0
         measured_events = 0
         oracle_events = 0
@@ -398,29 +389,27 @@ def estimate_phases(
                     stop=stop,
                     weight=float(weights[phase]) / len(windows),
                 )
-                if plan.correct_cold_start:
-                    # Window lookups whose key last occurred before the
-                    # slice began: cold in the truncated run, resident
-                    # in the full one (see module docstring).
-                    window_prev = prev[start:stop]
-                    cold = (
-                        (window_prev >= 0)
-                        & (window_prev < warm_start)
-                        & resident[start:stop]
+                # Window lookups whose key last occurred before the
+                # slice began: cold in the truncated run, resident in
+                # the full one (see module docstring).
+                window_prev = prev[start:stop]
+                cold = (
+                    (window_prev >= 0)
+                    & (window_prev < warm_start)
+                    & resident[start:stop]
+                )
+                window_units = unit_of[start:stop]
+                for index, op in enumerate(unit_ops):
+                    count = int((cold & (window_units == index)).sum())
+                    if count:
+                        rep.cold_corrections[op] = count
+                rep.model = {
+                    op: (
+                        int(np.count_nonzero(eligible[start:stop])),
+                        int(np.count_nonzero(hits[start:stop])),
                     )
-                    window_units = unit_of[start:stop]
-                    for index, op in enumerate(unit_ops):
-                        count = int((cold & (window_units == index)).sum())
-                        if count:
-                            rep.cold_corrections[op] = count
-                if plan.control_variate:
-                    rep.model = {
-                        op: (
-                            int(np.count_nonzero(eligible[start:stop])),
-                            int(np.count_nonzero(hits[start:stop])),
-                        )
-                        for op, (eligible, hits) in model_events.items()
-                    }
+                    for op, (eligible, hits) in model_events.items()
+                }
                 for op, (lookups, hits, trivial_hits) in counts.items():
                     hits += rep.cold_corrections.get(op, 0)
                     rep.measured[op] = (lookups + trivial_hits,
@@ -447,31 +436,24 @@ def estimate_phases(
         bounds: Dict[Operation, float] = {}
         model_ratios: Dict[Operation, float] = {}
         for op in bank.units:
-            num = den = 0.0
-            if plan.control_variate:
-                # Anchor on the residency model's full-trace rates; the
-                # windows below then contribute only their
-                # measured-minus-model residual rates.
-                model_eligible_t, model_hits_t = (
-                    int(np.count_nonzero(mask)) for mask in model_events[op]
-                )
-                num = model_hits_t / total
-                den = model_eligible_t / total
-                model_ratios[op] = (
-                    model_hits_t / model_eligible_t
-                    if model_eligible_t else 0.0
-                )
+            # Anchor on the residency model's full-trace rates; the
+            # windows below then contribute only their
+            # measured-minus-model residual rates.
+            model_eligible_t, model_hits_t = (
+                int(np.count_nonzero(mask)) for mask in model_events[op]
+            )
+            num = model_hits_t / total
+            den = model_eligible_t / total
+            model_ratios[op] = (
+                model_hits_t / model_eligible_t if model_eligible_t else 0.0
+            )
             bound_num = bound_den = 0.0
             for rep in representatives:
                 length = rep.stop - rep.start
                 eligible, hits = rep.measured[op]
-                if plan.control_variate:
-                    model_eligible, model_hits = rep.model[op]
-                    num += rep.weight * (hits - model_hits) / length
-                    den += rep.weight * (eligible - model_eligible) / length
-                else:
-                    num += rep.weight * hits / length
-                    den += rep.weight * eligible / length
+                model_eligible, model_hits = rep.model[op]
+                num += rep.weight * (hits - model_hits) / length
+                den += rep.weight * (eligible - model_eligible) / length
                 if rep.oracle:
                     oracle_eligible, cold = rep.oracle[op]
                     bound_num += rep.weight * cold / length

@@ -83,8 +83,10 @@ def cluster_phases(
 
     ``points`` is the (normalized) feature matrix; ``k`` is clamped to
     the number of intervals.  Empty clusters are repaired by stealing
-    the point farthest from its centroid, so the result always has
-    exactly ``min(k, n)`` non-empty phases.
+    the point farthest from its centroid.  When the rows hold too few
+    distinct values for ``min(k, n)`` phases, a steal can empty a
+    one-member cluster; that phase is dropped, so every phase of the
+    result has a member.
 
     ``restarts`` runs that many independent seeded k-means++ inits
     (seeds ``seed, seed + 1, ...``) and keeps the lowest-inertia
@@ -144,6 +146,10 @@ def _cluster_once(
             labels = new_labels
             break
         labels = new_labels
+    occupied = np.bincount(labels, minlength=k) > 0
+    if not occupied.all():
+        centroids = centroids[occupied]
+        labels = (np.cumsum(occupied) - 1)[labels]
 
     inertia = float(
         ((points - centroids[labels]) ** 2).sum()

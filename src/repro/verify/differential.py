@@ -20,9 +20,9 @@ table clocks (fused legs vs. scalar), and the per-event delivered
 values (oracle vs. scalar).  It additionally checks
 two sound cross-invariants: the fused report's opcode accounting
 matches the column breakdown, and no finite full-tag table ever hits
-more often than the infinite-table replay upper bound
-(:func:`repro.core.backend.replay_infinite` -- the same quantity the
-static analyzer's bounds are validated against).
+more often than the infinite-table upper bound (one dispatch into a
+CACHE_ALL :meth:`~repro.core.bank.MemoTableBank.infinite` bank -- the
+same quantity the static analyzer's bounds are validated against).
 
 Any violated comparison becomes a human-readable divergence string; an
 empty list means the three implementations agree exactly.
@@ -372,7 +372,13 @@ def run_case(case: FuzzCase) -> CaseResult:
     # infinite-table replay of the same trace (mantissa tags can, by
     # matching across exponents, so they are exempt).
     if case.config.tag_mode is TagMode.FULL or case.infinite:
-        _, infinite_hits, _ = execution.replay_infinite(batch)
+        infinite = MemoTableBank.infinite(
+            ALL_OPERATIONS, TrivialPolicy.CACHE_ALL
+        )
+        execution.dispatch(batch, infinite.units)
+        infinite_hits = sum(
+            unit.stats.table.hits for unit in infinite.units.values()
+        )
         finite_hits = sum(
             unit.stats.table.hits for unit in scalar_bank.units.values()
         )

@@ -18,23 +18,32 @@ parity gate required by the columnar-pipeline acceptance criteria.
 
 import math
 import struct
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.analysis.static.memo import reference_machine
+from repro.analysis.static.memo import (
+    measure_infinite_hit_ratio,
+    reference_machine,
+)
 from repro.arch.latency import FAST_DESIGN, SLOW_DESIGN
 from repro.core import backend as execution
 from repro.core import kernel
 from repro.core.bank import MemoTableBank
 from repro.core.config import (
     MemoTableConfig,
+    OperandKind,
     ReplacementKind,
     TagMode,
     TrivialPolicy,
 )
 from repro.core.memo_table import InfiniteMemoTable, MemoTable
 from repro.core.operations import Operation
+from repro.core.unit import MemoizedUnit
 from repro.isa.columns import ColumnBatch
 from repro.isa.opcodes import Opcode
 from repro.isa.programs import PROGRAMS
@@ -159,6 +168,40 @@ def replays(monkeypatch):
     return _count_calls(monkeypatch, ("_replay_fused",))
 
 
+@pytest.fixture
+def infinite_served(monkeypatch):
+    """The operations whose partitions the tag dict loop served."""
+    return _count_calls(monkeypatch, ("_probe_infinite",))
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """The operation of every ``unit.execute`` call, one entry each."""
+    calls = []
+    original = MemoizedUnit.execute
+
+    def counting(unit, *args, **kwargs):
+        calls.append(unit.operation)
+        return original(unit, *args, **kwargs)
+
+    monkeypatch.setattr(MemoizedUnit, "execute", counting)
+    return calls
+
+
+@pytest.fixture
+def batch_runs(monkeypatch):
+    """One entry per call of the fused entry point, ``_run_batch``."""
+    calls = []
+    original = kernel._run_batch
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_run_batch", counting)
+    return calls
+
+
 def _probed(bank):
     """Operations that saw at least one event, one entry each."""
     return sorted(
@@ -178,13 +221,13 @@ def traces():
     return out
 
 
-def _run_both(events, make_bank, backend="fused", **kwargs):
+def _run_both(events, make_bank, backend="fused"):
     backend_bank = make_bank()
     scalar_bank = make_bank()
     with execution.use_backend(backend):
-        report = ShadeSimulator(bank=backend_bank, **kwargs).run(events)
+        report = ShadeSimulator(bank=backend_bank).run(events)
     with execution.use_backend("scalar"):
-        scalar = ShadeSimulator(bank=scalar_bank, **kwargs).run(events)
+        scalar = ShadeSimulator(bank=scalar_bank).run(events)
     return report, scalar, backend_bank, scalar_bank
 
 
@@ -395,22 +438,41 @@ class TestEdgeValueParity:
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
         assert _table_entries(b_bank) == _table_entries(s_bank)
 
-    @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
-    def test_validation_mismatch_counts(self, backend):
-        # Traced results are wrong on purpose: both tiers must flag the
-        # same number of mismatches.
+    @pytest.mark.parametrize("backend", execution.names())
+    def test_validation_mismatch_counts(self, backend, batch_runs):
+        # Traced results are wrong on purpose.  Only the scalar loop
+        # validates, so a validating run takes it under either
+        # selection, counts both mismatches and is attributed to it.
         events = ColumnBatch.from_events([
             TraceEvent(Opcode.FMUL, 2.0, 3.0, 999.0),
             TraceEvent(Opcode.FMUL, 2.0, 3.0, 999.0),
             TraceEvent(Opcode.FMUL, 4.0, 5.0, 20.0),
         ])
-        report, scalar, _, _ = _run_both(
-            events,
-            lambda: MemoTableBank.paper_baseline(operations=ALL_OPERATIONS),
-            validate=True,
-            backend=backend,
-        )
-        assert report.mismatches == scalar.mismatches > 0
+        registry = obs.MetricsRegistry()
+        obs.set_enabled(True)
+        try:
+            with obs.use_registry(registry), execution.use_backend(backend):
+                report = ShadeSimulator(
+                    bank=MemoTableBank.paper_baseline(
+                        operations=ALL_OPERATIONS
+                    ),
+                    validate=True,
+                ).run(events)
+        finally:
+            obs.set_enabled(None)
+        counters = registry.as_dict()["counters"]
+        assert report.mismatches == 2
+        assert batch_runs == []
+        assert counters["backend.scalar.dispatches"] == 1
+        assert "backend.fused.dispatches" not in counters
+
+    def test_validation_still_resolves_the_backend_name(self):
+        bank = MemoTableBank.paper_baseline()
+        with pytest.raises(execution.UnknownBackendError):
+            execution.dispatch(
+                _edge_trace(), bank.units, backend="warp-drive",
+                validate=True,
+            )
 
     @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
     @pytest.mark.parametrize(
@@ -446,6 +508,125 @@ class TestEdgeValueParity:
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
         assert _table_entries(b_bank) == _table_entries(s_bank)
+
+
+def _infinite_bank(policy, tag_mode):
+    """Infinite tables for every operation under ``policy``, the float
+    ones with ``tag_mode`` tags (``MemoTableBank.infinite`` builds FULL
+    ones; integer tables always tag full values)."""
+    return MemoTableBank({
+        op: MemoizedUnit(
+            op,
+            table=InfiniteMemoTable(
+                op.operand_kind,
+                TagMode.FULL if op.operand_kind is OperandKind.INT
+                else tag_mode,
+                op.commutative,
+            ),
+            trivial_policy=policy,
+        )
+        for op in ALL_OPERATIONS
+    })
+
+
+INFINITE_CONFIGS = [
+    (policy, tag_mode)
+    for policy in (TrivialPolicy.EXCLUDE, TrivialPolicy.INTEGRATED,
+                   TrivialPolicy.CACHE_ALL)
+    for tag_mode in (TagMode.FULL, TagMode.MANTISSA)
+]
+
+
+def _assert_tag_dict_parity(batch, policy, tag_mode, served, executed):
+    """The fused pass over an infinite bank runs the tag dict loop for
+    every probed partition, never ``unit.execute``, and leaves the
+    scalar loop's counters, entries and outcome column."""
+    batch = execution.as_batch(batch)
+    del served[:], executed[:]
+    bank = _infinite_bank(policy, tag_mode)
+    with execution.use_backend("fused"):
+        outcomes = execution.probe_outcomes(batch, bank.units)
+    assert executed == []
+    assert sorted(served, key=lambda op: op.name) == _probed(bank)
+    reference = _infinite_bank(policy, tag_mode)
+    with execution.use_backend("scalar"):
+        expected = execution.probe_outcomes(batch, reference.units)
+    assert _bank_fingerprint(bank) == _bank_fingerprint(reference)
+    assert _table_entries(bank) == _table_entries(reference)
+    assert np.array_equal(outcomes, expected)
+
+
+#: Float operands: trivial ones, repeats, values sharing a mantissa
+#: across sign and exponent, signed zeros, infinities, a NaN and the
+#: odd drawn value.
+_FLOATS = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 1.0, -1.0, 1.5, 3.0, -6.0, 0.75, 2.5,
+        float("inf"), float("-inf"), float("nan"),
+    ]),
+    st.floats(width=64),
+)
+_INTS = st.one_of(
+    st.sampled_from([-1, 0, 1, 2, 3, -7, 12]),
+    st.integers(-(2 ** 63), 2 ** 63 - 1),
+)
+
+
+@st.composite
+def _memo_events(draw):
+    opcode = draw(st.sampled_from([
+        Opcode.FMUL, Opcode.FDIV, Opcode.FSQRT, Opcode.FRECIP,
+        Opcode.FLOG, Opcode.IMUL, Opcode.IDIV, Opcode.IALU,
+    ]))
+    if opcode in (Opcode.IMUL, Opcode.IDIV):
+        return TraceEvent(opcode, draw(_INTS), draw(_INTS), 0)
+    if opcode is Opcode.IALU:
+        return TraceEvent(opcode, 1, 2, 3)
+    return TraceEvent(opcode, draw(_FLOATS), draw(_FLOATS), 0.0)
+
+
+@st.composite
+def _memo_traces(draw):
+    # Repeat drawn events so operand pairs recur, as memoization needs.
+    pool = draw(st.lists(_memo_events(), min_size=1, max_size=30))
+    length = draw(st.integers(1, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    return ColumnBatch.from_events(
+        [rng.choice(pool) for _ in range(length)]
+    )
+
+
+class TestInfiniteTagDictLoop:
+    """The tag dict loop serves every ``InfiniteMemoTable``: EXCLUDE,
+    INTEGRATED and CACHE_ALL, FULL and MANTISSA tags."""
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_bundled_programs(
+        self, traces, name, infinite_served, executed
+    ):
+        for policy, tag_mode in INFINITE_CONFIGS:
+            _assert_tag_dict_parity(
+                traces[name], policy, tag_mode, infinite_served, executed
+            )
+
+    def test_edge_values(self, infinite_served, executed):
+        for policy, tag_mode in INFINITE_CONFIGS:
+            _assert_tag_dict_parity(
+                _edge_trace(), policy, tag_mode, infinite_served, executed
+            )
+
+    @given(batch=_memo_traces(), config=st.sampled_from(INFINITE_CONFIGS))
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+        ],
+    )
+    def test_drawn_traces(self, batch, config, infinite_served, executed):
+        policy, tag_mode = config
+        _assert_tag_dict_parity(
+            batch, policy, tag_mode, infinite_served, executed
+        )
 
 
 class TestSliceParity:
@@ -488,8 +669,8 @@ class TestCorpusRoundTripParity:
 
 
 def _replay_infinite_reference(events):
-    """The event-walking reference of ``kernel.replay_infinite``: real
-    per-class infinite tables, one lookup per event."""
+    """The event-walking reference of ``measure_infinite_hit_ratio``:
+    real per-class infinite tables, one lookup per event."""
     tables = {}
     counts = {}
     hits = 0
@@ -518,10 +699,14 @@ def _replay_infinite_reference(events):
 
 
 class TestReplayInfiniteParity:
+    """``measure_infinite_hit_ratio`` (one dispatch into a CACHE_ALL
+    infinite bank, per-pc counts from the pc column) against real
+    infinite tables walked one event at a time."""
+
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_matches_scalar_reference(self, traces, name):
         events = traces[name]
-        assert kernel.replay_infinite(events) == (
+        assert measure_infinite_hit_ratio(SimpleNamespace(trace=events)) == (
             _replay_infinite_reference(events)
         )
 
@@ -532,9 +717,10 @@ class TestReplayInfiniteParity:
             fuzzer = TraceFuzzer(seed=seed)
             for _ in range(25):
                 events = fuzzer.next_case().events
-                assert kernel.replay_infinite(events) == (
-                    _replay_infinite_reference(events)
-                ), seed
+                measured = measure_infinite_hit_ratio(
+                    SimpleNamespace(trace=events)
+                )
+                assert measured == _replay_infinite_reference(events), seed
 
 
 def _fresh(events):
@@ -671,7 +857,8 @@ class TestProbeMemo:
         ["probed", "flushed", "random", "validate", "fault", "infinite",
          "subclass"],
     )
-    def test_never_served(self, traces, case, loop_runs, replays):
+    def test_never_served(self, traces, case, loop_runs, replays,
+                          batch_runs):
         # A plain dispatch first stores this batch's run for the config
         # (RANDOM excepted); the dispatch under test must not replay it.
         config = MemoTableConfig(
@@ -734,8 +921,11 @@ class TestProbeMemo:
                 reference.flush()
         else:
             second = case_bank()
-        del loop_runs[:]
+        del loop_runs[:], batch_runs[:]
         run(second, validate=case == "validate")
+        if case == "validate":
+            # Validation runs on the scalar loop, whatever the selection.
+            assert batch_runs == []
         run(reference, "scalar", validate=case == "validate")
         assert replays == []
         if case in ("probed", "flushed", "random"):
