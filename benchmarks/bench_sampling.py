@@ -30,6 +30,7 @@ from pathlib import Path
 from repro.analysis.static.memo import PROGRAMS, reference_machine
 from repro.core import backend as execution
 from repro.core.bank import MemoTableBank
+from repro.isa.programs import SAMPLE_STEP_BUDGET
 from repro.simulator.sampling import PhasePlan, estimate_phases
 
 #: Where the accuracy numbers land (repo root, next to CHANGES.md).
@@ -63,7 +64,7 @@ def _full_ratios(events):
 
 def _one_program(name):
     machine = reference_machine(name, WORKLOAD_N)
-    machine.run(max_steps=8_000_000)
+    machine.run(max_steps=SAMPLE_STEP_BUDGET)
     events = machine.trace
     full = _full_ratios(events)
     estimate = estimate_phases(events, plan=PLAN)

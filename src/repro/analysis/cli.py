@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .. import cliargs
 from .tables import format_ratio, format_table
 
 __all__ = ["main_analyze", "main_lint"]
@@ -56,7 +57,7 @@ def _analyze_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--n",
-        type=int,
+        type=cliargs.positive_int,
         default=None,
         help="trip count for the reference harness (default 48)",
     )

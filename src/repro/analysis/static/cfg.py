@@ -2,9 +2,9 @@
 
 Works directly on :class:`~repro.isa.machine.Program`: leaders are the
 entry instruction, branch targets and branch fall-throughs; a basic
-block runs from a leader to the next control transfer.  ``ba`` is the
-only unconditional branch, ``halt`` (and falling off the end) terminates
-a path.
+block runs from a leader to the next control transfer.  A branch taken
+under every condition code (``ba``) cannot fall through; ``halt`` (and
+falling off the end) terminates a path.
 """
 
 from __future__ import annotations
@@ -12,14 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ...isa.machine import Instruction, MachineError, Program
+from ...isa.machine import BRANCH_CONDITIONS, Instruction, MachineError, Program
 
 __all__ = ["BasicBlock", "ControlFlowGraph", "build_cfg"]
 
-#: Branch mnemonics, split by whether fall-through is possible.
-UNCONDITIONAL = frozenset({"ba"})
-CONDITIONAL = frozenset({"be", "bne", "bl", "ble", "bg", "bge"})
-BRANCHES = UNCONDITIONAL | CONDITIONAL
+#: The machine's branch mnemonics, and those that can fall through (not
+#: taken under some condition code).
+BRANCHES = frozenset(BRANCH_CONDITIONS)
+CONDITIONAL = frozenset(
+    mnemonic for mnemonic, taken in BRANCH_CONDITIONS.items() if not all(taken)
+)
 
 
 @dataclass

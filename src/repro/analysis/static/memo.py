@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ...core.operations import Operation
-from ...isa.machine import Machine, Program, assemble
-from ...isa.programs import PROGRAMS
+from ...isa.machine import BINARY_OPS, FP_UNARY_OPS, Machine, Program, assemble
+from ...isa.opcodes import OPCODE_LIST, opcode_to_operation
+from ...isa.programs import PROGRAM_STEP_BUDGET, PROGRAMS
 from .cfg import ControlFlowGraph, build_cfg
 from .passes import (
     BOTTOM,
@@ -66,17 +67,16 @@ __all__ = [
     "REFERENCE_N",
 ]
 
-#: Mnemonic -> memoizable operation class of each static site kind.
+#: Mnemonic -> memoizable operation class of each static site kind: the
+#: operation of the opcode the machine traces the mnemonic as.
+_TRACED_CODES = {
+    **{mnemonic: entry[1] for mnemonic, entry in BINARY_OPS.items()},
+    **{mnemonic: entry[1] for mnemonic, entry in FP_UNARY_OPS.items()},
+}
 SITE_OPERATIONS = {
-    "smul": Operation.INT_MUL,
-    "sdiv": Operation.INT_DIV,
-    "fmul": Operation.FP_MUL,
-    "fdiv": Operation.FP_DIV,
-    "fsqrt": Operation.FP_SQRT,
-    "frecip": Operation.FP_RECIP,
-    "flog": Operation.FP_LOG,
-    "fsin": Operation.FP_SIN,
-    "fcos": Operation.FP_COS,
+    mnemonic: operation
+    for mnemonic, code in _TRACED_CODES.items()
+    if (operation := opcode_to_operation(OPCODE_LIST[code])) is not None
 }
 
 #: Pair spaces larger than this are not worth calling bounded.
@@ -517,7 +517,7 @@ def measure_infinite_hit_ratio(
 def check_program(
     name: str,
     n: int = REFERENCE_N,
-    max_steps: int = 2_000_000,
+    max_steps: int = PROGRAM_STEP_BUDGET,
 ) -> CheckResult:
     """Cross-validate static bounds against the dynamic simulator.
 

@@ -21,11 +21,11 @@ Passes provided:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from ...arch.ieee754 import float64_to_bits
-from ...core.operations import ieee_div, ieee_log, ieee_recip, ieee_sqrt, int_div
+from ...core.operations import int_div
+from ...isa.machine import BINARY_OPS, FP_UNARY_OPS
 from .cfg import ControlFlowGraph
 from .dataflow import DataflowProblem, instruction_states, solve
 
@@ -44,19 +44,6 @@ INT_REGS = tuple(f"r{i}" for i in range(32))
 FP_REGS = tuple(f"f{i}" for i in range(32))
 ALL_REGS = INT_REGS + FP_REGS + ("cc",)
 
-#: Mnemonic groups (mirrors the interpreter in repro.isa.machine).
-_INT_BINOPS = {"add", "sub", "and", "or", "xor", "sll", "srl"}
-_FP_BINOPS = {"fadd", "fsub", "fmul", "fdiv"}
-_FP_UNOPS = {"fsqrt", "frecip", "flog", "fsin", "fcos"}
-
-_UNARY_FOLD = {
-    "fsqrt": ieee_sqrt,
-    "frecip": ieee_recip,
-    "flog": ieee_log,
-    "fsin": lambda a: math.sin(a) if math.isfinite(a) else math.nan,
-    "fcos": lambda a: math.cos(a) if math.isfinite(a) else math.nan,
-}
-
 #: Commutative mnemonics (canonicalized during value numbering).
 _COMMUTATIVE = {"add", "and", "or", "xor", "smul", "fadd", "fmul"}
 
@@ -65,13 +52,9 @@ def written_register(mnemonic: str, operands: Tuple[str, ...]) -> Optional[str]:
     """Register a single instruction defines, or None."""
     if mnemonic in ("set", "fset", "ld") and len(operands) >= 2:
         return _reg_name(operands[1])
-    if (
-        mnemonic in _INT_BINOPS
-        or mnemonic in _FP_BINOPS
-        or mnemonic in ("smul", "sdiv")
-    ) and len(operands) >= 3:
+    if mnemonic in BINARY_OPS and len(operands) >= 3:
         return _reg_name(operands[2])
-    if mnemonic in _FP_UNOPS and len(operands) >= 2:
+    if mnemonic in FP_UNARY_OPS and len(operands) >= 2:
         return _reg_name(operands[1])
     if mnemonic == "cmp":
         return "cc"
@@ -258,40 +241,6 @@ def _eval_fp_operand(state: ConstantLattice, token: str) -> ConstValue:
         return BOTTOM
 
 
-def _fold_int(mnemonic: str, a: int, b: int) -> int:
-    if mnemonic == "add":
-        return a + b
-    if mnemonic == "sub":
-        return a - b
-    if mnemonic == "and":
-        return a & b
-    if mnemonic == "or":
-        return a | b
-    if mnemonic == "xor":
-        return a ^ b
-    if mnemonic == "sll":
-        return a << (b & 63)
-    if mnemonic == "srl":
-        return (a % (1 << 64)) >> (b & 63)
-    if mnemonic == "smul":
-        return a * b
-    if mnemonic == "sdiv":
-        return int_div(a, b)
-    raise ValueError(mnemonic)
-
-
-def _fold_fp(mnemonic: str, a: float, b: float) -> float:
-    if mnemonic == "fadd":
-        return a + b
-    if mnemonic == "fsub":
-        return a - b
-    if mnemonic == "fmul":
-        return a * b
-    if mnemonic == "fdiv":
-        return ieee_div(a, b)
-    raise ValueError(mnemonic)
-
-
 def _const_step(
     state: ConstantLattice, cfg: ControlFlowGraph, index: int
 ) -> ConstantLattice:
@@ -310,22 +259,22 @@ def _const_step(
             return state.set(target, BOTTOM)
     if mnemonic == "ld":
         return state.set(target, BOTTOM)  # memory is not modelled
-    if mnemonic in _INT_BINOPS or mnemonic in ("smul", "sdiv"):
-        a = _eval_int_operand(state, operands[0])
-        b = _eval_int_operand(state, operands[1])
-        if isinstance(a, int) and isinstance(b, int):
-            return state.set(target, _fold_int(mnemonic, a, b))
+    # Fold with the machine's own callables, so a constant is the value
+    # the machine would compute.
+    if mnemonic in BINARY_OPS:
+        fold, _, is_float = BINARY_OPS[mnemonic]
+        kind, evaluate = (
+            (float, _eval_fp_operand) if is_float else (int, _eval_int_operand)
+        )
+        a = evaluate(state, operands[0])
+        b = evaluate(state, operands[1])
+        if isinstance(a, kind) and isinstance(b, kind):
+            return state.set(target, fold(a, b))
         return state.set(target, BOTTOM)
-    if mnemonic in _FP_BINOPS:
-        a = _eval_fp_operand(state, operands[0])
-        b = _eval_fp_operand(state, operands[1])
-        if isinstance(a, float) and isinstance(b, float):
-            return state.set(target, _fold_fp(mnemonic, a, b))
-        return state.set(target, BOTTOM)
-    if mnemonic in _FP_UNOPS:
+    if mnemonic in FP_UNARY_OPS:
         a = _eval_fp_operand(state, operands[0])
         if isinstance(a, float):
-            return state.set(target, float(_UNARY_FOLD[mnemonic](a)))
+            return state.set(target, float(FP_UNARY_OPS[mnemonic][0](a)))
         return state.set(target, BOTTOM)
     if mnemonic == "cmp":
         a = _eval_int_operand(state, operands[0])
@@ -525,7 +474,7 @@ def _range_step(state: _Ranges, cfg: ControlFlowGraph, index: int) -> _Ranges:
         return state
     if mnemonic == "set":
         return state.set(target, _range_of_operand(state, operands[0]))
-    if mnemonic in _INT_BINOPS or mnemonic in ("smul", "sdiv"):
+    if mnemonic in BINARY_OPS:  # FP mnemonics range over FULL
         a = _range_of_operand(state, operands[0])
         b = _range_of_operand(state, operands[1])
         return state.set(target, _range_binop(mnemonic, a, b))
@@ -592,16 +541,12 @@ def local_value_numbers(
             target = written_register(mnemonic, operands)
             if mnemonic in ("set", "fset"):
                 vns: Tuple[object, ...] = (vn_of(operands[0], index),)
-            elif (
-                mnemonic in _INT_BINOPS
-                or mnemonic in _FP_BINOPS
-                or mnemonic in ("smul", "sdiv", "cmp")
-            ):
+            elif mnemonic in BINARY_OPS or mnemonic == "cmp":
                 vns = (
                     vn_of(operands[0], index),
                     vn_of(operands[1], index),
                 )
-            elif mnemonic in _FP_UNOPS:
+            elif mnemonic in FP_UNARY_OPS:
                 vns = (vn_of(operands[0], index),)
             else:
                 # Loads/stores/branches: operands are not value-numbered.

@@ -95,6 +95,16 @@ def ieee_log(a: float) -> float:
     return math.nan
 
 
+def ieee_sin(a: float) -> float:
+    """sin with IEEE default results: NaN for infinite and NaN inputs."""
+    return math.sin(a) if math.isfinite(a) else math.nan
+
+
+def ieee_cos(a: float) -> float:
+    """cos with IEEE default results: NaN for infinite and NaN inputs."""
+    return math.cos(a) if math.isfinite(a) else math.nan
+
+
 def int_div(a: int, b: int) -> int:
     """SPARC-style signed integer division (truncating toward zero).
 
@@ -116,8 +126,8 @@ _COMPUTE: dict = {
     Operation.FP_SQRT: lambda a, b: ieee_sqrt(float(a)),
     Operation.FP_RECIP: lambda a, b: ieee_recip(float(a)),
     Operation.FP_LOG: lambda a, b: ieee_log(float(a)),
-    Operation.FP_SIN: lambda a, b: math.sin(float(a)),
-    Operation.FP_COS: lambda a, b: math.cos(float(a)),
+    Operation.FP_SIN: lambda a, b: ieee_sin(float(a)),
+    Operation.FP_COS: lambda a, b: ieee_cos(float(a)),
 }
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Type, Union
@@ -84,15 +85,23 @@ def atomic_write_json(
     os.replace(tmp, path)
 
 
+#: This host's name: lock files record their holder as ``pid@host``.
+_HOST = socket.gethostname()
+
+
 class FileLock:
     """Cooperative ``O_CREAT|O_EXCL`` lock file with stale breaking.
 
     The create-exclusive open *is* the acquisition; the file holds the
-    owner's pid for post-mortems.  A holder that dies leaves the file
-    behind, so contenders break locks older than ``stale_after``
-    (judged by mtime against the shared wall clock) and retry.
-    ``error`` names the exception type raised on timeout, so each layer
-    surfaces its own error family (``CorpusLockError``, ``QueueError``).
+    owner as ``pid@host``.  A holder that dies leaves the file behind,
+    so a contender breaks the lock and retries: at once when the file
+    names a process on this host that no longer exists, else (a live
+    holder, another host, a file holding a bare pid) once it is older
+    than ``stale_after`` (judged by mtime against the shared wall
+    clock).  A holder that exited but is not yet reaped by its parent
+    still counts as live.  ``error`` names the exception type raised on
+    timeout, so each layer surfaces its own error family
+    (``CorpusLockError``, ``QueueError``).
     """
 
     def __init__(
@@ -114,14 +123,14 @@ class FileLock:
         while True:
             try:
                 fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode("ascii"))
+                os.write(fd, f"{os.getpid()}@{_HOST}".encode("utf-8"))
                 os.close(fd)
                 return self
             except FileExistsError:
                 age = mtime_age(self.path, time.time())
                 if age is None:
                     continue  # lock vanished between exists and stat
-                if age > self.stale_after:
+                if age > self.stale_after or self._holder_exited():
                     # Holder died; break the lock and retry.
                     try:
                         self.path.unlink()
@@ -133,6 +142,30 @@ class FileLock:
                         f"could not acquire {self.path} within {self.timeout}s"
                     )
                 time.sleep(self.poll)
+
+    def _owner(self) -> str:
+        """The lock file's ``pid@host``; empty when it raced away."""
+        try:
+            return self.path.read_text(encoding="utf-8")
+        except (OSError, ValueError):
+            return ""
+
+    def _holder_exited(self) -> bool:
+        """Whether the lock file names a process on this host that no
+        longer exists."""
+        owner = self._owner()
+        pid, _, host = owner.partition("@")
+        if host != _HOST or not pid.isdecimal():
+            return False
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            # Break the file judged, not a lock a live process took
+            # since it was read.
+            return self._owner() == owner
+        except (OSError, OverflowError):
+            pass  # not ours to signal, or no pid at all: judge by age
+        return False
 
     def __exit__(self, *exc: object) -> None:
         try:

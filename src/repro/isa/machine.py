@@ -54,32 +54,38 @@ seeds input arrays.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.operations import ieee_div, ieee_log, ieee_recip, ieee_sqrt, int_div
+from ..core.operations import (
+    ieee_cos,
+    ieee_div,
+    ieee_log,
+    ieee_recip,
+    ieee_sin,
+    ieee_sqrt,
+    int_div,
+)
 from ..errors import TraceFormatError
 from .columns import ColumnAccumulator
 from .opcodes import OPCODE_INDEX, Opcode
 from .trace import Trace
 
-__all__ = ["Program", "Instruction", "assemble", "Machine", "MachineError"]
+__all__ = [
+    "Program",
+    "Instruction",
+    "assemble",
+    "Machine",
+    "MachineError",
+    "BINARY_OPS",
+    "FP_UNARY_OPS",
+    "BRANCH_CONDITIONS",
+]
 
 #: Address of the first instruction (text segment base).
 TEXT_BASE = 0x10000
-
-
-def _ieee_sin(a: float) -> float:
-    """sin with IEEE default results (NaN for non-finite inputs)."""
-    return math.sin(a) if math.isfinite(a) else math.nan
-
-
-def _ieee_cos(a: float) -> float:
-    """cos with IEEE default results (NaN for non-finite inputs)."""
-    return math.cos(a) if math.isfinite(a) else math.nan
 
 
 # Column codes of the traced opcodes.
@@ -89,9 +95,12 @@ _BRANCH = OPCODE_INDEX[Opcode.BRANCH]
 _LOAD = OPCODE_INDEX[Opcode.LOAD]
 _STORE = OPCODE_INDEX[Opcode.STORE]
 
+# The decode tables: the one definition of each mnemonic, which the
+# static analyzer (repro.analysis.static) also folds through.
+
 #: Three-operand mnemonics -> (result, traced opcode code, float?).
 #: IALU instructions are traced without their operands.
-_BINARY: Dict[str, Tuple[Callable, int, bool]] = {
+BINARY_OPS: Dict[str, Tuple[Callable, int, bool]] = {
     "add": (operator.add, _IALU, False),
     "sub": (operator.sub, _IALU, False),
     "and": (operator.and_, _IALU, False),
@@ -108,16 +117,16 @@ _BINARY: Dict[str, Tuple[Callable, int, bool]] = {
 }
 
 #: Unary FP mnemonics -> (result, traced opcode code).
-_FP_UNARY: Dict[str, Tuple[Callable[[float], float], int]] = {
+FP_UNARY_OPS: Dict[str, Tuple[Callable[[float], float], int]] = {
     "fsqrt": (ieee_sqrt, OPCODE_INDEX[Opcode.FSQRT]),
     "frecip": (ieee_recip, OPCODE_INDEX[Opcode.FRECIP]),
     "flog": (ieee_log, OPCODE_INDEX[Opcode.FLOG]),
-    "fsin": (_ieee_sin, OPCODE_INDEX[Opcode.FSIN]),
-    "fcos": (_ieee_cos, OPCODE_INDEX[Opcode.FCOS]),
+    "fsin": (ieee_sin, OPCODE_INDEX[Opcode.FSIN]),
+    "fcos": (ieee_cos, OPCODE_INDEX[Opcode.FCOS]),
 }
 
 #: Branch mnemonics -> taken?, indexed by the condition codes (0, 1, -1).
-_BRANCHES: Dict[str, Tuple[bool, bool, bool]] = {
+BRANCH_CONDITIONS: Dict[str, Tuple[bool, bool, bool]] = {
     "ba": (True, True, True),
     "be": (True, False, False),
     "bne": (False, True, True),
@@ -338,7 +347,7 @@ def _decode_set(ins: Instruction, index: int, machine: "Machine") -> _Op:
 
 
 def _decode_binary(ins: Instruction, index: int, machine: "Machine") -> _Op:
-    compute, code, is_float = _BINARY[ins.mnemonic]
+    compute, code, is_float = BINARY_OPS[ins.mnemonic]
     source = _fp_slot if is_float else _int_source
     a_values, a_vids, a = source(ins.operands[0], machine)
     b_values, b_vids, b = source(ins.operands[1], machine)
@@ -444,7 +453,7 @@ def _decode_st(ins: Instruction, index: int, machine: "Machine") -> _Op:
 
 
 def _decode_fp_unary(ins: Instruction, index: int, machine: "Machine") -> _Op:
-    compute, code = _FP_UNARY[ins.mnemonic]
+    compute, code = FP_UNARY_OPS[ins.mnemonic]
     a = _fp_reg(ins.operands[0])
     dest = _fp_reg(ins.operands[1])
     regs, vids = machine.fp_regs, machine._fp_vids
@@ -483,7 +492,7 @@ def _decode_cmp(ins: Instruction, index: int, machine: "Machine") -> _Op:
 
 
 def _decode_branch(ins: Instruction, index: int, machine: "Machine") -> _Op:
-    taken = _BRANCHES[ins.mnemonic]
+    taken = BRANCH_CONDITIONS[ins.mnemonic]
     cc = machine._cc
     plain = machine._columns.plain
     pc, following = ins.pc, index + 1
@@ -526,9 +535,9 @@ _DECODERS: Dict[str, Callable[[Instruction, int, "Machine"], _Op]] = {
     "ld": _decode_ld,
     "st": _decode_st,
     "cmp": _decode_cmp,
-    **dict.fromkeys(_BINARY, _decode_binary),
-    **dict.fromkeys(_FP_UNARY, _decode_fp_unary),
-    **dict.fromkeys(_BRANCHES, _decode_branch),
+    **dict.fromkeys(BINARY_OPS, _decode_binary),
+    **dict.fromkeys(FP_UNARY_OPS, _decode_fp_unary),
+    **dict.fromkeys(BRANCH_CONDITIONS, _decode_branch),
 }
 
 

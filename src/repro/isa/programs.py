@@ -12,6 +12,8 @@ from typing import Dict
 
 __all__ = [
     "PROGRAMS",
+    "PROGRAM_STEP_BUDGET",
+    "SAMPLE_STEP_BUDGET",
     "STEPS_PER_ELEMENT",
     "SAXPY",
     "DOT_PRODUCT",
@@ -242,3 +244,10 @@ STEPS_PER_ELEMENT: Dict[str, int] = {
     "sobel_gx": 11,
     "memo_showcase": 19,
 }
+
+#: Machine steps one run may take: a program run (``repro stats``,
+#: ``repro-trace asm``, a serve ``program`` job, the static analyzer's
+#: check) and a sampled estimate's full run (``repro sample``, a serve
+#: ``sample`` job).
+PROGRAM_STEP_BUDGET = 2_000_000
+SAMPLE_STEP_BUDGET = 8_000_000

@@ -93,6 +93,7 @@ def _run_program(name: str, n: int) -> dict:
     from ..analysis.static.memo import reference_machine
     from ..core.bank import MemoTableBank
     from ..core.operations import Operation
+    from ..isa.programs import PROGRAM_STEP_BUDGET
     from ..simulator.shade import ShadeSimulator
 
     local = MetricsRegistry()
@@ -101,7 +102,7 @@ def _run_program(name: str, n: int) -> dict:
         with use_registry(local):
             with local.span(f"program.{name}"):
                 machine = reference_machine(name, n)
-                machine.run(max_steps=2_000_000)
+                machine.run(max_steps=PROGRAM_STEP_BUDGET)
                 bank = MemoTableBank.paper_baseline(
                     operations=tuple(Operation)
                 )

@@ -12,12 +12,8 @@ from __future__ import annotations
 import time
 from typing import Any, Dict
 
-from .protocol import (
-    PROGRAM_STEP_BUDGET,
-    SAMPLE_STEP_BUDGET,
-    ServeProtocolError,
-    normalize_spec,
-)
+from ..isa.programs import PROGRAM_STEP_BUDGET, SAMPLE_STEP_BUDGET
+from .protocol import ServeProtocolError, normalize_spec
 
 __all__ = ["run_job"]
 

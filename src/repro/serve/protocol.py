@@ -46,14 +46,18 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
+from ..isa.programs import (
+    PROGRAM_STEP_BUDGET,
+    PROGRAMS,
+    SAMPLE_STEP_BUDGET,
+    STEPS_PER_ELEMENT,
+)
 
 __all__ = [
     "JOB_STATES",
     "JobSpec",
     "JobRecord",
     "MAX_TABLE_ENTRIES",
-    "PROGRAM_STEP_BUDGET",
-    "SAMPLE_STEP_BUDGET",
     "ServeProtocolError",
     "job_id_for",
     "normalize_spec",
@@ -77,14 +81,6 @@ DEFAULT_LEASE_TTL = 30.0
 
 #: Default cap on executions of one job (first attempt + requeues).
 DEFAULT_MAX_ATTEMPTS = 3
-
-#: Machine steps a ``program`` / ``sample`` job may run.  Every bundled
-#: program spends at least its
-#: :data:`~repro.isa.programs.STEPS_PER_ELEMENT` floor of steps per
-#: element, so a job whose ``n`` exceeds the budget over that floor
-#: could only fail, after allocating its inputs; it is rejected instead.
-PROGRAM_STEP_BUDGET = 2_000_000
-SAMPLE_STEP_BUDGET = 8_000_000
 
 #: Largest memo table a ``program`` job may ask for (figure3's largest
 #: table).  The worker builds one list per set up front, so without a
@@ -152,8 +148,6 @@ def _int_field(
 
 def _program(spec: Dict[str, Any]) -> str:
     """The spec's ``program`` field, checked against the bundled ones."""
-    from ..isa.programs import PROGRAMS
-
     name = _require_str(spec, "program")
     if name not in PROGRAMS:
         raise ServeProtocolError(
@@ -167,8 +161,6 @@ def _n_ceiling(program: str, budget: int) -> int:
     ``program`` spends at least its floor of steps on every element, so
     any larger ``n`` could only end in 'step budget exhausted', after
     building its inputs."""
-    from ..isa.programs import STEPS_PER_ELEMENT
-
     return budget // STEPS_PER_ELEMENT[program]
 
 

@@ -127,6 +127,7 @@ def main_sample(argv: Optional[List[str]] = None) -> int:
     from ...core import backend as execution
     from ...core.bank import MemoTableBank
     from ...errors import ReproError
+    from ...isa.programs import SAMPLE_STEP_BUDGET
     from .estimator import PhasePlan, estimate_phases
 
     metrics_enabled = args.metrics_out is not None
@@ -145,7 +146,7 @@ def main_sample(argv: Optional[List[str]] = None) -> int:
             # use_backend rejects an unknown name before the run.
             with execution.use_backend(args.backend):
                 machine = reference_machine(args.program, args.n)
-                machine.run(max_steps=8_000_000)
+                machine.run(max_steps=SAMPLE_STEP_BUDGET)
                 estimate = estimate_phases(
                     machine.trace,
                     plan=plan,

@@ -19,10 +19,13 @@ Subcommands::
         List the bundled assembly programs.
 
     repro-trace asm saxpy out.trc [--n 64]
-        Assemble + execute a bundled program, archiving its trace.
+        Execute a bundled program on the reference harness
+        (:func:`repro.analysis.static.memo.reference_machine`), archiving
+        its trace.
 
 ``stats`` and ``simulate`` report a missing or unreadable trace file on
-one stderr line and exit 2.
+one stderr line and exit 2; ``asm`` reports an unknown program or an
+exhausted step budget the same way.
 """
 
 from __future__ import annotations
@@ -33,16 +36,16 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import cliargs
+from .analysis.static.memo import reference_machine
 from .analysis.tables import format_ratio, format_table
 from .core.bank import MemoTableBank
 from .core.config import MemoTableConfig, TagMode
 from .core.operations import Operation
-from .errors import TraceFormatError
+from .errors import ReproError, TraceFormatError
 from .images import catalog_names, generate
 from .isa.binfmt import read_column_blocks, write_column_trace
 from .isa.columns import ColumnBatch
-from .isa.machine import Machine, assemble
-from .isa.programs import PROGRAMS
+from .isa.programs import PROGRAM_STEP_BUDGET, PROGRAMS
 from .isa.trace import Trace, read_trace, write_trace
 from .simulator.shade import ShadeSimulator
 from .workloads.khoros import kernel_names, run_kernel
@@ -143,19 +146,12 @@ def _cmd_programs(_args) -> int:
 
 
 def _cmd_asm(args) -> int:
-    source = PROGRAMS.get(args.program)
-    if source is None:
-        print(f"unknown program {args.program!r}; try: {', '.join(PROGRAMS)}",
-              file=sys.stderr)
+    try:
+        machine = reference_machine(args.program, args.n)
+        steps = machine.run(max_steps=PROGRAM_STEP_BUDGET)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
-    machine = Machine(assemble(source))
-    machine.int_regs[1] = args.n
-    # Seed deterministic quantised inputs at the programs' conventional
-    # input addresses.
-    values = [float((i * 7) % 16 + 1) for i in range(args.n)]
-    machine.write_doubles(0x1000, values)
-    machine.write_doubles(0x2000, values[::-1])
-    steps = machine.run()
     written = _save(machine.trace, Path(args.output))
     print(f"executed {steps} instructions; archived {written} events "
           f"-> {args.output}")
@@ -196,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     asm = commands.add_parser("asm", help="run a bundled assembly program")
     asm.add_argument("program")
     asm.add_argument("output")
-    asm.add_argument("--n", type=int, default=64)
+    asm.add_argument("--n", type=cliargs.positive_int, default=64)
     asm.set_defaults(func=_cmd_asm)
 
     return parser

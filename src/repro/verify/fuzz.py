@@ -159,12 +159,6 @@ class TraceFuzzer:
                             else 0)
             b = _wrap_int64(int(b) if b == b and abs(b) != float("inf")
                             else 0)
-        elif opcode in (Opcode.FSIN, Opcode.FCOS):
-            # math.sin/cos raise on infinities (NaN is fine).
-            if a == float("inf") or a == float("-inf"):
-                a = 1.25
-            if b == float("inf") or b == float("-inf"):
-                b = 0.0
         result = compute(operation, a, b)
         if isinstance(result, int):
             result = _wrap_int64(result)

@@ -21,13 +21,19 @@ synthesized.
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
-from ..core.operations import ieee_div, ieee_log, ieee_sqrt, int_div
+from ..core.operations import (
+    ieee_cos,
+    ieee_div,
+    ieee_log,
+    ieee_sin,
+    ieee_sqrt,
+    int_div,
+)
 from ..isa.columns import ColumnAccumulator
 from ..isa.opcodes import OPCODE_INDEX, Opcode
 from ..isa.trace import Trace
@@ -276,12 +282,12 @@ class OperationRecorder:
 
     def fsin(self, a: float) -> float:
         fa = float(a)
-        result = math.sin(fa)
+        result = ieee_sin(fa)
         return TracedValue(result, self._unary(_FSIN, a, fa, result))
 
     def fcos(self, a: float) -> float:
         fa = float(a)
-        result = math.cos(fa)
+        result = ieee_cos(fa)
         return TracedValue(result, self._unary(_FCOS, a, fa, result))
 
     def fadd(self, a: float, b: float) -> float:

@@ -91,10 +91,11 @@ def test_zero_gc_bound_accepted(tmp_path, capsys):
         (["submit", "--fuzz", "--budget"], "argument --budget"),
         (["submit", "--fuzz", "--max-events"], "argument --max-events"),
         (["submit", "--program", "saxpy", "--timeout"], "argument --timeout"),
+        (["analyze", "saxpy", "--check", "--n"], "argument --n"),
     ],
     ids=[
         "stats", "sample", "submit-n", "submit-entries", "submit-ways",
-        "submit-budget", "submit-max-events", "submit-timeout",
+        "submit-budget", "submit-max-events", "submit-timeout", "analyze",
     ],
 )
 def test_bad_problem_size_is_a_usage_error(argv, option, value, capsys):
@@ -105,6 +106,19 @@ def test_bad_problem_size_is_a_usage_error(argv, option, value, capsys):
     assert err.startswith("usage:")
     assert option in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "nan", "inf"])
+def test_trace_asm_bad_problem_size_is_a_usage_error(value, tmp_path, capsys):
+    target = tmp_path / "out.trc"
+    with pytest.raises(SystemExit) as exc:
+        trace_main(["asm", "saxpy", str(target), "--n", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "argument --n" in err
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_stats_unknown_program_is_one_line(capsys):

@@ -92,10 +92,13 @@ def traces(draw):
     pc_mode = draw(st.sampled_from(["none", "all", "some"]))
     unique = draw(st.lists(events(pc_mode), min_size=1, max_size=40))
     # Repeat drawn events so operand pairs recur, as memoization needs.
-    picks = draw(st.lists(
-        st.integers(0, len(unique) - 1), min_size=1, max_size=700
-    ))
-    return ColumnBatch.from_events([unique[pick] for pick in picks])
+    # A drawn length and a seeded generator reach the stated size, where
+    # a drawn list of picks stays a few events long.
+    length = draw(st.integers(1, 700))
+    rng = draw(st.randoms(use_true_random=False))
+    return ColumnBatch.from_events(
+        [rng.choice(unique) for _ in range(length)]
+    )
 
 
 class TestDrawnTraces:

@@ -28,10 +28,13 @@ from hypothesis.stateful import (
 )
 
 from repro.analysis.static.memo import reference_machine
-from repro.isa.programs import PROGRAMS, STEPS_PER_ELEMENT
-from repro.serve.protocol import (
+from repro.isa.programs import (
     PROGRAM_STEP_BUDGET,
+    PROGRAMS,
     SAMPLE_STEP_BUDGET,
+    STEPS_PER_ELEMENT,
+)
+from repro.serve.protocol import (
     JobSpec,
     ServeProtocolError,
     job_id_for,

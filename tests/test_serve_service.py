@@ -14,9 +14,9 @@ import time
 
 import pytest
 
+from repro.isa.programs import PROGRAM_STEP_BUDGET, SAMPLE_STEP_BUDGET
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import run_job
-from repro.serve.protocol import PROGRAM_STEP_BUDGET, SAMPLE_STEP_BUDGET
 from repro.serve.server import endpoint_for
 
 SPEC = {"type": "program", "program": "dot_product", "n": 40}

@@ -10,6 +10,8 @@ infinite-capacity memo table measures dynamically,
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.static import (
     REFERENCE_N,
@@ -25,8 +27,8 @@ from repro.analysis.static import (
     value_ranges,
 )
 from repro.analysis.static.memo import measure_infinite_hit_ratio
-from repro.analysis.static.passes import BOTTOM
-from repro.isa.machine import assemble
+from repro.analysis.static.passes import BOTTOM, _const_key
+from repro.isa.machine import BINARY_OPS, FP_UNARY_OPS, Machine, assemble
 from repro.isa.programs import PROGRAMS
 
 
@@ -106,6 +108,60 @@ class TestConstantPropagation:
         consts = constant_propagation(cfg)
         halt = _instr_index(cfg, "halt")
         assert consts[halt].get("r4") == 60
+
+
+#: Operands: zeros, ones, shift and int64 edges, signed zeros,
+#: infinities, NaN and the odd drawn value.
+_INTS = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 63, 64, 65, -(2 ** 63), 2 ** 63 - 1]),
+    st.integers(-(2 ** 63), 2 ** 63 - 1),
+)
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"),
+                     float("nan")]),
+    st.floats(width=64),
+)
+
+
+class TestFoldMatchesMachine:
+    """Constant propagation folds through the machine's decode tables,
+    so the constant it proves for a destination register is, bit for
+    bit, what the machine leaves there."""
+
+    @pytest.mark.parametrize("mnemonic", sorted(BINARY_OPS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_binary(self, mnemonic, data):
+        if BINARY_OPS[mnemonic][2]:
+            a, b = data.draw(_FLOATS), data.draw(_FLOATS)
+            source = (f"fset {a!r}, %f1\nfset {b!r}, %f2\n"
+                      f"{mnemonic} %f1, %f2, %f3\nhalt\n")
+        else:
+            a, b = data.draw(_INTS), data.draw(_INTS)
+            source = (f"set {a}, %r1\nset {b}, %r2\n"
+                      f"{mnemonic} %r1, %r2, %r3\nhalt\n")
+        self._assert_fold_matches(source, is_float=BINARY_OPS[mnemonic][2])
+
+    @pytest.mark.parametrize("mnemonic", sorted(FP_UNARY_OPS))
+    @given(a=_FLOATS)
+    @settings(max_examples=40, deadline=None)
+    def test_unary(self, mnemonic, a):
+        self._assert_fold_matches(
+            f"fset {a!r}, %f1\n{mnemonic} %f1, %f3\nhalt\n", is_float=True
+        )
+
+    @staticmethod
+    def _assert_fold_matches(source, is_float):
+        program = assemble(source)
+        machine = Machine(program)
+        machine.run()
+        assert machine.halted
+        halt = len(program.instructions) - 1
+        folded = constant_propagation(build_cfg(program))[halt]
+        register, registers = (
+            ("f3", machine.fp_regs) if is_float else ("r3", machine.int_regs)
+        )
+        assert _const_key(folded.get(register)) == _const_key(registers[3])
 
 
 class TestValueRanges:

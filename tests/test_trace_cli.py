@@ -5,8 +5,10 @@ import struct
 
 import pytest
 
+from repro.analysis.static.memo import reference_machine
 from repro.isa.binfmt import write_column_trace
 from repro.isa.opcodes import Opcode
+from repro.isa.programs import PROGRAM_STEP_BUDGET, PROGRAMS
 from repro.isa.trace import Trace, TraceEvent
 from repro.trace_cli import _load, main
 
@@ -108,6 +110,21 @@ class TestAssemblyCommands:
 
     def test_asm_unknown_program(self, capsys):
         assert main(["asm", "nonsense", "x.trc"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown program 'nonsense'" in err
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_asm_writes_the_reference_harness_trace(
+        self, name, tmp_path, capsys
+    ):
+        target = tmp_path / f"{name}.trc"
+        assert main(["asm", name, str(target), "--n", "64"]) == 0
+        machine = reference_machine(name, 64)
+        steps = machine.run(max_steps=PROGRAM_STEP_BUDGET)
+        assert f"executed {steps} instructions" in capsys.readouterr().out
+        expected = io.BytesIO()
+        write_column_trace(machine.trace, expected)
+        assert target.read_bytes() == expected.getvalue()
 
     def test_bad_kernel_rejected(self):
         with pytest.raises(SystemExit):
