@@ -151,7 +151,8 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    from ..isa.programs import PROGRAMS
+    from ..errors import ReproError
+    from ..isa.programs import PROGRAM_STEP_BUDGET, PROGRAMS, check_n
     from .static import REFERENCE_N, SiteClass, analyze_source, check_program
 
     names = args.programs or list(PROGRAMS)
@@ -163,6 +164,13 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.check and args.n is not None:
+        try:
+            for name in names:
+                check_n(name, args.n, PROGRAM_STEP_BUDGET)
+        except ReproError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
 
     document: dict = {"programs": [], "checks": []}
     summary_rows = []
@@ -201,7 +209,11 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
         check_rows = []
         for name in names:
             kwargs = {} if args.n is None else {"n": args.n}
-            result = check_program(name, **kwargs)
+            try:
+                result = check_program(name, **kwargs)
+            except ReproError as exc:
+                print(str(exc), file=sys.stderr)
+                return 2
             document["checks"].append(result.to_dict())
             check_rows.append([
                 name,

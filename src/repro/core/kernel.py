@@ -67,7 +67,7 @@ from .. import obs
 from ..isa.columns import ColumnBatch
 from ..isa.opcodes import OPCODE_INDEX, OPCODE_LIST, Opcode
 from .config import OperandKind, TagMode, TrivialPolicy
-from .memo_table import InfiniteMemoTable, MemoTable, _Entry
+from .memo_table import InfiniteMemoTable, MemoTable
 from .operations import Operation, compute_function
 from .replacement import FIFOPolicy, LRUPolicy
 
@@ -414,15 +414,15 @@ _UNSET = object()
 #: every eviction, so two equally configured tables differ in state.
 _MEMO_POLICIES = (LRUPolicy, FIFOPolicy)
 
-#: One final way per row, in set then way order: set index, both tag
+#: One final way per row, in slot order: its table slot, both tag
 #: halves, both stored operands, last-used and inserted clocks.
 _FLOAT_WAYS = np.dtype([
-    ("set", np.int64), ("tag_a", np.uint64), ("tag_b", np.uint64),
+    ("slot", np.int64), ("tag_a", np.uint64), ("tag_b", np.uint64),
     ("a", np.float64), ("b", np.float64),
     ("last_used", np.int64), ("inserted", np.int64),
 ])
 _INT_WAYS = np.dtype([
-    ("set", np.int64), ("tag_a", np.int64), ("tag_b", np.int64),
+    ("slot", np.int64), ("tag_a", np.int64), ("tag_b", np.int64),
     ("a", np.int64), ("b", np.int64),
     ("last_used", np.int64), ("inserted", np.int64),
 ])
@@ -453,11 +453,11 @@ class _ProbeMemo(NamedTuple):
     """One pair-id loop run on a never-probed table, kept for replay.
 
     ``counts`` are the seven :func:`_charge` arguments after the table,
-    ``clock`` the final table clock, ``ways`` the final entries (one
-    :data:`_FLOAT_WAYS` or :data:`_INT_WAYS` row each; values are not
-    kept, since every entry of a table that started empty holds its own
-    operands' computed value) and ``outcomes`` the per-event outcome
-    column."""
+    ``clock`` the final table clock, ``ways`` the occupied slots (one
+    :data:`_FLOAT_WAYS` or :data:`_INT_WAYS` row each, built from the
+    table's slot lists; values are not kept, since every entry of a
+    table that started empty holds its own operands' computed value)
+    and ``outcomes`` the per-event outcome column."""
 
     counts: Tuple[int, ...]
     clock: int
@@ -473,12 +473,14 @@ class _ProbeMemo(NamedTuple):
             _INT_WAYS if table.config.operand_kind is OperandKind.INT
             else _FLOAT_WAYS
         )
+        assoc = table.config.associativity
+        tags, operands = table._tags, table._operands
+        used, inserted = table._last_used, table._inserted
         ways = np.array(
             [
-                (s, *entry.tag, *entry.operands, entry.last_used,
-                 entry.inserted)
-                for s, set_ways in enumerate(table._sets)
-                for entry in set_ways
+                (pos, *tags[pos], *operands[pos], used[pos], inserted[pos])
+                for s, fill in enumerate(table._fill)
+                for pos in range(s * assoc, s * assoc + fill)
             ],
             dtype=dtype,
         )
@@ -487,14 +489,19 @@ class _ProbeMemo(NamedTuple):
 
 def _replay_fused(unit, table, stored: _ProbeMemo) -> None:
     """Put a never-probed ``table`` into the state ``stored``'s run left
-    its table in: the same ways in the same order, each value computed
+    its table in: the same ways in the same slots, each value computed
     from its stored operands, and the same clock."""
     compute_op = compute_function(unit.operation)
-    sets_ = table._sets
-    for s, tag_a, tag_b, a, b, last_used, inserted in stored.ways.tolist():
-        entry = _Entry((tag_a, tag_b), compute_op(a, b), (a, b), last_used)
-        entry.inserted = inserted
-        sets_[s].append(entry)
+    assoc = table.config.associativity
+    tags, values, operands = table._tags, table._values, table._operands
+    used, ins, fill = table._last_used, table._inserted, table._fill
+    for pos, tag_a, tag_b, a, b, last_used, inserted in stored.ways.tolist():
+        tags[pos] = (tag_a, tag_b)
+        values[pos] = compute_op(a, b)
+        operands[pos] = (a, b)
+        used[pos] = last_used
+        ins[pos] = inserted
+        fill[pos // assoc] += 1
     table._clock = stored.clock
 
 
@@ -510,16 +517,17 @@ def _probe_fused(unit, table, np_a, np_b, outcomes=None):
        distinct 52-bit mantissa pairs, deduplicated once more over the
        full ids.  Set index and commutative twin are precomputed per
        pair id.
-    2. The table's ways are mirrored into flat parallel integer lists
-       (slot = set * associativity + way: pair id, last-used clock,
-       inserted clock, full id of the inserting event) plus one
-       pair id -> slot dict, so a probe is a single hash lookup and a
-       hit a single list store -- no entry allocation while the loop
-       runs.  LRU victim selection is inlined; FIFO and RANDOM call
-       ``policy.victim`` on the slot lists of the full set.
-    3. One materialization pass writes the surviving ways back as real
-       :class:`~repro.core.memo_table._Entry` objects and advances the
-       table clock.
+    2. The loop works on the table's own slot lists (slot = set *
+       associativity + way): it updates the last-used and inserted
+       clocks and the per-set fill in place.  One pass gives every
+       resident tag a pair id (``uid_flat``, one per slot) and builds
+       the pair id -> slot dict, so a probe is a single hash lookup and
+       a hit a single list store.  LRU victim selection is inlined;
+       FIFO and RANDOM call ``policy.victim`` on the slot lists of the
+       full set.
+    3. After the loop, only the slots this run inserted get their tag
+       (from the pair id), operands and value (from the inserting
+       event's full id), and the table clock advances.
 
     Trivial operations never reach the loop under EXCLUDE (the unit's
     early-out) and INTEGRATED (a one-cycle hit in front of the table);
@@ -575,42 +583,33 @@ def _probe_fused(unit, table, np_a, np_b, outcomes=None):
     for k in range(u):
         pair_uid[(tags_a[k], tags_b[k])] = k
 
-    # Mirror the live table into the flat slot lists.  Entries whose
-    # tag is not in this batch still get an id (past ``u``) so exact
-    # and commutative probes can hit them; their _Entry objects ride
-    # along untouched unless evicted.
-    sets_ = table._sets
-    n_sets = config.n_sets
+    # Give every resident tag a pair id.  Tags not in this batch still
+    # get one (past ``u``) so exact and commutative probes can hit them;
+    # their slots keep their tag, operands and value unless evicted.
+    tags_flat = table._tags
+    used_flat = table._last_used
+    ins_flat = table._inserted
+    fill = table._fill
     assoc = config.associativity
-    size = n_sets * assoc
-    uid_flat = [-1] * size
-    used_flat = [0] * size
-    ins_flat = [0] * size
-    full_flat = [0] * size
-    ent_flat: List[Optional[_Entry]] = [None] * size
-    fill = [0] * n_sets
+    uid_flat = [-1] * len(tags_flat)
+    full_flat: Dict[int, int] = {}
     where: dict = {}
     next_uid = u
-    for s in range(n_sets):
-        ways = sets_[s]
-        if not ways:
+    for s, fs in enumerate(fill):
+        if not fs:
             continue
-        fill[s] = len(ways)
         base = s * assoc
-        for w, entry in enumerate(ways):
-            uid = pair_uid.get(entry.tag)
+        for pos in range(base, base + fs):
+            tag = tags_flat[pos]
+            uid = pair_uid.get(tag)
             if uid is None:
                 uid = next_uid
                 next_uid += 1
-                pair_uid[entry.tag] = uid
-            pos = base + w
+                pair_uid[tag] = uid
             uid_flat[pos] = uid
-            used_flat[pos] = entry.last_used
-            ins_flat[pos] = entry.inserted
-            ent_flat[pos] = entry
             where[uid] = pos
 
-    # Commutative twin lookup must come after the mirror pass: a
+    # Commutative twin lookup must come after the pair-id pass: a
     # swapped-order tag may only exist as a pre-existing entry.  The
     # set-index formula is symmetric, so a twin always lives in the
     # probing id's own set and ``where`` stays globally consistent.
@@ -703,7 +702,6 @@ def _probe_fused(unit, table, np_a, np_b, outcomes=None):
         used_flat[pos] = clock
         ins_flat[pos] = clock
         full_flat[pos] = f
-        ent_flat[pos] = None
         where[k] = pos
     table._clock = clock
     if record:
@@ -712,34 +710,16 @@ def _probe_fused(unit, table, np_a, np_b, outcomes=None):
             missed if kept_np is None else kept_np[missed],
         )
 
-    # Materialize: fresh inserts (slot entry is None) become real
-    # entries -- always a batch id, so the tag comes from the pair id
-    # and operands and value from the inserting event's full id -- and
-    # surviving entries get their recency written back.  Slot order is
-    # insertion order, matching the scalar table's way order exactly.
-    if lookups:
-        for s in range(n_sets):
-            fs = fill[s]
-            if not fs:
-                continue
-            base = s * assoc
-            new_ways: List[_Entry] = []
-            for pos in range(base, base + fs):
-                entry = ent_flat[pos]
-                if entry is None:
-                    k = uid_flat[pos]
-                    f = full_flat[pos]
-                    entry = _Entry(
-                        (tags_a[k], tags_b[k]),
-                        value_lut[f],
-                        (rep_a[f], rep_b[f]),
-                        used_flat[pos],
-                    )
-                    entry.inserted = ins_flat[pos]
-                else:
-                    entry.last_used = used_flat[pos]
-                new_ways.append(entry)
-            sets_[s] = new_ways
+    # A slot this run inserted into holds a batch id, so its tag comes
+    # from the pair id and its operands and value from the inserting
+    # event's full id.
+    values_flat = table._values
+    operands_flat = table._operands
+    for pos, f in full_flat.items():
+        k = uid_flat[pos]
+        tags_flat[pos] = (tags_a[k], tags_b[k])
+        values_flat[pos] = value_lut[f]
+        operands_flat[pos] = (rep_a[f], rep_b[f])
 
     return n, n_trivial, lookups, hits, commutative_hits, insertions, evictions
 

@@ -18,7 +18,7 @@ Two implementations are provided:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .. import obs
 from .config import MemoTableConfig, OperandKind, TagMode
@@ -51,25 +51,6 @@ class LookupResult(NamedTuple):
 #: ``result.hit``, never on identity against this sentinel (``repro``'s
 #: regression tests scan for both mutation and identity comparison).
 LookupResult.MISS = LookupResult(hit=False)
-
-
-class _Entry:
-    """One way of one set: a tag guarding a result."""
-
-    __slots__ = ("tag", "value", "operands", "last_used", "inserted")
-
-    def __init__(
-        self,
-        tag: Tag,
-        value: float,
-        operands: Tuple[float, float],
-        now: int,
-    ) -> None:
-        self.tag = tag
-        self.value = value
-        self.operands = operands
-        self.last_used = now
-        self.inserted = now
 
 
 class BaseMemoTable(abc.ABC):
@@ -155,7 +136,17 @@ def _key_function(config: MemoTableConfig) -> Callable[[float, float], Tuple[int
 
 
 class MemoTable(BaseMemoTable):
-    """Set-associative MEMO-TABLE (the realizable hardware design)."""
+    """Set-associative MEMO-TABLE (the realizable hardware design).
+
+    The ways live in flat per-slot lists, one slot per entry: slot
+    ``set * associativity + way``, so a set's slots run in way order.
+    ``_tags``, ``_values``, ``_operands``, ``_last_used`` and
+    ``_inserted`` hold each slot's tag, stored result, the operands
+    that created it, and its last-used and inserted clocks; ``_fill``
+    counts each set's filled ways, which always occupy the set's first
+    slots.  The pair-id loop (:mod:`repro.core.kernel`) works on these
+    same lists.  :meth:`snapshot` is the inspection surface.
+    """
 
     def __init__(self, config: Optional[MemoTableConfig] = None) -> None:
         self.config = config if config is not None else MemoTableConfig()
@@ -163,82 +154,99 @@ class MemoTable(BaseMemoTable):
         self._policy: ReplacementPolicy = make_policy(
             self.config.replacement, self.config.seed
         )
-        self._sets: List[List[_Entry]] = [[] for _ in range(self.config.n_sets)]
         self._clock = 0
+        self._empty()
         self.stats = MemoStats()
 
-    # -- probing ---------------------------------------------------------
+    def _empty(self) -> None:
+        size = self.config.entries
+        self._tags: List[Optional[Tag]] = [None] * size
+        self._values: List[Optional[float]] = [None] * size
+        self._operands: List[Optional[Tuple[float, float]]] = [None] * size
+        self._last_used: List[int] = [0] * size
+        self._inserted: List[int] = [0] * size
+        self._fill: List[int] = [0] * self.config.n_sets
 
-    @staticmethod
-    def _find(ways: List[_Entry], tag: Tag) -> Optional[_Entry]:
-        for entry in ways:
-            if entry.tag == tag:
-                return entry
-        return None
+    # -- probing ---------------------------------------------------------
 
     def lookup(self, a: float, b: float) -> LookupResult:
         self._clock += 1
         stats = self.stats
         stats.lookups += 1
         set_index, tag = self._key(a, b)
-        ways = self._sets[set_index]
-        entry = self._find(ways, tag)
+        base = set_index * self.config.associativity
+        ways = self._tags[base:base + self._fill[set_index]]
         reversed_match = False
-        if entry is None and self.config.commutative:
+        if tag in ways:
+            pos = base + ways.index(tag)
+        elif self.config.commutative and (tag[1], tag[0]) in ways:
             # The comparator checks both operand orders in parallel
             # (section 2.2); XOR indexing guarantees the same set.
-            entry = self._find(ways, (tag[1], tag[0]))
-            reversed_match = entry is not None
-        if entry is None:
+            pos = base + ways.index((tag[1], tag[0]))
+            reversed_match = True
+        else:
             return LookupResult.MISS
-        entry.last_used = self._clock
+        self._last_used[pos] = self._clock
         stats.hits += 1
         if reversed_match:
             stats.commutative_hits += 1
-        return LookupResult(True, entry.value, entry.operands, reversed_match)
+        return LookupResult(
+            True, self._values[pos], self._operands[pos], reversed_match
+        )
 
     # -- update ----------------------------------------------------------
 
     def insert(self, a: float, b: float, value: float) -> None:
         self._clock += 1
         set_index, tag = self._key(a, b)
-        ways = self._sets[set_index]
-        existing = self._find(ways, tag)
-        if existing is not None:
-            existing.value = value
-            existing.operands = (a, b)
-            existing.last_used = self._clock
+        assoc = self.config.associativity
+        base = set_index * assoc
+        fill = self._fill[set_index]
+        ways = self._tags[base:base + fill]
+        if tag in ways:
+            pos = base + ways.index(tag)
+            self._values[pos] = value
+            self._operands[pos] = (a, b)
+            self._last_used[pos] = self._clock
             return
         self.stats.insertions += 1
-        entry = _Entry(tag, value, (a, b), self._clock)
-        if len(ways) < self.config.associativity:
-            ways.append(entry)
-            return
-        victim = self._policy.victim(
-            [w.last_used for w in ways], [w.inserted for w in ways]
-        )
-        ways[victim] = entry
-        self.stats.evictions += 1
+        if fill < assoc:
+            pos = base + fill
+            self._fill[set_index] = fill + 1
+        else:
+            end = base + assoc
+            pos = base + self._policy.victim(
+                self._last_used[base:end], self._inserted[base:end]
+            )
+            self.stats.evictions += 1
+        self._tags[pos] = tag
+        self._values[pos] = value
+        self._operands[pos] = (a, b)
+        self._last_used[pos] = self._clock
+        self._inserted[pos] = self._clock
 
     def flush(self) -> None:
-        self._sets = [[] for _ in range(self.config.n_sets)]
+        self._empty()
         if obs.enabled():
             obs.registry().counter_add("memo_table.flush")
 
     # -- inspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return sum(self._fill)
 
-    def entries(self) -> Iterator[Tuple[int, Tag, float]]:
-        """Yield ``(set_index, tag, value)`` for every valid entry."""
-        for set_index, ways in enumerate(self._sets):
-            for entry in ways:
-                yield set_index, entry.tag, entry.value
-
-    def set_occupancy(self) -> List[int]:
-        """Valid entries per set -- useful for hash-quality diagnostics."""
-        return [len(ways) for ways in self._sets]
+    def snapshot(self) -> List[List[Tuple[Tag, float, Tuple[float, float], int, int]]]:
+        """Each set's ways in way order, one
+        ``(tag, value, operands, last_used, inserted)`` tuple per way."""
+        assoc = self.config.associativity
+        return [
+            [
+                (self._tags[pos], self._values[pos], self._operands[pos],
+                 self._last_used[pos], self._inserted[pos])
+                for pos in range(s * assoc, s * assoc + fill)
+            ]
+            for s, fill in enumerate(self._fill)
+        ]
 
 
 class InfiniteMemoTable(BaseMemoTable):
@@ -300,3 +308,7 @@ class InfiniteMemoTable(BaseMemoTable):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def snapshot(self) -> Dict[Tag, Tuple[float, Tuple[float, float]]]:
+        """Every entry, ``tag -> (value, operands)``."""
+        return dict(self._entries)

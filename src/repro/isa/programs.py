@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..errors import ConfigurationError
+
 __all__ = [
     "PROGRAMS",
     "PROGRAM_STEP_BUDGET",
@@ -21,6 +23,8 @@ __all__ = [
     "GAMMA_LUT",
     "SOBEL_GX",
     "MEMO_SHOWCASE",
+    "check_n",
+    "n_ceiling",
 ]
 
 #: y[i] <- a*x[i] + y[i].  Inputs: n at %r1, x at 0x1000, y at 0x2000,
@@ -234,8 +238,8 @@ PROGRAMS: Dict[str, str] = {
 #: takes at least ``STEPS_PER_ELEMENT[name] * n`` steps, one pass of a
 #: loop body per element plus set-up (saxpy takes 11n + 7).  sobel_gx,
 #: whose ``n`` sets a width and a height, has its lowest ratio on small
-#: images (159 steps at n = 14).  Serve rejects an ``n`` whose floor
-#: exceeds the job's step budget.
+#: images (159 steps at n = 14).  Serve and the CLIs reject an ``n``
+#: whose floor exceeds the run's step budget (:func:`n_ceiling`).
 STEPS_PER_ELEMENT: Dict[str, int] = {
     "saxpy": 11,
     "dot_product": 10,
@@ -251,3 +255,23 @@ STEPS_PER_ELEMENT: Dict[str, int] = {
 #: ``sample`` job).
 PROGRAM_STEP_BUDGET = 2_000_000
 SAMPLE_STEP_BUDGET = 8_000_000
+
+
+def n_ceiling(program: str, budget: int) -> int:
+    """The largest ``n`` whose run could fit ``budget`` machine steps:
+    ``program`` spends at least its floor of steps on every element, so
+    any larger ``n`` could only end in 'step budget exhausted', after
+    building its inputs."""
+    return budget // STEPS_PER_ELEMENT[program]
+
+
+def check_n(program: str, n: int, budget: int) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError`, naming the
+    ceiling, when ``n`` is above ``program``'s :func:`n_ceiling` for
+    ``budget``.  An unknown program is left to the caller's own check."""
+    if program in STEPS_PER_ELEMENT and n > n_ceiling(program, budget):
+        raise ConfigurationError(
+            f"n={n} is above {program}'s ceiling of "
+            f"{n_ceiling(program, budget)}: at {STEPS_PER_ELEMENT[program]} "
+            f"steps per element it cannot fit the {budget}-step budget"
+        )

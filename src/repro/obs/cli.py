@@ -93,9 +93,10 @@ def _run_program(name: str, n: int) -> dict:
     from ..analysis.static.memo import reference_machine
     from ..core.bank import MemoTableBank
     from ..core.operations import Operation
-    from ..isa.programs import PROGRAM_STEP_BUDGET
+    from ..isa.programs import PROGRAM_STEP_BUDGET, check_n
     from ..simulator.shade import ShadeSimulator
 
+    check_n(name, n, PROGRAM_STEP_BUDGET)
     local = MetricsRegistry()
     set_enabled(True)
     try:

@@ -50,7 +50,7 @@ from ..isa.programs import (
     PROGRAM_STEP_BUDGET,
     PROGRAMS,
     SAMPLE_STEP_BUDGET,
-    STEPS_PER_ELEMENT,
+    n_ceiling,
 )
 
 __all__ = [
@@ -156,14 +156,6 @@ def _program(spec: Dict[str, Any]) -> str:
     return name
 
 
-def _n_ceiling(program: str, budget: int) -> int:
-    """The largest ``n`` whose run could fit ``budget`` machine steps:
-    ``program`` spends at least its floor of steps on every element, so
-    any larger ``n`` could only end in 'step budget exhausted', after
-    building its inputs."""
-    return budget // STEPS_PER_ELEMENT[program]
-
-
 def _check_table(out: Dict[str, Any]) -> None:
     """Reject a ``program`` job whose table the worker could not build
     (entries not a power of two, ways not dividing them into a power
@@ -247,7 +239,7 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
         out["program"] = _program(spec)
         out["n"] = _int_field(
             spec, "n", 64, floor=1,
-            ceiling=_n_ceiling(out["program"], PROGRAM_STEP_BUDGET),
+            ceiling=n_ceiling(out["program"], PROGRAM_STEP_BUDGET),
         )
         out["entries"] = _int_field(
             spec, "entries", 32, floor=1, ceiling=MAX_TABLE_ENTRIES
@@ -273,7 +265,7 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
         out["program"] = _program(spec)
         out["n"] = _int_field(
             spec, "n", 16384, floor=1,
-            ceiling=_n_ceiling(out["program"], SAMPLE_STEP_BUDGET),
+            ceiling=n_ceiling(out["program"], SAMPLE_STEP_BUDGET),
         )
         out["phases"] = _int_field(spec, "phases", plan.phases, floor=1)
         out["interval"] = _int_field(

@@ -127,7 +127,7 @@ def main_sample(argv: Optional[List[str]] = None) -> int:
     from ...core import backend as execution
     from ...core.bank import MemoTableBank
     from ...errors import ReproError
-    from ...isa.programs import SAMPLE_STEP_BUDGET
+    from ...isa.programs import SAMPLE_STEP_BUDGET, check_n
     from .estimator import PhasePlan, estimate_phases
 
     metrics_enabled = args.metrics_out is not None
@@ -143,6 +143,7 @@ def main_sample(argv: Optional[List[str]] = None) -> int:
                 seed=args.seed,
                 samples_per_phase=args.samples_per_phase,
             )
+            check_n(args.program, args.n, SAMPLE_STEP_BUDGET)
             # use_backend rejects an unknown name before the run.
             with execution.use_backend(args.backend):
                 machine = reference_machine(args.program, args.n)

@@ -24,8 +24,10 @@ Subcommands::
         its trace.
 
 ``stats`` and ``simulate`` report a missing or unreadable trace file on
-one stderr line and exit 2; ``asm`` reports an unknown program or an
-exhausted step budget the same way.
+one stderr line and exit 2; ``asm`` reports an unknown program, an
+``--n`` above the program's step-budget ceiling
+(:func:`repro.isa.programs.n_ceiling`) or an exhausted step budget the
+same way.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import ReproError, TraceFormatError
 from .images import catalog_names, generate
 from .isa.binfmt import read_column_blocks, write_column_trace
 from .isa.columns import ColumnBatch
-from .isa.programs import PROGRAM_STEP_BUDGET, PROGRAMS
+from .isa.programs import PROGRAM_STEP_BUDGET, PROGRAMS, check_n
 from .isa.trace import Trace, read_trace, write_trace
 from .simulator.shade import ShadeSimulator
 from .workloads.khoros import kernel_names, run_kernel
@@ -147,6 +149,7 @@ def _cmd_programs(_args) -> int:
 
 def _cmd_asm(args) -> int:
     try:
+        check_n(args.program, args.n, PROGRAM_STEP_BUDGET)
         machine = reference_machine(args.program, args.n)
         steps = machine.run(max_steps=PROGRAM_STEP_BUDGET)
     except ReproError as exc:

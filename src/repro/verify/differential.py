@@ -15,8 +15,10 @@ One fuzz case is a (trace, table configuration, trivial policy) triple.
   the kernel's probe memo serves from the first run (the replay leg)
 
 -- and demands bit-exact agreement on every unit/table counter, the
-final table contents (tags, values, stored operands, recency), the
-table clocks (fused legs vs. scalar), and the per-event delivered
+final table contents (tags, values, stored operands, recency and
+insertion clocks, read through each table's ``snapshot()`` by
+:func:`table_contents`), the table clocks (fused legs vs. scalar),
+and the per-event delivered
 values (oracle vs. scalar).  It additionally checks
 two sound cross-invariants: the fused report's opcode accounting
 matches the column breakdown, and no finite full-tag table ever hits
@@ -37,6 +39,7 @@ from typing import Dict, List, Tuple
 from ..core import backend as execution
 from ..core.bank import MemoTableBank
 from ..core.config import MemoTableConfig, TagMode, TrivialPolicy
+from ..core.memo_table import MemoTable
 from ..core.operations import Operation
 from ..isa.columns import ColumnBatch
 from ..isa.trace import TraceEvent
@@ -49,6 +52,7 @@ __all__ = [
     "canonicalize",
     "make_bank",
     "run_case",
+    "table_contents",
 ]
 
 ALL_OPERATIONS = tuple(Operation)
@@ -150,44 +154,13 @@ def _bank_fingerprint(bank: MemoTableBank) -> Dict[Operation, tuple]:
     return {op: _unit_key(unit.stats) for op, unit in bank.units.items()}
 
 
-def _bank_contents(bank: MemoTableBank):
-    """Final table contents of a production bank, bit-exact."""
+def table_contents(bank) -> dict:
+    """Every table's contents, bit-exact, read through ``snapshot()``:
+    a production bank's or an :class:`OracleBank`'s.  A finite table
+    gives each set's ways in way order (tag, value, operands, last-used
+    and inserted clocks), an infinite one ``tag -> (value, operands)``."""
     contents = {}
     for op, unit in bank.units.items():
-        table = unit.table
-        if hasattr(table, "_sets"):
-            contents[op] = [
-                [
-                    (e.tag, _bits(e.value), tuple(map(_bits, e.operands)),
-                     e.last_used)
-                    for e in ways
-                ]
-                for ways in table._sets
-            ]
-        else:  # InfiniteMemoTable
-            contents[op] = {
-                tag: (_bits(value), tuple(map(_bits, operands)))
-                for tag, (value, operands) in table._entries.items()
-            }
-    return contents
-
-
-def _bank_clocks(bank: MemoTableBank):
-    """Each finite table's clock and its ways' insertion clocks (the
-    state FIFO victims and later probes read, beyond the contents)."""
-    return {
-        op: (
-            unit.table._clock,
-            [[e.inserted for e in ways] for ways in unit.table._sets],
-        )
-        for op, unit in bank.units.items()
-        if hasattr(unit.table, "_sets")
-    }
-
-
-def _oracle_contents(oracle: OracleBank):
-    contents = {}
-    for op, unit in oracle.units.items():
         snap = unit.table.snapshot()
         if isinstance(snap, dict):
             contents[op] = {
@@ -197,12 +170,23 @@ def _oracle_contents(oracle: OracleBank):
         else:
             contents[op] = [
                 [
-                    (tag, _bits(value), tuple(map(_bits, operands)), used)
-                    for tag, value, operands, used in ways
+                    (tag, _bits(value), tuple(map(_bits, operands)),
+                     used, inserted)
+                    for tag, value, operands, used, inserted in ways
                 ]
                 for ways in snap
             ]
     return contents
+
+
+def _bank_clocks(bank: MemoTableBank):
+    """Each finite table's clock (the state later probes read, beyond
+    the contents)."""
+    return {
+        op: unit.table._clock
+        for op, unit in bank.units.items()
+        if isinstance(unit.table, MemoTable)
+    }
 
 
 def _first_diff(left: dict, right: dict) -> str:
@@ -323,10 +307,10 @@ def run_case(case: FuzzCase) -> CaseResult:
             f"{_first_diff(oracle_fp, scalar_fp)}"
         )
 
-    scalar_contents = _bank_contents(scalar_bank)
-    fused_contents = _bank_contents(fused_bank)
-    oracle_contents = _oracle_contents(oracle)
-    replay_contents = _bank_contents(replay_bank)
+    scalar_contents = table_contents(scalar_bank)
+    fused_contents = table_contents(fused_bank)
+    oracle_contents = table_contents(oracle)
+    replay_contents = table_contents(replay_bank)
     if fused_contents != scalar_contents:
         diverge(
             "table contents: fused != scalar for unit "

@@ -160,7 +160,8 @@ class OracleTable:
     def snapshot(self):
         """Final contents in the production comparison shape."""
         return [
-            [(e.tag, e.value, e.operands, e.last_used) for e in ways]
+            [(e.tag, e.value, e.operands, e.last_used, e.inserted)
+             for e in ways]
             for ways in self.sets
         ]
 

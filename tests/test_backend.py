@@ -10,7 +10,6 @@ the broad parity suite only hits statistically.
 """
 
 import os
-import struct
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from repro.simulator.cpu import MemoizedCPU
 from repro.simulator.hazard import HazardModel
 from repro.simulator.sampling import PhasePlan, estimate_phases
 from repro.simulator.shade import ShadeSimulator
+from repro.verify.differential import table_contents
 
 ALL_OPERATIONS = tuple(Operation)
 
@@ -52,31 +52,15 @@ def _clean_selection():
             os.environ[execution.ENV_VAR] = saved
 
 
-def _bits(value):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return ("i", value)
-    return ("f", struct.unpack("<Q", struct.pack("<d", float(value)))[0])
-
-
 def _fingerprint(bank):
+    contents = table_contents(bank)
     out = {}
     for op, unit in bank.units.items():
         t = unit.stats.table
-        entries = None
-        table = unit.table
-        if hasattr(table, "_sets"):
-            entries = [
-                [
-                    (e.tag, _bits(e.value), tuple(map(_bits, e.operands)),
-                     e.last_used, e.inserted)
-                    for e in ways
-                ]
-                for ways in table._sets
-            ]
         out[op] = (
             unit.stats.operations, unit.stats.trivial,
             t.lookups, t.hits, t.insertions, t.evictions,
-            t.commutative_hits, entries,
+            t.commutative_hits, contents[op],
         )
     return out
 

@@ -17,7 +17,6 @@ parity gate required by the columnar-pipeline acceptance criteria.
 """
 
 import math
-import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +52,7 @@ from repro.simulator.hazard import HazardModel
 from repro.simulator.pipeline import CycleModel
 from repro.simulator.shade import ShadeSimulator
 from repro.verify import faults
+from repro.verify.differential import table_contents
 from repro.verify.fuzz import TraceFuzzer
 
 from .hazard_reference import ReferenceHazardModel
@@ -63,15 +63,6 @@ ALL_OPERATIONS = tuple(Operation)
 NON_SCALAR_BACKENDS = tuple(
     name for name in execution.names() if name != "scalar"
 )
-
-
-def _bits(value):
-    """Bit-exact comparison key (NaN payloads and -0.0 must survive)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return ("i", value)
-    if value is None:
-        return ("n",)
-    return ("f", struct.unpack("<Q", struct.pack("<d", float(value)))[0])
 
 
 def _memo_key(stats):
@@ -96,29 +87,6 @@ def _unit_key(stats):
 
 def _bank_fingerprint(bank):
     return {op: _unit_key(unit.stats) for op, unit in bank.units.items()}
-
-
-def _table_entries(bank):
-    """Full table contents, bit-exact -- tags, values, stored operands,
-    recency and insertion clocks, in way order."""
-    contents = {}
-    for op, unit in bank.units.items():
-        table = unit.table
-        if hasattr(table, "_sets"):
-            contents[op] = [
-                [
-                    (e.tag, _bits(e.value), tuple(map(_bits, e.operands)),
-                     e.last_used, e.inserted)
-                    for e in ways
-                ]
-                for ways in table._sets
-            ]
-        else:  # InfiniteMemoTable
-            contents[op] = {
-                tag: (_bits(value), tuple(map(_bits, operands)))
-                for tag, (value, operands) in table._entries.items()
-            }
-    return contents
 
 
 def _table_clocks(bank):
@@ -247,7 +215,7 @@ class TestProgramParity:
         assert report.instructions == scalar.instructions
         assert report.breakdown == scalar.breakdown
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
 
     @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -280,7 +248,7 @@ class TestProgramParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
 
     @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -306,7 +274,7 @@ class TestProgramParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
         assert sorted(fused_served, key=lambda op: op.name) == _probed(b_bank)
 
 
@@ -361,7 +329,7 @@ class TestEdgeValueParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
         assert sorted(fused_served, key=lambda op: op.name) == _probed(b_bank)
 
     @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
@@ -376,7 +344,7 @@ class TestEdgeValueParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
         assert sorted(fused_served, key=lambda op: op.name) == _probed(b_bank)
 
     @pytest.mark.parametrize("backend", NON_SCALAR_BACKENDS)
@@ -409,12 +377,12 @@ class TestEdgeValueParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
         assert b_bank.units[Operation.FP_DIV].table.stats.evictions > 0
         stored = {
-            entry.operands
-            for ways_ in b_bank.units[Operation.FP_DIV].table._sets
-            for entry in ways_
+            operands
+            for ways_ in b_bank.units[Operation.FP_DIV].table.snapshot()
+            for _, _, operands, _, _ in ways_
         }
         # The last insert of the shared pair was (0.375, -12.0); the
         # final (-6.0, 0.75) hits it.
@@ -436,7 +404,7 @@ class TestEdgeValueParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
 
     @pytest.mark.parametrize("backend", execution.names())
     def test_validation_mismatch_counts(self, backend, batch_runs):
@@ -493,7 +461,7 @@ class TestEdgeValueParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
         assert sum(
             unit.stats.table.evictions for unit in b_bank.units.values()
         ) > 0
@@ -507,7 +475,7 @@ class TestEdgeValueParity:
             backend=backend,
         )
         assert _bank_fingerprint(b_bank) == _bank_fingerprint(s_bank)
-        assert _table_entries(b_bank) == _table_entries(s_bank)
+        assert table_contents(b_bank) == table_contents(s_bank)
 
 
 def _infinite_bank(policy, tag_mode):
@@ -552,7 +520,7 @@ def _assert_tag_dict_parity(batch, policy, tag_mode, served, executed):
     with execution.use_backend("scalar"):
         expected = execution.probe_outcomes(batch, reference.units)
     assert _bank_fingerprint(bank) == _bank_fingerprint(reference)
-    assert _table_entries(bank) == _table_entries(reference)
+    assert table_contents(bank) == table_contents(reference)
     assert np.array_equal(outcomes, expected)
 
 
@@ -733,7 +701,7 @@ def _fresh(events):
 
 def _assert_same_state(bank, reference):
     assert _bank_fingerprint(bank) == _bank_fingerprint(reference)
-    assert _table_entries(bank) == _table_entries(reference)
+    assert table_contents(bank) == table_contents(reference)
     assert _table_clocks(bank) == _table_clocks(reference)
 
 
@@ -787,6 +755,48 @@ class TestProbeMemo:
             reference = make_bank()
             execution.dispatch(events, reference.units, backend="scalar")
             _assert_same_state(bank, reference)
+
+    @pytest.mark.parametrize(
+        "tag_mode", [TagMode.FULL, TagMode.MANTISSA], ids=["full", "mantissa"]
+    )
+    @pytest.mark.parametrize(
+        "replacement", [ReplacementKind.LRU, ReplacementKind.FIFO],
+        ids=["lru", "fifo"],
+    )
+    def test_replayed_table_keeps_working(
+        self, traces, replacement, tag_mode, loop_runs, replays
+    ):
+        # The loop writes into a table's slot lists in place, so a
+        # stored run and a table rebuilt from it must share no list.
+        config = MemoTableConfig(
+            entries=8, associativity=2, replacement=replacement,
+            tag_mode=tag_mode,
+        )
+
+        def make_bank():
+            return MemoTableBank.paper_baseline(
+                config=config, operations=ALL_OPERATIONS
+            )
+
+        x = _fresh(traces["memo_showcase"])
+        y = ColumnBatch.from_events(x.to_events()[::-1])
+        first = make_bank()
+        execution.dispatch(x, first.units, backend="fused")
+        stored = table_contents(first)
+        del loop_runs[:]
+        rebuilt = make_bank()
+        execution.dispatch(x, rebuilt.units, backend="fused")
+        assert loop_runs == []
+        assert sorted(replays, key=lambda op: op.name) == _probed(rebuilt)
+        execution.dispatch(y, rebuilt.units, backend="fused")
+        assert sorted(loop_runs, key=lambda op: op.name) == _probed(rebuilt)
+        reference = make_bank()
+        execution.dispatch(x, reference.units, backend="scalar")
+        execution.dispatch(y, reference.units, backend="scalar")
+        _assert_same_state(rebuilt, reference)
+        again = make_bank()
+        execution.dispatch(x, again.units, backend="fused")
+        assert table_contents(again) == stored
 
     def test_replay_decodes_no_partition(self, traces, monkeypatch, replays):
         # The memo is consulted before any operand is read: a partition

@@ -2,7 +2,16 @@
 
 import pytest
 
+from repro import trace_cli
+from repro.analysis import static
+from repro.analysis.static import memo
 from repro.cli import main
+from repro.isa.machine import MachineError
+from repro.isa.programs import (
+    PROGRAM_STEP_BUDGET,
+    SAMPLE_STEP_BUDGET,
+    n_ceiling,
+)
 from repro.trace_cli import main as trace_main
 
 
@@ -79,46 +88,122 @@ def test_zero_gc_bound_accepted(tmp_path, capsys):
     assert "(bound 0B)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "abc", "nan", "inf"])
+_BAD_SIZES = ["0", "-5", "abc", "nan", "inf"]
+
+_SIZE_OPTIONS = [
+    ("stats", ["stats", "--program", "saxpy", "-n"], "argument -n"),
+    ("sample", ["sample", "--program", "saxpy", "--n"], "argument --n"),
+    ("submit-n", ["submit", "--program", "saxpy", "--n"], "argument --n"),
+    ("submit-entries", ["submit", "--program", "saxpy", "--entries"],
+     "argument --entries"),
+    ("submit-ways", ["submit", "--program", "saxpy", "--ways"],
+     "argument --ways"),
+    ("submit-budget", ["submit", "--fuzz", "--budget"], "argument --budget"),
+    ("submit-max-events", ["submit", "--fuzz", "--max-events"],
+     "argument --max-events"),
+    ("submit-timeout", ["submit", "--program", "saxpy", "--timeout"],
+     "argument --timeout"),
+    ("analyze", ["analyze", "saxpy", "--check", "--n"], "argument --n"),
+]
+
+#: An ``n`` one past the step-budget ceiling of a program each command
+#: would run (``analyze --check`` with no program runs all six, and
+#: memo_showcase has the lowest ceiling).
+_OVER_CEILING = [
+    ("stats", ["stats", "--program", "saxpy", "-n"],
+     n_ceiling("saxpy", PROGRAM_STEP_BUDGET)),
+    ("sample", ["sample", "--program", "saxpy", "--n"],
+     n_ceiling("saxpy", SAMPLE_STEP_BUDGET)),
+    ("analyze", ["analyze", "saxpy", "--check", "--n"],
+     n_ceiling("saxpy", PROGRAM_STEP_BUDGET)),
+    ("analyze-all", ["analyze", "--check", "--n"],
+     n_ceiling("memo_showcase", PROGRAM_STEP_BUDGET)),
+]
+
+
+@pytest.fixture
+def machines_built(monkeypatch):
+    """Every reference machine a command asks for (none is built)."""
+    built = []
+
+    def record(name, n=0):
+        built.append((name, n))
+        raise AssertionError("a reference machine was built")
+
+    monkeypatch.setattr(memo, "reference_machine", record)
+    monkeypatch.setattr(trace_cli, "reference_machine", record)
+    return built
+
+
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv, option, value",
     [
-        (["stats", "--program", "saxpy", "-n"], "argument -n"),
-        (["sample", "--program", "saxpy", "--n"], "argument --n"),
-        (["submit", "--program", "saxpy", "--n"], "argument --n"),
-        (["submit", "--program", "saxpy", "--entries"], "argument --entries"),
-        (["submit", "--program", "saxpy", "--ways"], "argument --ways"),
-        (["submit", "--fuzz", "--budget"], "argument --budget"),
-        (["submit", "--fuzz", "--max-events"], "argument --max-events"),
-        (["submit", "--program", "saxpy", "--timeout"], "argument --timeout"),
-        (["analyze", "saxpy", "--check", "--n"], "argument --n"),
-    ],
-    ids=[
-        "stats", "sample", "submit-n", "submit-entries", "submit-ways",
-        "submit-budget", "submit-max-events", "submit-timeout", "analyze",
+        pytest.param(argv, option, value, id=f"{name}-{value}")
+        for value in _BAD_SIZES
+        for name, argv, option in _SIZE_OPTIONS
+    ] + [
+        pytest.param(argv, f"ceiling of {ceiling}:", str(ceiling + 1),
+                     id=f"{name}-over-ceiling")
+        for name, argv, ceiling in _OVER_CEILING
     ],
 )
-def test_bad_problem_size_is_a_usage_error(argv, option, value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [value])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:")
+def test_bad_problem_size_is_a_usage_error(
+    argv, option, value, capsys, machines_built
+):
+    # A malformed size fails while parsing; a size past the ceiling
+    # gets one line naming it.  Either way nothing is built.
+    if option.startswith("argument"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+    else:
+        assert main(argv + [value]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
     assert option in err
     assert "Traceback" not in err
+    assert machines_built == []
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "abc", "nan", "inf"])
-def test_trace_asm_bad_problem_size_is_a_usage_error(value, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "value",
+    _BAD_SIZES + [pytest.param(
+        str(n_ceiling("saxpy", PROGRAM_STEP_BUDGET) + 1), id="over-ceiling"
+    )],
+)
+def test_trace_asm_bad_problem_size_is_a_usage_error(
+    value, tmp_path, capsys, machines_built
+):
     target = tmp_path / "out.trc"
-    with pytest.raises(SystemExit) as exc:
-        trace_main(["asm", "saxpy", str(target), "--n", value])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:")
-    assert "argument --n" in err
+    argv = ["asm", "saxpy", str(target), "--n", value]
+    if value in _BAD_SIZES:
+        with pytest.raises(SystemExit) as exc:
+            trace_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --n" in err
+    else:
+        assert trace_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        ceiling = n_ceiling("saxpy", PROGRAM_STEP_BUDGET)
+        assert f"ceiling of {ceiling}:" in err
     assert "Traceback" not in err
     assert not target.exists()
+    assert machines_built == []
+
+
+def test_analyze_reports_a_check_error_on_one_line(monkeypatch, capsys):
+    def exhausted(name, n=0, max_steps=0):
+        raise MachineError("step budget exhausted (2000000)")
+
+    monkeypatch.setattr(static, "check_program", exhausted)
+    assert main(["analyze", "saxpy", "--check"]) == 2
+    err = capsys.readouterr().err
+    assert err == "step budget exhausted (2000000)\n"
 
 
 def test_stats_unknown_program_is_one_line(capsys):

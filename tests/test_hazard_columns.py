@@ -32,8 +32,8 @@ from repro.isa.trace import Trace, TraceEvent
 from repro.simulator.hazard import HazardModel
 from repro.verify.differential import (
     ALL_OPERATIONS,
-    _bank_contents,
     _bank_fingerprint,
+    table_contents,
 )
 from repro.workloads.khoros import SPEEDUP_APPS
 
@@ -90,7 +90,7 @@ def _assert_columns_match_events(machine, trace, width, make_bank=None):
     assert columnar == reference
     if make_bank is not None:
         assert _bank_fingerprint(banks[0]) == _bank_fingerprint(banks[1])
-        assert _bank_contents(banks[0]) == _bank_contents(banks[1])
+        assert table_contents(banks[0]) == table_contents(banks[1])
     return columnar
 
 

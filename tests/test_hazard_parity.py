@@ -23,9 +23,9 @@ from repro.isa.columns import ColumnBatch
 from repro.simulator.hazard import HazardModel
 from repro.verify.differential import (
     ALL_OPERATIONS,
-    _bank_contents,
     _bank_fingerprint,
     canonicalize,
+    table_contents,
 )
 from repro.verify.fuzz import TraceFuzzer
 
@@ -59,7 +59,7 @@ def _reference_bank(machine, config, events):
     model_bank = _bank(machine, config)
     assert HazardModel(machine, bank=model_bank).run(events) == expected
     assert _bank_fingerprint(model_bank) == _bank_fingerprint(reference_bank)
-    assert _bank_contents(model_bank) == _bank_contents(reference_bank)
+    assert table_contents(model_bank) == table_contents(reference_bank)
     return reference_bank
 
 
@@ -79,7 +79,7 @@ def test_hazard_probe_sequence_matches_every_backend(machine, seed, backend):
     )
 
     assert _bank_fingerprint(hazard_bank) == _bank_fingerprint(backend_bank)
-    assert _bank_contents(hazard_bank) == _bank_contents(backend_bank)
+    assert table_contents(hazard_bank) == table_contents(backend_bank)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +106,7 @@ def test_hazard_parity_across_table_shapes(config, backend):
     )
 
     assert _bank_fingerprint(hazard_bank) == _bank_fingerprint(backend_bank)
-    assert _bank_contents(hazard_bank) == _bank_contents(backend_bank)
+    assert table_contents(hazard_bank) == table_contents(backend_bank)
 
 
 def test_hazard_report_hit_ratios_come_from_the_shared_stats():

@@ -151,11 +151,7 @@ def _simulate(name, n=24):
     from repro.simulator.shade import ShadeSimulator
 
     report = ShadeSimulator(bank=bank).run(machine.trace)
-    tables = {
-        op.name: sorted(unit.table.entries())
-        for op, unit in bank.units.items()
-        if hasattr(unit.table, "entries")
-    }
+    tables = {op.name: unit.table.snapshot() for op, unit in bank.units.items()}
     return {
         "instructions": report.instructions,
         "breakdown": {op.name: c for op, c in report.breakdown.items()},

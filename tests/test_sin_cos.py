@@ -18,7 +18,13 @@ from repro.core.config import MemoTableConfig, TrivialPolicy
 from repro.core.operations import Operation, compute, ieee_cos, ieee_sin
 from repro.isa.machine import Machine, assemble
 from repro.isa.opcodes import Opcode
-from repro.verify.differential import FuzzCase, _bits, canonicalize, run_case
+from repro.verify.differential import (
+    FuzzCase,
+    _bits,
+    canonicalize,
+    run_case,
+    table_contents,
+)
 from repro.workloads.recorder import OperationRecorder
 
 #: Both infinities, a NaN of either sign and a finite angle.
@@ -53,22 +59,6 @@ def _recorded_trace():
             for value in OPERANDS:
                 unit(float(value))
     return recorder.trace
-
-
-def _entries(bank):
-    """Every unit's table contents, bit-exact, in way order."""
-    return {
-        operation: [
-            [
-                (entry.tag, _bits(entry.value),
-                 tuple(map(_bits, entry.operands)),
-                 entry.last_used, entry.inserted)
-                for entry in ways
-            ]
-            for ways in unit.table._sets
-        ]
-        for operation, unit in bank.units.items()
-    }
 
 
 @pytest.mark.parametrize(
@@ -108,7 +98,7 @@ def test_both_backends_probe_and_agree():
         assert (
             scalar.units[operation].stats == fused.units[operation].stats
         ), operation
-    assert _entries(scalar) == _entries(fused)
+    assert table_contents(scalar) == table_contents(fused)
     assert reports["scalar"].counts == reports["fused"].counts
     assert np.array_equal(outcomes["scalar"], outcomes["fused"])
     sin, cos = fused.units[Operation.FP_SIN], fused.units[Operation.FP_COS]
