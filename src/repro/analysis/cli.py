@@ -164,13 +164,12 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.check and args.n is not None:
-        try:
-            for name in names:
-                check_n(name, args.n, PROGRAM_STEP_BUDGET)
-        except ReproError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    try:
+        for name in names if args.check and args.n is not None else ():
+            check_n(name, args.n, PROGRAM_STEP_BUDGET)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     document: dict = {"programs": [], "checks": []}
     summary_rows = []

@@ -474,8 +474,8 @@ class _ProbeMemo(NamedTuple):
             else _FLOAT_WAYS
         )
         assoc = table.config.associativity
-        tags, operands = table._tags, table._operands
-        used, inserted = table._last_used, table._inserted
+        tags, operands, used = table._tags, table._operands, table._last_used
+        inserted = table._inserted
         ways = np.array(
             [
                 (pos, *tags[pos], *operands[pos], used[pos], inserted[pos])
@@ -586,10 +586,10 @@ def _probe_fused(unit, table, np_a, np_b, outcomes=None):
     # Give every resident tag a pair id.  Tags not in this batch still
     # get one (past ``u``) so exact and commutative probes can hit them;
     # their slots keep their tag, operands and value unless evicted.
-    tags_flat = table._tags
-    used_flat = table._last_used
-    ins_flat = table._inserted
-    fill = table._fill
+    tags_flat, values_flat, operands_flat = (
+        table._tags, table._values, table._operands
+    )
+    used_flat, ins_flat, fill = table._last_used, table._inserted, table._fill
     assoc = config.associativity
     uid_flat = [-1] * len(tags_flat)
     full_flat: Dict[int, int] = {}
@@ -713,8 +713,6 @@ def _probe_fused(unit, table, np_a, np_b, outcomes=None):
     # A slot this run inserted into holds a batch id, so its tag comes
     # from the pair id and its operands and value from the inserting
     # event's full id.
-    values_flat = table._values
-    operands_flat = table._operands
     for pos, f in full_flat.items():
         k = uid_flat[pos]
         tags_flat[pos] = (tags_a[k], tags_b[k])

@@ -138,14 +138,12 @@ def _key_function(config: MemoTableConfig) -> Callable[[float, float], Tuple[int
 class MemoTable(BaseMemoTable):
     """Set-associative MEMO-TABLE (the realizable hardware design).
 
-    The ways live in flat per-slot lists, one slot per entry: slot
-    ``set * associativity + way``, so a set's slots run in way order.
-    ``_tags``, ``_values``, ``_operands``, ``_last_used`` and
-    ``_inserted`` hold each slot's tag, stored result, the operands
-    that created it, and its last-used and inserted clocks; ``_fill``
-    counts each set's filled ways, which always occupy the set's first
-    slots.  The pair-id loop (:mod:`repro.core.kernel`) works on these
-    same lists.  :meth:`snapshot` is the inspection surface.
+    Its only state is flat per-slot lists (slot = set * associativity +
+    way, so slot order is way order: tag, value, operands, last-used
+    and inserted clocks), ``_fill`` (each set's filled ways, always its
+    first slots) and ``_clock``.  The pair-id loop
+    (:mod:`repro.core.kernel`) works on these same lists; everyone else
+    reads :meth:`snapshot`.
     """
 
     def __init__(self, config: Optional[MemoTableConfig] = None) -> None:
@@ -155,10 +153,6 @@ class MemoTable(BaseMemoTable):
             self.config.replacement, self.config.seed
         )
         self._clock = 0
-        self._empty()
-        self.stats = MemoStats()
-
-    def _empty(self) -> None:
         size = self.config.entries
         self._tags: List[Optional[Tag]] = [None] * size
         self._values: List[Optional[float]] = [None] * size
@@ -166,6 +160,7 @@ class MemoTable(BaseMemoTable):
         self._last_used: List[int] = [0] * size
         self._inserted: List[int] = [0] * size
         self._fill: List[int] = [0] * self.config.n_sets
+        self.stats = MemoStats()
 
     # -- probing ---------------------------------------------------------
 
@@ -226,7 +221,9 @@ class MemoTable(BaseMemoTable):
         self._inserted[pos] = self._clock
 
     def flush(self) -> None:
-        self._empty()
+        # Slots past a set's fill are never read, so emptying the sets
+        # empties the table.
+        self._fill = [0] * self.config.n_sets
         if obs.enabled():
             obs.registry().counter_add("memo_table.flush")
 
@@ -235,7 +232,7 @@ class MemoTable(BaseMemoTable):
     def __len__(self) -> int:
         return sum(self._fill)
 
-    def snapshot(self) -> List[List[Tuple[Tag, float, Tuple[float, float], int, int]]]:
+    def snapshot(self) -> List[List[tuple]]:
         """Each set's ways in way order, one
         ``(tag, value, operands, last_used, inserted)`` tuple per way."""
         assoc = self.config.associativity

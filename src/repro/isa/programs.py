@@ -266,12 +266,9 @@ def n_ceiling(program: str, budget: int) -> int:
 
 
 def check_n(program: str, n: int, budget: int) -> None:
-    """Raise :class:`~repro.errors.ConfigurationError`, naming the
-    ceiling, when ``n`` is above ``program``'s :func:`n_ceiling` for
-    ``budget``.  An unknown program is left to the caller's own check."""
+    """Reject an ``n`` above a known ``program``'s :func:`n_ceiling`."""
     if program in STEPS_PER_ELEMENT and n > n_ceiling(program, budget):
         raise ConfigurationError(
             f"n={n} is above {program}'s ceiling of "
-            f"{n_ceiling(program, budget)}: at {STEPS_PER_ELEMENT[program]} "
-            f"steps per element it cannot fit the {budget}-step budget"
+            f"{n_ceiling(program, budget)} for a {budget}-step budget"
         )

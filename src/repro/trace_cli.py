@@ -25,9 +25,8 @@ Subcommands::
 
 ``stats`` and ``simulate`` report a missing or unreadable trace file on
 one stderr line and exit 2; ``asm`` reports an unknown program, an
-``--n`` above the program's step-budget ceiling
-(:func:`repro.isa.programs.n_ceiling`) or an exhausted step budget the
-same way.
+``--n`` past :func:`~repro.isa.programs.n_ceiling` or an exhausted
+step budget the same way.
 """
 
 from __future__ import annotations

@@ -155,10 +155,8 @@ def _bank_fingerprint(bank: MemoTableBank) -> Dict[Operation, tuple]:
 
 
 def table_contents(bank) -> dict:
-    """Every table's contents, bit-exact, read through ``snapshot()``:
-    a production bank's or an :class:`OracleBank`'s.  A finite table
-    gives each set's ways in way order (tag, value, operands, last-used
-    and inserted clocks), an infinite one ``tag -> (value, operands)``."""
+    """Every table's ``snapshot()``, bit-exact, for a production bank or
+    an :class:`OracleBank` alike."""
     contents = {}
     for op, unit in bank.units.items():
         snap = unit.table.snapshot()
@@ -180,8 +178,7 @@ def table_contents(bank) -> dict:
 
 
 def _bank_clocks(bank: MemoTableBank):
-    """Each finite table's clock (the state later probes read, beyond
-    the contents)."""
+    """Each finite table's clock (later probes read it too)."""
     return {
         op: unit.table._clock
         for op, unit in bank.units.items()

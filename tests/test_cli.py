@@ -142,7 +142,7 @@ def machines_built(monkeypatch):
         for value in _BAD_SIZES
         for name, argv, option in _SIZE_OPTIONS
     ] + [
-        pytest.param(argv, f"ceiling of {ceiling}:", str(ceiling + 1),
+        pytest.param(argv, f"ceiling of {ceiling} for", str(ceiling + 1),
                      id=f"{name}-over-ceiling")
         for name, argv, ceiling in _OVER_CEILING
     ],
@@ -190,7 +190,7 @@ def test_trace_asm_bad_problem_size_is_a_usage_error(
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         ceiling = n_ceiling("saxpy", PROGRAM_STEP_BUDGET)
-        assert f"ceiling of {ceiling}:" in err
+        assert f"ceiling of {ceiling} for" in err
     assert "Traceback" not in err
     assert not target.exists()
     assert machines_built == []
