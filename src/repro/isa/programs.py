@@ -270,5 +270,5 @@ def check_n(program: str, n: int, budget: int) -> None:
     if program in STEPS_PER_ELEMENT and n > n_ceiling(program, budget):
         raise ConfigurationError(
             f"n={n} is above {program}'s ceiling of "
-            f"{n_ceiling(program, budget)} for a {budget}-step budget"
+            f"{n_ceiling(program, budget)} for the budget of {budget} steps"
         )

@@ -18,13 +18,13 @@ One fuzz case is a (trace, table configuration, trivial policy) triple.
 final table contents (tags, values, stored operands, recency and
 insertion clocks, read through each table's ``snapshot()`` by
 :func:`table_contents`), the table clocks (fused legs vs. scalar),
-and the per-event delivered
-values (oracle vs. scalar).  It additionally checks
-two sound cross-invariants: the fused report's opcode accounting
-matches the column breakdown, and no finite full-tag table ever hits
-more often than the infinite-table upper bound (one dispatch into a
-CACHE_ALL :meth:`~repro.core.bank.MemoTableBank.infinite` bank -- the
-same quantity the static analyzer's bounds are validated against).
+and the per-event delivered values (oracle vs. scalar).  It
+additionally checks two sound cross-invariants: the fused report's
+opcode accounting matches the column breakdown, and no finite full-tag
+table ever hits more often than the infinite-table upper bound (one
+dispatch into a CACHE_ALL :meth:`~repro.core.bank.MemoTableBank.infinite`
+bank -- the same quantity the static analyzer's bounds are validated
+against).
 
 Any violated comparison becomes a human-readable divergence string; an
 empty list means the three implementations agree exactly.
