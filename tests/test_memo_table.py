@@ -120,18 +120,29 @@ class TestCapacityAndEviction:
         assert not table.lookup(1.25, 1.0).hit
         assert table.lookup(1.75, 1.0).hit
 
-    def test_snapshot_shape(self):
+    def test_set_occupancy_shape(self):
         table = fp_table()
         assert table.snapshot() == [[]] * 8
+        table.insert(1.0, 2.0, 3.0)
+        occupancy = [len(ways) for ways in table.snapshot()]
+        assert len(occupancy) == 8
+        assert sum(occupancy) == len(table) == 1
+
+    def test_entries_iterator(self):
+        table = fp_table()
         table.insert(1.5, 2.5, 3.75)
         table.lookup(1.5, 2.5)
-        ways = [way for ways in table.snapshot() for way in ways]
-        assert len(ways) == 1
-        tag, value, operands, last_used, inserted = ways[0]
+        rows = [
+            (set_index, way)
+            for set_index, ways in enumerate(table.snapshot())
+            for way in ways
+        ]
+        assert len(rows) == 1
+        set_index, (tag, value, operands, last_used, inserted) = rows[0]
+        assert 0 <= set_index < 8
         assert value == 3.75
         assert operands == (1.5, 2.5)
         assert (last_used, inserted) == (2, 1)
-        assert sum(map(len, table.snapshot())) == len(table) == 1
 
 
 class TestCommutative:
